@@ -126,6 +126,59 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
+/// The heap paths behind SIBENCH: a page-at-a-time sequential scan of a
+/// table in its steady state (every row rewritten a few times, then
+/// vacuumed), and the update + prune cycle that keeps it there by re-using
+/// the slots vacuum frees.
+fn bench_heap(c: &mut Criterion) {
+    use pgssi_engine::IsolationLevel::{ReadCommitted, RepeatableRead};
+    let aged = || {
+        let db = Database::open();
+        db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+            .unwrap();
+        let mut t = db.begin(ReadCommitted);
+        for i in 0..1000i64 {
+            t.insert("kv", row![i, 0]).unwrap();
+        }
+        t.commit().unwrap();
+        for round in 1..=4i64 {
+            for i in 0..1000i64 {
+                let mut t = db.begin(ReadCommitted);
+                t.update("kv", &row![(i * 7919) % 1000], row![i, round])
+                    .unwrap();
+                t.commit().unwrap();
+            }
+        }
+        db.vacuum();
+        db
+    };
+    let mut g = c.benchmark_group("heap");
+    g.bench_function("seq_scan_1k_aged", |b| {
+        let db = aged();
+        b.iter(|| {
+            let mut txn = db.begin(RepeatableRead);
+            let rows = txn.scan("kv").unwrap();
+            txn.commit().unwrap();
+            assert_eq!(rows.len(), 1000);
+            std::hint::black_box(rows)
+        });
+    });
+    g.bench_function("update_prune_cycle", |b| {
+        let db = aged();
+        let mut round = 4i64;
+        b.iter(|| {
+            round += 1;
+            for i in 0..1000i64 {
+                let mut t = db.begin(ReadCommitted);
+                t.update("kv", &row![i], row![i, round]).unwrap();
+                t.commit().unwrap();
+            }
+            std::hint::black_box(db.vacuum())
+        });
+    });
+    g.finish();
+}
+
 fn bench_ssi_cycle_detection(c: &mut Criterion) {
     // Full write-skew round: two transactions, four reads, two writes, one
     // doomed — the end-to-end cost of SSI catching Figure 1.
@@ -159,6 +212,6 @@ criterion_group! {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_siread, bench_btree, bench_engine, bench_ssi_cycle_detection
+    targets = bench_siread, bench_btree, bench_engine, bench_heap, bench_ssi_cycle_detection
 }
 criterion_main!(micro);

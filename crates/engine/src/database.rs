@@ -3,17 +3,18 @@
 //! for replication.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use pgssi_common::config::WalMode;
 use pgssi_common::stats::{Counter, HistSnapshot, TraceEvent, Tracer};
-use pgssi_common::{CommitSeqNo, EngineConfig, Error, Key, Result, Snapshot, TxnId};
+use pgssi_common::{CommitSeqNo, EngineConfig, Error, Key, Result, Row, Snapshot, TxnId};
 use pgssi_core::{SafetyState, SsiManager, SxactId};
 use pgssi_lockmgr::s2pl::S2plLockManager;
 use pgssi_storage::wal::{Lsn, WalStore};
-use pgssi_storage::{BufferCache, TxnManager};
+use pgssi_storage::{BufferCache, CommitLog, TxnManager};
 
 use crate::catalog::{Catalog, Table, TableDef};
 use crate::durability::{
@@ -754,6 +755,43 @@ impl DbInner {
     }
 }
 
+/// A key for an [`DbInner::active_snapshots`] entry that belongs to no
+/// transaction (a replica's feedback pin, a checkpoint's snapshot). Synthetic
+/// ids are carved downward from `u64::MAX`, far above any real txid; they
+/// exist only as map keys and never touch the transaction manager.
+pub(crate) fn synthetic_snapshot_key() -> TxnId {
+    static NEXT: AtomicU64 = AtomicU64::new(u64::MAX);
+    TxnId(NEXT.fetch_sub(1, Ordering::Relaxed))
+}
+
+/// Releases the [`DbInner::active_snapshots`] entry of a snapshot taken outside
+/// any transaction (registered with [`Database::snapshot_registered`] under
+/// `key`) when dropped.
+struct SnapshotPin<'a> {
+    db: &'a DbInner,
+    key: TxnId,
+}
+
+impl Drop for SnapshotPin<'_> {
+    fn drop(&mut self) {
+        self.db.active_snapshots.lock().remove(&self.key);
+    }
+}
+
+/// Every row of `heap` visible to `snapshot`, read as no transaction in
+/// particular, in physical order (checkpoint images, `recluster`).
+fn visible_rows(heap: &pgssi_storage::Heap, snapshot: &Snapshot, clog: &CommitLog) -> Vec<Row> {
+    let mut rows = Vec::new();
+    heap.scan_visible(
+        snapshot,
+        clog,
+        &pgssi_storage::SingleXid(TxnId::INVALID),
+        &mut |_| {},
+        &mut |_, row| rows.push(row.clone()),
+    );
+    rows
+}
+
 /// An embedded pgssi database.
 #[derive(Clone)]
 pub struct Database {
@@ -1074,7 +1112,16 @@ impl Database {
         // record is still in the log the floor protects (lock order
         // prepared → append, consistent with every other taker).
         let prepared = self.inner.lock_prepared();
-        let (snapshot, applied_lsn) = self.inner.dwal.quiesced(|| self.inner.tm.snapshot());
+        // Registered like a transaction's: the scan below must find every
+        // version this snapshot sees, whatever a concurrent vacuum frees.
+        let pin = SnapshotPin {
+            db: &self.inner,
+            key: synthetic_snapshot_key(),
+        };
+        let (snapshot, applied_lsn) = self
+            .inner
+            .dwal
+            .quiesced(|| self.snapshot_registered(pin.key));
         // Keep the log tail from the earliest unresolved Prepare record on:
         // its in-doubt effects live only there, not in the checkpoint image
         // (they are uncommitted, so the snapshot below cannot see them).
@@ -1084,22 +1131,14 @@ impl Database {
             .min()
             .map(|lsn| lsn - 1);
         drop(prepared);
-        let reader = pgssi_storage::SingleXid(TxnId::INVALID);
         let mut tables = Vec::new();
         for name in self.inner.catalog.table_names() {
             let t = self.inner.catalog.table(&name)?;
             let inner = t.inner.read();
-            let mut rows = Vec::new();
-            inner.heap.for_each_root(|root| {
-                let read = inner
-                    .heap
-                    .read_chain(root, &snapshot, self.inner.tm.clog(), &reader);
-                if let Some((_, row)) = read.visible {
-                    rows.push(row);
-                }
-            });
+            let rows = visible_rows(&inner.heap, &snapshot, self.inner.tm.clog());
             tables.push((inner.def.clone(), rows));
         }
+        drop(pin);
         let bytes = encode_checkpoint(&Checkpoint {
             applied_lsn,
             tables,
@@ -1635,20 +1674,12 @@ impl Database {
         let mut inner = t.inner.write();
         // Rebuild the heap from the latest committed row versions.
         let snapshot = self.inner.tm.snapshot();
-        let reader = pgssi_storage::SingleXid(TxnId::INVALID);
         let new_heap = Arc::new(pgssi_storage::Heap::new(
             t.heap_rel,
             Arc::clone(self.inner.catalog.cache()),
         ));
-        let mut rows: Vec<pgssi_common::Row> = Vec::new();
-        inner.heap.for_each_root(|root| {
-            let read = inner
-                .heap
-                .read_chain(root, &snapshot, self.inner.tm.clog(), &reader);
-            if let Some((_, row)) = read.visible {
-                rows.push(row);
-            }
-        });
+        // No vacuum can run on this table meanwhile: it needs the DDL lock.
+        let rows = visible_rows(&inner.heap, &snapshot, self.inner.tm.clog());
         // Fresh physical layout + rebuilt indexes.
         let mut new_inner = TableRebuild::new(&inner);
         for row in rows {

@@ -356,15 +356,11 @@ pub struct Replica {
     /// `active_snapshots` — the `hot_standby_feedback` analog. It pins the
     /// vacuum horizon at the latest safe snapshot the replica may serve, so
     /// the versions a future `begin_safe_query` needs cannot be pruned
-    /// between derivation and the query's own registration. Synthetic ids
-    /// are carved downward from `u64::MAX`, far above any real txid; they
-    /// exist only as map keys and never touch the transaction manager.
+    /// between derivation and the query's own registration. A synthetic key
+    /// ([`crate::database::synthetic_snapshot_key`]), not a transaction.
     feedback_txid: TxnId,
     applied: Mutex<ReplicaState>,
 }
-
-/// Allocator for replica feedback keys (see [`Replica::feedback_txid`]).
-static FEEDBACK_KEYS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(u64::MAX);
 
 struct ReplicaState {
     next_record: usize,
@@ -389,7 +385,7 @@ impl Replica {
     /// exactly as a PostgreSQL primary may have before a standby's feedback
     /// first arrives.)
     pub fn connect(master: &Database) -> Replica {
-        let feedback_txid = TxnId(FEEDBACK_KEYS.fetch_sub(1, Ordering::Relaxed));
+        let feedback_txid = crate::database::synthetic_snapshot_key();
         // Attach inside a commit-order barrier: every commit/abort publish
         // section is totally ordered against this one, so every record whose
         // csn is at or past `floor` is guaranteed to be shipped, and the

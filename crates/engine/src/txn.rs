@@ -32,9 +32,9 @@ use pgssi_common::stats::AbortSite;
 use pgssi_common::{Error, Key, LockTarget, Result, Row, Snapshot, TupleId, TxnId};
 use pgssi_core::SxactId;
 use pgssi_lockmgr::s2pl::LockMode;
-use pgssi_storage::heap::LockOutcome;
+use pgssi_storage::heap::{ChainRead, LockOutcome};
 use pgssi_storage::visibility::OwnXids;
-use pgssi_storage::TxnStatus;
+use pgssi_storage::{TxnStatus, VisEvent};
 
 use crate::catalog::{IndexImpl, IndexSlot, Table, TableInner};
 use crate::database::{BeginOptions, DbInner, IsolationLevel};
@@ -237,7 +237,7 @@ impl Transaction {
         }
     }
 
-    fn ssi_events(&mut self, events: &[pgssi_storage::VisEvent]) -> Result<()> {
+    fn ssi_events(&mut self, events: &[VisEvent]) -> Result<()> {
         if let Some(sx) = self.sx {
             if let Err(e) = self.db.ssi().on_mvcc_events(sx, events, self.db.tm.clog()) {
                 return Err(self.abort_at(e, AbortSite::OnRead, None));
@@ -381,11 +381,7 @@ impl Transaction {
     /// a relation-level SIREAD lock (any later write anywhere in the table
     /// conflicts — the price of a predicate the index cannot cover); the 2PL
     /// baseline takes a shared lock on the relation.
-    pub fn scan_where(
-        &mut self,
-        table: &str,
-        mut pred: impl FnMut(&Row) -> bool,
-    ) -> Result<Vec<Row>> {
+    pub fn scan_where(&mut self, table: &str, pred: impl FnMut(&Row) -> bool) -> Result<Vec<Row>> {
         self.begin_op()?;
         let t = self.db.catalog.table(table)?;
         let inner = t.inner.read();
@@ -396,20 +392,26 @@ impl Transaction {
         } else {
             self.ssi_read(&[LockTarget::Relation(t.heap_rel)]);
         }
-        let mut roots = Vec::new();
-        inner.heap.for_each_root(|r| roots.push(r));
+        // One pass over the heap's pages; every version is judged on its own,
+        // so rows come back in physical (unspecified) order.
+        let track = self.sx.is_some();
+        let mut events: Vec<VisEvent> = Vec::new();
         let mut rows = Vec::new();
-        for root in roots {
-            let read = inner
-                .heap
-                .read_chain(root, &self.snapshot, self.db.tm.clog(), &self.own());
-            self.ssi_events(&read.events)?;
-            if let Some((_tid, row)) = read.visible {
-                if pred(&row) {
-                    rows.push(row);
+        inner.heap.scan_visible(
+            &self.snapshot,
+            self.db.tm.clog(),
+            &self.own(),
+            // A writer's old and new version usually sit side by side; the
+            // SSI core dedups the rest.
+            &mut |e| {
+                if track && events.last().map(|l| l.writer()) != Some(e.writer()) {
+                    events.push(e);
                 }
-            }
-        }
+            },
+            &mut |_tid, row| rows.push(row.clone()),
+        );
+        self.ssi_events(&events)?;
+        rows.retain(pred);
         Ok(rows)
     }
 
@@ -489,6 +491,30 @@ impl Transaction {
         self.resolve_roots(t, inner, slot, roots, in_bounds)
     }
 
+    /// Resolve one chain against the current snapshot, taking the tuple SIREAD
+    /// lock on the visible version under its page latch (see
+    /// [`pgssi_storage::Heap::read_chain`] for why this ordering matters).
+    fn read_root(&self, t: &Table, inner: &TableInner, root: TupleId) -> ChainRead {
+        let ssi = self.sx.map(|sx| (self.db.ssi(), sx));
+        let ro = self.opts.read_only;
+        inner.heap.read_chain(
+            root,
+            &self.snapshot,
+            self.db.tm.clog(),
+            &self.own(),
+            &mut |tid| {
+                if let Some((ssi, sx)) = &ssi {
+                    let target = [LockTarget::tuple(t.heap_rel, tid)];
+                    if ro {
+                        ssi.on_read(*sx, &target)
+                    } else {
+                        ssi.on_read_rw(*sx, &target)
+                    }
+                }
+            },
+        )
+    }
+
     /// Resolve root tuple ids to visible rows with conflict tracking, key
     /// re-checking, and per-tuple locks.
     fn resolve_roots(
@@ -501,8 +527,9 @@ impl Transaction {
     ) -> Result<Vec<(Key, Row)>> {
         let mut seen: HashSet<TupleId> = HashSet::new();
         let mut rows = Vec::new();
+        let several = roots.len() > 1;
         for root in roots {
-            if !seen.insert(root) {
+            if several && !seen.insert(root) {
                 continue; // duplicate entries (old + new key) resolve once
             }
             if self.is_2pl() {
@@ -512,29 +539,7 @@ impl Transaction {
                 // *after* the lock to actually see it.
                 self.snapshot = self.db.tm.snapshot();
             }
-            let read = {
-                let ssi = self.sx.map(|sx| (self.db.ssi(), sx));
-                let heap_rel = t.heap_rel;
-                let ro = self.opts.read_only;
-                inner.heap.read_chain_hooked(
-                    root,
-                    &self.snapshot,
-                    self.db.tm.clog(),
-                    &self.own(),
-                    // SIREAD tuple lock under the page latch (see
-                    // `read_chain_hooked` for why this ordering matters).
-                    &mut |tid| {
-                        if let Some((ssi, sx)) = &ssi {
-                            let t = [LockTarget::tuple(heap_rel, tid)];
-                            if ro {
-                                ssi.on_read(*sx, &t)
-                            } else {
-                                ssi.on_read_rw(*sx, &t)
-                            }
-                        }
-                    },
-                )
-            };
+            let read = self.read_root(t, inner, root);
             self.ssi_events(&read.events)?;
             let Some((_tid, row)) = read.visible else {
                 continue;
@@ -818,27 +823,7 @@ impl Transaction {
             // The update's read of the old row is a read like any other: it
             // takes a SIREAD lock on the version (immediately subsumed by the
             // write lock when the write goes through — the §7.3 optimization).
-            let read = {
-                let ssi = self.sx.map(|sx| (self.db.ssi(), sx));
-                let heap_rel = t.heap_rel;
-                let ro = self.opts.read_only;
-                inner.heap.read_chain_hooked(
-                    root,
-                    &self.snapshot,
-                    self.db.tm.clog(),
-                    &self.own(),
-                    &mut |tid| {
-                        if let Some((ssi, sx)) = &ssi {
-                            let t = [LockTarget::tuple(heap_rel, tid)];
-                            if ro {
-                                ssi.on_read(*sx, &t)
-                            } else {
-                                ssi.on_read_rw(*sx, &t)
-                            }
-                        }
-                    },
-                )
-            };
+            let read = self.read_root(t, inner, root);
             self.ssi_events(&read.events)?;
             if let Some((tid, row)) = read.visible {
                 if inner.pk_of(&row) == *key {
@@ -931,10 +916,9 @@ impl Transaction {
         for root in roots {
             // Walk to the newest version and judge liveness from the latest
             // committed state (a "dirty" read, like PostgreSQL's unique check).
-            let tail = inner.heap.chain_tail(root);
             let Some((xmin, xmax, row, pruned)) = inner
                 .heap
-                .with_tuple(tail, |tt| (tt.xmin, tt.xmax, tt.row.clone(), tt.pruned))
+                .with_chain_tail(root, |_, tt| (tt.xmin, tt.xmax, tt.row.clone(), tt.pruned))
             else {
                 continue;
             };

@@ -1,12 +1,20 @@
 //! Vacuum: version-chain pruning and index-entry reclamation.
 //!
-//! Versions invisible to every possible snapshot (superseded or deleted before
-//! the oldest active snapshot) have their payloads cleared and chains
-//! shortened by the heap's prune; index entries pointing at fully-dead rows are
-//! removed. Tuple headers and slots are never reused, so physical SIREAD lock
-//! targets stay valid (the same invariant PostgreSQL maintains by keeping
-//! locks on `(page, offset)` positions that vacuum will not recycle while they
-//! can matter).
+//! Versions invisible to every possible snapshot (superseded, deleted or
+//! aborted before the oldest registered snapshot) are reclaimed by the heap's
+//! prune: their slots are freed for re-use, and a dead root — which index
+//! entries still name — stays as a stub. Index entries pointing at the roots a
+//! pass killed are removed in the same pass; a pass that killed none (the
+//! steady state of an update-only workload) does not touch the indexes.
+//!
+//! Re-use is safe for readers and for SSI: a version a registered snapshot can
+//! see is never freed, chain hops are validated against the successor's `xmin`,
+//! and a SIREAD tuple lock left on a re-used `(page, slot)` can only add a
+//! false positive (the heap's module docs give the argument).
+
+use std::collections::HashSet;
+
+use pgssi_common::TupleId;
 
 use crate::catalog::IndexImpl;
 use crate::database::DbInner;
@@ -21,43 +29,77 @@ pub(crate) fn vacuum(db: &DbInner) -> (usize, usize) {
             continue;
         };
         let inner = table.inner.read();
-        let (pruned, _killed) = inner.heap.prune(db.tm.clog(), horizon);
-        pruned_total += pruned;
-        // Remove index entries whose chain root is fully dead.
-        let mut dead_roots = Vec::new();
-        let heap = &inner.heap;
-        // `for_each_root` skips dead roots, so walk pages through the pk index
-        // entries instead: collect entries and test their roots directly.
-        let all = match &inner.pk.imp {
-            IndexImpl::BTree(b) => b.scan_all().entries,
-            IndexImpl::Hash(_) => unreachable!("pk is always a btree"),
-        };
-        for (key, root) in all {
-            let dead = heap.with_tuple(root, |t| t.dead).unwrap_or(true);
-            if dead {
-                dead_roots.push((key, root));
-            }
+        let pruned = inner.heap.prune(db.tm.clog(), horizon);
+        pruned_total += pruned.versions_pruned;
+        if pruned.killed_roots.is_empty() {
+            continue;
         }
-        for (key, root) in &dead_roots {
-            if inner.pk.remove(key, *root) {
-                entries_removed += 1;
-            }
-        }
-        // Secondary entries: remove any entry pointing at a dead root, plus
-        // stale entries whose root's visible key moved on are left for reads to
-        // re-check (removing them would require historical keys).
-        for slot in &inner.secondaries {
-            let entries: Vec<(pgssi_common::Key, pgssi_common::TupleId)> = match &slot.imp {
-                IndexImpl::BTree(b) => b.scan_all().entries,
-                IndexImpl::Hash(_) => continue, // hash scan-all unsupported; skipped
+        // Entries carry no back-pointer from the heap, and a dead row's
+        // secondary keys are gone with its payload: find them by root. Stale
+        // entries of live rows (the key moved on) are left for reads to
+        // re-check; removing them would require historical keys.
+        let killed: HashSet<TupleId> = pruned.killed_roots.into_iter().collect();
+        for slot in std::iter::once(&inner.pk).chain(&inner.secondaries) {
+            let IndexImpl::BTree(btree) = &slot.imp else {
+                continue; // hash scan-all unsupported; skipped
             };
-            for (key, root) in entries {
-                let dead = heap.with_tuple(root, |t| t.dead).unwrap_or(true);
-                if dead && slot.remove(&key, root) {
+            for (key, root) in btree.scan_all().entries {
+                if killed.contains(&root) && slot.remove(&key, root) {
                     entries_removed += 1;
                 }
             }
         }
     }
     (pruned_total, entries_removed)
+}
+
+#[cfg(test)]
+mod tests {
+    use pgssi_common::row;
+
+    use crate::{Database, IsolationLevel, TableDef};
+
+    /// 1 000 rows, each rewritten four times ("freshly aged"), then 100 000
+    /// single-row updates with a vacuum every 512: the heap must end within 2×
+    /// the aged table's page count. (It ends at 87 pages against 79, 1.1×: it
+    /// grows by the 512 updates that precede the first vacuum, and that vacuum
+    /// frees more slots than the updates between two vacuums ever need. Without
+    /// slot re-use every update costs a slot for good — the append-only heap
+    /// ended this run at 1 641 pages, 20.8×.)
+    #[test]
+    fn steadily_updated_table_stays_the_size_of_its_live_data() {
+        const ROWS: i64 = 1_000;
+        let db = Database::open();
+        db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+            .unwrap();
+        let mut load = db.begin(IsolationLevel::ReadCommitted);
+        for k in 0..ROWS {
+            load.insert("kv", row![k, 0]).unwrap();
+        }
+        load.commit().unwrap();
+        let mut k = 0;
+        let mut bump = |n: usize| {
+            k = (k + 7_919) % ROWS;
+            let mut t = db.begin(IsolationLevel::ReadCommitted);
+            assert!(t.update("kv", &row![k], row![k, n as i64]).unwrap());
+            t.commit().unwrap();
+        };
+        let pages = || db.table("kv").unwrap().inner.read().heap.page_count();
+
+        (0..4 * ROWS as usize).for_each(&mut bump);
+        let aged = pages();
+        for n in 1..=100_000 {
+            bump(n);
+            if n % 512 == 0 {
+                db.vacuum();
+            }
+        }
+        assert!(
+            pages() <= 2 * aged,
+            "{} pages after 100k updates, {aged} when freshly aged",
+            pages()
+        );
+        let mut check = db.begin(IsolationLevel::RepeatableRead);
+        assert_eq!(check.scan("kv").unwrap().len() as i64, ROWS);
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! | scenario  | exercises                               | checks |
 //! |-----------|------------------------------------------|--------|
-//! | `mix`     | serializable OLTP mix, retries, wakeup faults | history (snapshot reads, FCW, SG acyclicity), snapshot oracle |
+//! | `mix`     | serializable OLTP mix with vacuum steps, retries, wakeup faults | history (snapshot reads, FCW, SG acyclicity), snapshot oracle |
 //! | `crash`   | durable WAL + injected crash/torn-write/fsync faults | acked ⊆ recovered, recovery ≡ independent prefix replay |
 //! | `repl`    | §7.2 marker shipping + replica catch-up/reconnect | marker position invariant, no panics |
 //! | `pool`    | session pool + wire protocol under sim   | protocol responses, final row values, clean shutdown |
@@ -145,6 +145,23 @@ fn op_plan(rng: &mut u64, keys: i64) -> OpPlan {
     }
 }
 
+/// One step of a worker's schedule.
+enum Step {
+    Txn(OpPlan),
+    /// `Database::vacuum()`: the heap frees the slots of dead versions and
+    /// later updates re-use them, so the history checkers run over chains that
+    /// were relinked, and slots that changed rows, under the readers' feet.
+    Vacuum,
+}
+
+fn next_step(rng: &mut u64, keys: i64) -> Step {
+    if next(rng).is_multiple_of(6) {
+        Step::Vacuum
+    } else {
+        Step::Txn(op_plan(rng, keys))
+    }
+}
+
 /// Run one recorded serializable transaction (with retries) and push it to
 /// `hist` if it commits. Gives up silently after the retry budget.
 fn run_recorded(
@@ -270,8 +287,14 @@ pub fn mix(seed: u64, scale: u32) -> Outcome {
                 let mut rng = splitmix64(seed ^ ((t as u64 + 1) << 32));
                 let mut attempts = 0u64;
                 for j in 0..txns {
-                    let plan = op_plan(&mut rng, keys);
-                    run_recorded(&db, &hist, &plan, format!("t{t}/{j}"), t, &mut attempts);
+                    match next_step(&mut rng, keys) {
+                        Step::Txn(plan) => {
+                            run_recorded(&db, &hist, &plan, format!("t{t}/{j}"), t, &mut attempts)
+                        }
+                        Step::Vacuum => {
+                            db.vacuum();
+                        }
+                    }
                 }
             }),
         ));
@@ -964,8 +987,21 @@ pub fn cluster(seed: u64, scale: u32) -> Outcome {
                 let mut rng = splitmix64(seed ^ ((t as u64 + 3) << 40));
                 let mut attempts = 0u64;
                 for j in 0..txns {
-                    let plan = op_plan(&mut rng, keys);
-                    run_recorded_sharded(&c, &hists, &plan, format!("c{t}/{j}"), t, &mut attempts);
+                    match next_step(&mut rng, keys) {
+                        Step::Txn(plan) => run_recorded_sharded(
+                            &c,
+                            &hists,
+                            &plan,
+                            format!("c{t}/{j}"),
+                            t,
+                            &mut attempts,
+                        ),
+                        Step::Vacuum => {
+                            for s in 0..c.shards() {
+                                c.shard(s).vacuum();
+                            }
+                        }
+                    }
                 }
             }),
         ));

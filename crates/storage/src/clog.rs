@@ -1,14 +1,14 @@
 //! The commit log ("clog"): transaction status lookups.
 //!
-//! Every visibility check consults the clog, so the hot path is a pair of atomic
-//! loads with no locking. Statuses are stored in fixed-size segments that are
-//! appended under a lock but read lock-free once published.
+//! Every visibility check consults the clog, so a lookup takes no lock and
+//! writes nothing shared: statuses live in fixed-size segments of atomics,
+//! created on first use in an [`OnceTable`] and read with plain loads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::RwLock;
 use pgssi_common::{CommitSeqNo, TxnId};
+
+use crate::once_table::OnceTable;
 
 /// Transaction status as recorded in the commit log.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,7 +67,7 @@ impl Segment {
 /// The frozen bootstrap transaction ([`TxnId::FROZEN`]) is always reported as
 /// committed with [`CommitSeqNo::FIRST`].
 pub struct CommitLog {
-    segments: RwLock<Vec<Arc<Segment>>>,
+    segments: OnceTable<Segment>,
 }
 
 impl Default for CommitLog {
@@ -80,41 +80,32 @@ impl CommitLog {
     /// Empty commit log.
     pub fn new() -> CommitLog {
         CommitLog {
-            segments: RwLock::new(Vec::new()),
+            segments: OnceTable::new(),
         }
     }
 
-    fn segment(&self, seg_no: usize) -> Arc<Segment> {
-        {
-            let segs = self.segments.read();
-            if let Some(s) = segs.get(seg_no) {
-                return Arc::clone(s);
-            }
-        }
-        let mut segs = self.segments.write();
-        while segs.len() <= seg_no {
-            segs.push(Arc::new(Segment::new()));
-        }
-        Arc::clone(&segs[seg_no])
-    }
-
-    fn slot(&self, txid: TxnId) -> (Arc<Segment>, usize) {
+    /// `(segment, entry)` indexes of `txid`'s status word.
+    fn locate(txid: TxnId) -> (usize, usize) {
         debug_assert!(txid >= TxnId::FIRST_NORMAL, "no clog slot for {txid:?}");
         let idx = (txid.0 - TxnId::FIRST_NORMAL.0) as usize;
-        (self.segment(idx >> SEGMENT_BITS), idx & (SEGMENT_SIZE - 1))
+        (idx >> SEGMENT_BITS, idx & (SEGMENT_SIZE - 1))
+    }
+
+    /// The status word of `txid`, creating its segment if need be.
+    fn entry(&self, txid: TxnId) -> &AtomicU64 {
+        let (seg, off) = Self::locate(txid);
+        &self.segments.get_or_init(seg, Segment::new).entries[off]
     }
 
     /// Ensure a slot exists for `txid` (called at transaction start).
     pub fn register(&self, txid: TxnId) {
-        let (seg, off) = self.slot(txid);
-        seg.entries[off].store(ENC_IN_PROGRESS, Ordering::Release);
+        self.entry(txid).store(ENC_IN_PROGRESS, Ordering::Release);
     }
 
     /// Record a commit. Idempotent for the same CSN.
     pub fn set_committed(&self, txid: TxnId, csn: CommitSeqNo) {
         debug_assert!(csn.is_valid());
-        let (seg, off) = self.slot(txid);
-        seg.entries[off].store(
+        self.entry(txid).store(
             csn.0 - CommitSeqNo::FIRST.0 + ENC_COMMIT_BASE,
             Ordering::Release,
         );
@@ -122,8 +113,7 @@ impl CommitLog {
 
     /// Record an abort.
     pub fn set_aborted(&self, txid: TxnId) {
-        let (seg, off) = self.slot(txid);
-        seg.entries[off].store(ENC_ABORTED, Ordering::Release);
+        self.entry(txid).store(ENC_ABORTED, Ordering::Release);
     }
 
     /// Current status of `txid`.
@@ -134,8 +124,13 @@ impl CommitLog {
         if !txid.is_valid() {
             return TxnStatus::Aborted;
         }
-        let (seg, off) = self.slot(txid);
-        match seg.entries[off].load(Ordering::Acquire) {
+        let (seg, off) = Self::locate(txid);
+        // An id whose segment was never created was never registered.
+        let word = self
+            .segments
+            .get(seg)
+            .map_or(ENC_IN_PROGRESS, |s| s.entries[off].load(Ordering::Acquire));
+        match word {
             ENC_IN_PROGRESS => TxnStatus::InProgress,
             ENC_ABORTED => TxnStatus::Aborted,
             n => TxnStatus::Committed(CommitSeqNo(n - ENC_COMMIT_BASE + CommitSeqNo::FIRST.0)),
@@ -152,6 +147,7 @@ impl CommitLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn statuses_round_trip() {

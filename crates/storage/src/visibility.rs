@@ -61,13 +61,47 @@ impl VisEvent {
     }
 }
 
+/// The rw-antidependency events of one visibility check: an inline value with
+/// room for two, so a check never allocates. (Each of the two header fields can
+/// reveal one writer; today's rules report at most one per version.)
+#[derive(Clone, Copy, Debug)]
+pub struct VisEvents {
+    len: u8,
+    slots: [VisEvent; 2],
+}
+
+impl Default for VisEvents {
+    fn default() -> VisEvents {
+        VisEvents {
+            len: 0,
+            slots: [VisEvent::ConflictOutCreator(TxnId::INVALID); 2],
+        }
+    }
+}
+
+impl VisEvents {
+    fn push(&mut self, e: VisEvent) {
+        self.slots[self.len as usize] = e;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for VisEvents {
+    type Target = [VisEvent];
+
+    #[inline]
+    fn deref(&self) -> &[VisEvent] {
+        &self.slots[..self.len as usize]
+    }
+}
+
 /// Result of an MVCC visibility check.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct VisCheck {
     /// Whether the tuple version is visible to the snapshot.
     pub visible: bool,
-    /// rw-antidependency events discovered along the way (at most 2).
-    pub events: Vec<VisEvent>,
+    /// rw-antidependency events discovered along the way.
+    pub events: VisEvents,
 }
 
 /// How an xid relates to the reading transaction's snapshot.
@@ -230,7 +264,7 @@ mod tests {
         let e = env();
         let v = check(&e, &tuple(e.conc, TxnId::INVALID));
         assert!(!v.visible);
-        assert_eq!(v.events, vec![VisEvent::ConflictOutCreator(e.conc)]);
+        assert_eq!(*v.events, [VisEvent::ConflictOutCreator(e.conc)]);
     }
 
     #[test]
@@ -239,7 +273,7 @@ mod tests {
         e.tm.commit(&[e.conc]);
         let v = check(&e, &tuple(e.conc, TxnId::INVALID));
         assert!(!v.visible, "committed after snapshot must stay invisible");
-        assert_eq!(v.events, vec![VisEvent::ConflictOutCreator(e.conc)]);
+        assert_eq!(*v.events, [VisEvent::ConflictOutCreator(e.conc)]);
     }
 
     #[test]
@@ -256,7 +290,7 @@ mod tests {
         let e = env();
         let v = check(&e, &tuple(e.old, e.conc));
         assert!(v.visible, "uncommitted delete must not hide the tuple");
-        assert_eq!(v.events, vec![VisEvent::ConflictOutDeleter(e.conc)]);
+        assert_eq!(*v.events, [VisEvent::ConflictOutDeleter(e.conc)]);
     }
 
     #[test]
@@ -265,7 +299,7 @@ mod tests {
         e.tm.commit(&[e.conc]);
         let v = check(&e, &tuple(e.old, e.conc));
         assert!(v.visible);
-        assert_eq!(v.events, vec![VisEvent::ConflictOutDeleter(e.conc)]);
+        assert_eq!(*v.events, [VisEvent::ConflictOutDeleter(e.conc)]);
     }
 
     #[test]
