@@ -143,9 +143,9 @@ fn bench_heap(c: &mut Criterion) {
         t.commit().unwrap();
         for round in 1..=4i64 {
             for i in 0..1000i64 {
+                let k = (i * 7919) % 1000;
                 let mut t = db.begin(ReadCommitted);
-                t.update("kv", &row![(i * 7919) % 1000], row![i, round])
-                    .unwrap();
+                t.update("kv", &row![k], row![k, round]).unwrap();
                 t.commit().unwrap();
             }
         }
@@ -206,12 +206,59 @@ fn bench_ssi_cycle_detection(c: &mut Criterion) {
     });
 }
 
+/// The conflict-free SERIALIZABLE transaction, begin → reads → commit
+/// through `Database`: the path on which a transaction should touch only
+/// its own SSI state (its record, its SIREAD owner record, the filter word,
+/// the commit-order mutex twice).
+fn bench_ssi_txn(c: &mut Criterion) {
+    use pgssi_engine::IsolationLevel::{ReadCommitted, Serializable};
+    let mut g = c.benchmark_group("ssi_txn");
+    let db = Database::open();
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    let mut t = db.begin(ReadCommitted);
+    for i in 0..1000i64 {
+        t.insert("kv", row![i, i]).unwrap();
+    }
+    t.commit().unwrap();
+    g.bench_function("conflict_free_ro_8_reads", |b| {
+        let mut k = 0i64;
+        b.iter(|| {
+            let mut txn = db.begin(Serializable);
+            for _ in 0..8 {
+                k = (k + 7919) % 1000;
+                std::hint::black_box(txn.get("kv", &row![k]).unwrap());
+            }
+            txn.commit().unwrap();
+        });
+    });
+    g.bench_function("conflict_free_rmw", |b| {
+        let (mut k, mut n) = (0i64, 0u32);
+        b.iter(|| {
+            k = (k + 7919) % 1000;
+            let mut txn = db.begin(Serializable);
+            let v = txn.get("kv", &row![k]).unwrap().unwrap()[1]
+                .as_int()
+                .unwrap();
+            txn.update("kv", &row![k], row![k, v + 1]).unwrap();
+            txn.commit().unwrap();
+            // Keep the heap the size of its live data (vacuum is explicit).
+            n += 1;
+            if n.is_multiple_of(4096) {
+                db.vacuum();
+            }
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = micro;
     config = Criterion::default()
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_siread, bench_btree, bench_engine, bench_heap, bench_ssi_cycle_detection
+    targets = bench_siread, bench_btree, bench_engine, bench_heap, bench_ssi_cycle_detection,
+        bench_ssi_txn
 }
 criterion_main!(micro);

@@ -1193,7 +1193,12 @@ mod tests {
 
     #[test]
     fn real_mode_hooks_are_inert() {
+        // `enabled()` is process-global: hold the run lock so a sibling
+        // test's `Scheduler::run` cannot flip it (and swap `now()` to the
+        // virtual clock) while this test asserts real-mode behaviour.
+        let _no_run = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
+        assert!(!is_sim_thread());
         yield_point(Site::CommitOrder);
         notify(Site::LockWait, 1);
         assert_eq!(block(Site::LockWait, 1, None), WakeReason::NotSim);

@@ -30,5 +30,5 @@ pub mod sxact;
 pub mod twophase;
 
 pub use manager::{CommitDigest, SafetyState, SsiManager, SsiStats};
-pub use sxact::SxactId;
+pub use sxact::{SxactHandle, SxactId};
 pub use twophase::PreparedSsi;

@@ -18,6 +18,51 @@
 //!   computation. The hot conflict paths (`on_read`, `on_write`,
 //!   `on_mvcc_events`) never touch it.
 //!
+//! And the owning transaction does not go through the registry at all: it
+//! holds a [`SxactHandle`] (next section).
+//!
+//! ## What a conflict-free transaction touches
+//!
+//! The paper's claim is that SERIALIZABLE costs little more than snapshot
+//! isolation when nothing conflicts, so that path is kept on memory the
+//! transaction owns. [`SsiManager::begin`] returns a [`SxactHandle`] — the
+//! transaction's own `Arc` to its record plus its SIREAD owner record — and
+//! every per-operation entry point takes the handle; the registry is only
+//! consulted to resolve a *peer* (the other endpoint of an edge, the writer
+//! txid of an MVCC event, a read-only tracker). A transaction nobody
+//! conflicts with therefore touches, in order:
+//!
+//! * at **begin**: the commit-order mutex (snapshot, active-set insertion,
+//!   and for a read-only transaction the §4.2 tracker registration), then —
+//!   outside it — its registry entries and its owner-directory entry;
+//! * per **read**: one atomic of its own record (the safety flag), its own
+//!   owner mutex and read set, and the lock manager's filter word;
+//! * per **write**: the SIREAD partitions of the written target's check
+//!   chain (shared, but only holders of those targets meet there);
+//! * at **commit**: its own record's lock (precommit — vacuous without an
+//!   in-edge), then the commit-order mutex with its record's lock taken once
+//!   inside it, its owner mutex once more to hand over its counter tallies,
+//!   and the registry/directory removals when cleanup frees it.
+//!
+//! No condvar is touched: both wake-ups on the finish path are gated on a
+//! registered waiter. [`SsiManager::wait_for_safety`] counts itself into
+//! `CommitOrder::safety_waiters` under the commit-order mutex before every
+//! sleep (the condvar wait releases the mutex atomically), safety flags flip
+//! only under that mutex, and a finisher reads the count in the same hold in
+//! which it flipped them — so "zero waiters" means any later waiter will see
+//! the flipped flag and not sleep. (The transaction manager's row-lock
+//! condvar is gated the same way on its waits-for map.) The §8.4
+//! [`CommitDigest`] is likewise built only when the publish hook asks for
+//! it, in-section, where replica attaches are ordered against the commit.
+//!
+//! The SIREAD `acquisitions`/read-batch counters are tallied in the owner
+//! record and added to the shared counters once, before the commit (or the
+//! release, for an abort) returns. A `StatsReport` taken between two
+//! transactions — all `StatsReport::delta` is ever asked about — sees every
+//! finished transaction's reads exactly; only a snapshot taken while a
+//! transaction is mid-flight misses that transaction's reads so far, and it
+//! always did race them.
+//!
 //! ## Lock-ordering invariant
 //!
 //! The hierarchy, outermost first:
@@ -26,9 +71,10 @@
 //!    safety condvar. Never taken by conflict flagging.
 //! 2. **per-record edge locks**: at most two held at once, always acquired in
 //!    ascending [`SxactId`] order ([`crate::sxact::lock_pair`]). Holding the
-//!    order mutex, records may be locked **one at a time** (commit's CSN fold,
-//!    read-only tracking, cleanup's peer fix-ups); never hold one record's
-//!    lock while acquiring another outside `lock_pair`.
+//!    order mutex, records may be locked **one at a time** (commit's own
+//!    record, the CSN fold into each in-source, read-only tracking, cleanup's
+//!    peer fix-ups); never hold one record's lock while acquiring another
+//!    outside `lock_pair`.
 //! 3. **registry shard mutexes**: leaf-level — lookups clone the `Arc` and
 //!    release the shard before any record lock is taken; insertion/removal may
 //!    run under the order mutex or a record lock.
@@ -86,7 +132,7 @@
 //! retry rules: nothing is aborted until `T3` commits; prefer the pivot `T2`;
 //! never abort a prepared transaction.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,7 +146,7 @@ use pgssi_storage::clog::{CommitLog, TxnStatus};
 use pgssi_storage::visibility::VisEvent;
 
 use crate::serial::SerialTable;
-use crate::sxact::{lock_pair, Phase, Sxact, SxactId, SxactMut};
+use crate::sxact::{lock_pair, Phase, Sxact, SxactHandle, SxactId, SxactMut};
 use crate::twophase::PreparedSsi;
 
 /// Shared handle to a serializable-transaction record.
@@ -265,6 +311,10 @@ impl Registry {
 struct CommitOrder {
     active: HashMap<SxactId, SxRef>,
     committed: VecDeque<SxRef>,
+    /// Threads inside [`SsiManager::wait_for_safety`]'s sleep. Safety flags
+    /// flip only under this mutex, so a finisher that reads zero here knows
+    /// nobody can be asleep on a flag it just flipped and skips the condvar.
+    safety_waiters: usize,
 }
 
 /// SIREAD-table mutations decided under graph locks but executed after they
@@ -346,6 +396,7 @@ impl SsiManager {
             order: Mutex::new(CommitOrder {
                 active: HashMap::new(),
                 committed: VecDeque::new(),
+                safety_waiters: 0,
             }),
             safety_cv: Condvar::new(),
             emulate_pivot_race: std::sync::atomic::AtomicBool::new(false),
@@ -418,13 +469,24 @@ impl SsiManager {
     /// transactions whose commits decide snapshot safety (§4.2). If there are
     /// none, the snapshot is immediately safe and the transaction runs with no
     /// SSI overhead at all.
+    ///
+    /// Only what must be atomic with the snapshot happens under the mutex:
+    /// the snapshot itself, the active-set insertion (cleanup's horizon and
+    /// later read-only begins find the record there, by `Arc`), and — for a
+    /// read-only transaction that has writers to watch — the §4.2 tracker
+    /// registration together with the registry entry a committing writer's
+    /// `resolve_ro_tracking` resolves the tracker id through. Everything
+    /// else (the registry entry in the common case, the SIREAD owner
+    /// registration, tracing) waits until the mutex is dropped: no peer can
+    /// learn this transaction's ids before it has read or written something,
+    /// and it does neither before `begin` returns.
     pub fn begin(
         &self,
         txid: TxnId,
         acquire_snapshot: impl FnOnce() -> CommitSeqNo,
         declared_read_only: bool,
         deferrable: bool,
-    ) -> SxactId {
+    ) -> SxactHandle {
         let mut order = self.lock_order();
         let snapshot_csn = acquire_snapshot();
         let id = SxactId(self.next_id.fetch_add(1, Ordering::Relaxed));
@@ -435,6 +497,7 @@ impl SsiManager {
             declared_read_only,
             deferrable,
         ));
+        let mut tracked = false;
         if declared_read_only && self.config.enable_read_only_opt {
             let rw: Vec<SxRef> = order
                 .active
@@ -450,28 +513,27 @@ impl SsiManager {
                     w.lock().ro_trackers.insert(id);
                 }
                 rec.lock().possible_unsafe = rw.iter().map(|w| w.id).collect();
+                self.reg.insert(&rec);
+                tracked = true;
             }
         }
-        let needs_locks = !rec.ro_safe();
         order.active.insert(id, Arc::clone(&rec));
-        self.reg.insert(&rec);
         drop(order);
-        self.tracer.record(txid.0, TraceTag::Begin, 0);
-        if needs_locks {
-            // Registered after the order mutex is dropped: this transaction's
-            // own thread is the only one that will acquire locks for it, and
-            // it cannot do so before `begin` returns. A concurrent
-            // safe-snapshot release racing ahead of the registration just
-            // removes an empty owner (or no owner at all) — both harmless.
-            self.siread.register_owner(id.0);
+        if !tracked {
+            self.reg.insert(&rec);
         }
-        id
+        self.tracer.record(txid.0, TraceTag::Begin, 0);
+        // A concurrent safe-snapshot release racing ahead of this
+        // registration just finds no owner to remove — harmless: a
+        // transaction on a safe snapshot never acquires.
+        let owner = (!rec.ro_safe()).then(|| self.siread.register_owner(id.0));
+        SxactHandle { rec, owner }
     }
 
     /// Register a subtransaction id (savepoint, §7.3) as an alias of `sx`:
     /// MVCC conflict events naming the subxid resolve to the parent's record.
-    pub fn register_subxid(&self, sx: SxactId, subxid: TxnId) {
-        let Some(rec) = self.reg.get(sx) else { return };
+    pub fn register_subxid(&self, sx: &SxactHandle, subxid: TxnId) {
+        let rec = &sx.rec;
         let mut g = rec.lock();
         if g.gone {
             return;
@@ -480,75 +542,70 @@ impl SsiManager {
         // Registered while the record's lock is held (registry shards are
         // leaf-level): a racing removal either sees the alias in the list (it
         // drains aliases under this same lock) or has already set `gone`.
-        self.reg.insert_txid(subxid, &rec);
+        self.reg.insert_txid(subxid, rec);
     }
 
     /// Return [`Error::SerializationFailure`] if another transaction marked this
     /// one for death (§5.4). The engine calls this at every operation and aborts
-    /// the transaction on error. Lock-free.
-    pub fn check_doomed(&self, sx: SxactId) -> Result<()> {
-        match self.reg.get(sx) {
-            Some(x) if x.is_doomed() => Err(Error::serialization(
+    /// the transaction on error. One relaxed load of the handle's own record.
+    pub fn check_doomed(&self, sx: &SxactHandle) -> Result<()> {
+        if sx.is_doomed() {
+            return Err(Error::serialization(
                 SerializationKind::Doomed,
-                format!("{:?} was chosen as a serialization-failure victim", x.txid),
-            )),
-            _ => Ok(()),
+                format!(
+                    "{:?} was chosen as a serialization-failure victim",
+                    sx.txid()
+                ),
+            ));
         }
+        Ok(())
     }
 
     /// Take SIREAD locks for a read (relation/page/tuple targets as appropriate
     /// for the access path). No-op for transactions on safe snapshots.
     ///
-    /// The safety flag is an atomic on the record, so this path takes no graph
-    /// lock at all beyond the registry-shard lookup: if a concurrent
-    /// safe-snapshot determination releases this owner between the check and
-    /// the acquisitions (§4.2), the lock manager drops acquisitions for
-    /// released owners, so the transaction still ends holding nothing.
-    pub fn on_read(&self, sx: SxactId, targets: &[LockTarget]) {
-        let Some(rec) = self.reg.get(sx) else { return };
-        if rec.ro_safe() {
+    /// Touches only the handle's own record (one atomic load of the safety
+    /// flag) and its own SIREAD owner record: if a concurrent safe-snapshot
+    /// determination releases this owner between the check and the
+    /// acquisitions (§4.2), the lock manager drops acquisitions for released
+    /// owners, so the transaction still ends holding nothing.
+    pub fn on_read(&self, sx: &SxactHandle, targets: &[LockTarget]) {
+        let Some(owner) = &sx.owner else { return };
+        if sx.rec.ro_safe() {
             return;
         }
         for t in targets {
-            self.siread.acquire(sx.0, *t);
-        }
-    }
-
-    /// [`SsiManager::on_read`] for transactions *not* declared read-only: they
-    /// can never become RO-safe, so even the registry lookup is unnecessary —
-    /// only the SIREAD table is touched. This is the hot path for every read
-    /// in a read/write serializable transaction.
-    pub fn on_read_rw(&self, sx: SxactId, targets: &[LockTarget]) {
-        for t in targets {
-            self.siread.acquire(sx.0, *t);
+            self.siread.acquire_for(owner, *t);
         }
     }
 
     /// Process write-before-read conflicts discovered by MVCC visibility checks
     /// (§5.2): each event names a writer whose update this reader did not see.
-    pub fn on_mvcc_events(&self, sx: SxactId, events: &[VisEvent], clog: &CommitLog) -> Result<()> {
+    pub fn on_mvcc_events(
+        &self,
+        handle: &SxactHandle,
+        events: &[VisEvent],
+        clog: &CommitLog,
+    ) -> Result<()> {
         if events.is_empty() {
             return Ok(());
         }
-        // Decode and dedup the events, and pre-probe the commit log, before
-        // taking any record lock — pure computation has no business inside one.
-        let mut writers: Vec<TxnId> = Vec::with_capacity(events.len());
-        {
-            let mut seen: HashSet<TxnId> = HashSet::with_capacity(events.len());
-            for ev in events {
-                let w = ev.writer();
-                if seen.insert(w) {
-                    writers.push(w);
-                }
-            }
-        }
-        let statuses: Vec<TxnStatus> = writers.iter().map(|w| clog.status(*w)).collect();
-        let Some(me) = self.reg.get(sx) else {
-            return Ok(());
-        };
+        let me = &handle.rec;
+        let sx = me.id;
         if me.ro_safe() {
             return Ok(()); // safe snapshot: no tracking, no abort risk (§4.2)
         }
+        // Decode and dedup the events, and pre-probe the commit log, before
+        // taking any record lock — pure computation has no business inside
+        // one. A read rarely sees more than a couple of writers: linear dedup.
+        let mut writers: Vec<TxnId> = Vec::with_capacity(events.len());
+        for ev in events {
+            let w = ev.writer();
+            if !writers.contains(&w) {
+                writers.push(w);
+            }
+        }
+        let statuses: Vec<TxnStatus> = writers.iter().map(|w| clog.status(*w)).collect();
         if me.is_doomed() {
             return Err(Error::serialization(
                 SerializationKind::Doomed,
@@ -564,7 +621,7 @@ impl SsiManager {
                 }
                 let mut dooms: Vec<SxRef> = Vec::new();
                 let res = {
-                    let (mut mg, mut wg) = lock_pair(&me, &wrec);
+                    let (mut mg, mut wg) = lock_pair(me, &wrec);
                     if wg.gone {
                         // Removed between lookup and lock: fall through to the
                         // summarized/clog path, which is guaranteed to see any
@@ -580,7 +637,7 @@ impl SsiManager {
                         trace!("mvcc event {sx:?} -> writer {w:?} skipped (pre-snapshot)");
                         Ok(())
                     } else {
-                        self.flag_conflict_locked(&me, &mut mg, &wrec, &mut wg, sx, &mut dooms)
+                        self.flag_conflict_locked(me, &mut mg, &wrec, &mut wg, sx, &mut dooms)
                     }
                 };
                 self.finish_checks(res, dooms)?;
@@ -611,7 +668,7 @@ impl SsiManager {
             let mut dooms: Vec<SxRef> = Vec::new();
             let res = {
                 let mut mg = me.lock();
-                self.conflict_out_to_summarized(&me, &mut mg, wcsn, e, &mut dooms)
+                self.conflict_out_to_summarized(me, &mut mg, wcsn, e, &mut dooms)
             };
             self.finish_checks(res, dooms)?;
         }
@@ -662,14 +719,13 @@ impl SsiManager {
     /// lock on it, except inside a subtransaction (§7.3).
     pub fn on_write(
         &self,
-        sx: SxactId,
+        handle: &SxactHandle,
         chain: &[LockTarget],
         written_tuple: Option<LockTarget>,
         in_subtransaction: bool,
     ) -> Result<()> {
-        let Some(me) = self.reg.get(sx) else {
-            return Ok(());
-        };
+        let me = &handle.rec;
+        let sx = me.id;
         if me.is_doomed() {
             return Err(Error::serialization(
                 SerializationKind::Doomed,
@@ -681,14 +737,17 @@ impl SsiManager {
         // them pending would just trade this one spill for repeated
         // filter-hit walks on the peers' probes.
         if !me.wrote() {
-            let published = self.siread.publish_pending(sx.0);
+            let published = handle
+                .owner
+                .as_ref()
+                .map_or(0, |o| self.siread.publish_pending_for(o));
             self.tracer.record(me.txid.0, TraceTag::FirstWrite, 0);
             if published > 0 {
                 self.tracer
                     .record(me.txid.0, TraceTag::Publish, published as u64);
             }
+            me.set_wrote();
         }
-        me.set_wrote();
         // Probe the (partitioned) SIREAD table before any record lock: the
         // probe touches at most two partitions, so concurrent writers on
         // disjoint data don't serialize here.
@@ -716,7 +775,7 @@ impl SsiManager {
             };
             let mut dooms: Vec<SxRef> = Vec::new();
             let res = {
-                let (mut hg, mut mg) = lock_pair(&h, &me);
+                let (mut hg, mut mg) = lock_pair(&h, me);
                 if hg.gone {
                     vanished_holder = true;
                     Ok(())
@@ -726,7 +785,7 @@ impl SsiManager {
                     // Reader committed before our snapshot: not concurrent.
                     Ok(())
                 } else {
-                    self.flag_conflict_locked(&h, &mut hg, &me, &mut mg, sx, &mut dooms)
+                    self.flag_conflict_locked(&h, &mut hg, me, &mut mg, sx, &mut dooms)
                 }
             };
             self.finish_checks(res, dooms)?;
@@ -776,8 +835,8 @@ impl SsiManager {
         }
         let allow_drop = !in_subtransaction && !me.ro_safe();
         if allow_drop {
-            if let Some(t) = written_tuple {
-                self.siread.release_target(sx.0, t);
+            if let (Some(t), Some(owner)) = (written_tuple, &handle.owner) {
+                self.siread.release_target_for(owner, t);
             }
         }
         Ok(())
@@ -1045,8 +1104,9 @@ impl SsiManager {
     /// itself, while every edge flagged before it is visible to the
     /// in-conflict clone below — so no structure can slip through the gap
     /// between this check and the phase transition.
-    pub fn precommit(&self, sx: SxactId, frontier: CommitSeqNo) -> Result<()> {
-        let me = self.reg.get(sx).expect("precommit on unknown record");
+    pub fn precommit(&self, handle: &SxactHandle, frontier: CommitSeqNo) -> Result<()> {
+        let me = &handle.rec;
+        let sx = me.id;
         let t2s: Vec<SxactId> = {
             let g = me.lock();
             if me.is_doomed() {
@@ -1058,20 +1118,30 @@ impl SsiManager {
             }
             me.set_phase(Phase::Prepared);
             me.set_prepare_csn(Some(frontier));
+            if g.in_conflicts.is_empty() && !g.summary_conflict_in {
+                // Nobody has an edge into us: there is no T2 to be the T3
+                // of and no T1 to be the pivot for, so both checks below are
+                // vacuous. An edge flagged from here on sees the prepared
+                // phase and runs the checks itself (see above).
+                drop(g);
+                self.tracer.record(me.txid.0, TraceTag::Prepare, 0);
+                return Ok(());
+            }
             g.in_conflicts.iter().copied().collect()
         };
-        match self.precommit_checks(&me, sx, t2s) {
+        match self.precommit_checks(me, sx, t2s) {
             Ok(()) => {
-                let g = me.lock();
-                trace!(
-                    "precommit ok {:?}(txid {:?}) in={:?} out={:?} e={:?}",
-                    sx,
-                    me.txid,
-                    g.in_conflicts,
-                    g.out_conflicts,
-                    g.earliest_out_conflict_commit
-                );
-                drop(g);
+                if *TRACE {
+                    let g = me.lock();
+                    trace!(
+                        "precommit ok {:?}(txid {:?}) in={:?} out={:?} e={:?}",
+                        sx,
+                        me.txid,
+                        g.in_conflicts,
+                        g.out_conflicts,
+                        g.earliest_out_conflict_commit
+                    );
+                }
                 self.tracer.record(me.txid.0, TraceTag::Prepare, 0);
                 Ok(())
             }
@@ -1119,7 +1189,11 @@ impl SsiManager {
     /// structure (the one-big-mutex implementation made {assign, fold} atomic
     /// with every check, closing this by construction).
     fn pivot_commit_check(&self, me: &SxRef) -> Result<()> {
-        let g = me.lock();
+        self.pivot_check_locked(&me.lock())
+    }
+
+    /// [`SsiManager::pivot_commit_check`] with the record's lock already held.
+    fn pivot_check_locked(&self, g: &SxactMut) -> Result<()> {
         let e = g.earliest_out_conflict_commit;
         if e != CommitSeqNo::MAX {
             let mut candidates: Vec<Option<SxRef>> = g
@@ -1243,25 +1317,29 @@ impl SsiManager {
     /// are instead broken by aborting their T1s at *their* operations).
     pub fn commit_checked(
         &self,
-        sx: SxactId,
+        sx: &SxactHandle,
         assign_csn: impl FnOnce() -> CommitSeqNo,
     ) -> Result<CommitSeqNo> {
         self.commit_inner(sx, assign_csn, true, |_| {})
     }
 
-    /// [`SsiManager::commit_checked`] with a `publish` hook that receives the
-    /// §8.4 [`CommitDigest`] **inside the commit-order critical section**,
-    /// after the commit CSN is assigned. Replication uses it to append the
-    /// commit record (and capture the post-commit snapshot) atomically with
-    /// the digest: because serializable begins, commits, and aborts all
-    /// serialize on the same mutex, the shipped stream order matches the
-    /// decided commit order, and every transaction a digest names as
-    /// concurrent is guaranteed to resolve *later* in the stream.
+    /// [`SsiManager::commit_checked`] with a `publish` hook that runs
+    /// **inside the commit-order critical section**, after the commit CSN is
+    /// assigned, and is handed a builder for the §8.4 [`CommitDigest`].
+    /// Replication uses it to append the commit record (and capture the
+    /// post-commit snapshot) atomically with the digest: because serializable
+    /// begins, commits, and aborts all serialize on the same mutex, the
+    /// shipped stream order matches the decided commit order, and every
+    /// transaction a digest names as concurrent is guaranteed to resolve
+    /// *later* in the stream. The digest is only *built* if the hook calls
+    /// the builder — a hook with no consumer attached (it must decide that
+    /// here, in-section, where attaches are ordered against it) costs the
+    /// commit nothing, in particular not the sorted `concurrent_rw` list.
     pub fn commit_checked_with(
         &self,
-        sx: SxactId,
+        sx: &SxactHandle,
         assign_csn: impl FnOnce() -> CommitSeqNo,
-        publish: impl FnOnce(CommitDigest),
+        publish: impl FnOnce(&dyn Fn() -> CommitDigest),
     ) -> Result<CommitSeqNo> {
         self.commit_inner(sx, assign_csn, true, publish)
     }
@@ -1269,7 +1347,11 @@ impl SsiManager {
     /// Finalize a commit unconditionally (the `COMMIT PREPARED` path — the
     /// §5.4 checks ran at `prepare`, and a prepared transaction can no longer
     /// be chosen as a victim).
-    pub fn commit(&self, sx: SxactId, assign_csn: impl FnOnce() -> CommitSeqNo) -> CommitSeqNo {
+    pub fn commit(
+        &self,
+        sx: &SxactHandle,
+        assign_csn: impl FnOnce() -> CommitSeqNo,
+    ) -> CommitSeqNo {
         self.commit_inner(sx, assign_csn, false, |_| {})
             .expect("unchecked commit cannot fail")
     }
@@ -1278,9 +1360,9 @@ impl SsiManager {
     /// [`SsiManager::commit_checked_with`]).
     pub fn commit_with(
         &self,
-        sx: SxactId,
+        sx: &SxactHandle,
         assign_csn: impl FnOnce() -> CommitSeqNo,
-        publish: impl FnOnce(CommitDigest),
+        publish: impl FnOnce(&dyn Fn() -> CommitDigest),
     ) -> CommitSeqNo {
         self.commit_inner(sx, assign_csn, false, publish)
             .expect("unchecked commit cannot fail")
@@ -1343,27 +1425,34 @@ impl SsiManager {
     /// commit), so that no conflict can be flagged against this record between
     /// the commit becoming visible and the record learning the commit CSN —
     /// flaggers serialize on the record's lock.
+    ///
+    /// A transaction nobody conflicted with takes the order mutex once, its
+    /// own record's lock once (the pivot re-check, the CSN assignment and
+    /// every fact the rest of the section needs are read in that one hold —
+    /// all of them only change under the order mutex held here, or on this
+    /// transaction's own thread), and nothing else that is shared.
     fn commit_inner(
         &self,
-        sx: SxactId,
+        handle: &SxactHandle,
         assign_csn: impl FnOnce() -> CommitSeqNo,
         enforce_pivot_check: bool,
-        publish: impl FnOnce(CommitDigest),
+        publish: impl FnOnce(&dyn Fn() -> CommitDigest),
     ) -> Result<CommitSeqNo> {
+        let me = &handle.rec;
+        let sx = me.id;
         let mut ops = DeferredLockOps::default();
         let section = self.stats.commit_order_ns.start();
         let mut order = self.lock_order();
-        let me = self.reg.get(sx).expect("commit on unknown record");
-        if enforce_pivot_check && !self.emulate_pivot_race.load(Ordering::Relaxed) {
-            // Order-mutex-authoritative: every earlier commit's CSN fold
-            // happened inside its own order section. Failing here is clean —
-            // the transaction manager has not committed yet, and the engine
-            // rolls us back like any precommit failure.
-            self.pivot_commit_check(&me)?;
-        }
         let csn;
-        let (in_sources, summary_in): (Vec<SxactId>, bool) = {
-            let g = me.lock();
+        let (in_sources, summary_in, trackers, my_earliest, had_out, watched) = {
+            let mut g = me.lock();
+            if enforce_pivot_check && !self.emulate_pivot_race.load(Ordering::Relaxed) {
+                // Order-mutex-authoritative: every earlier commit's CSN fold
+                // happened inside its own order section. Failing here is
+                // clean — the transaction manager has not committed yet, and
+                // the engine rolls us back like any precommit failure.
+                self.pivot_check_locked(&g)?;
+            }
             csn = assign_csn();
             debug_assert!(
                 me.phase() == Phase::Prepared,
@@ -1371,9 +1460,23 @@ impl SsiManager {
             );
             me.set_phase(Phase::Committed);
             me.set_commit_csn(csn);
+            let in_sources: Vec<SxactId> = g.in_conflicts.iter().copied().collect();
+            // Read-only safety resolution (§4.2) inputs: who watches us, and
+            // whether we commit with a conflict out to something.
+            let trackers: Vec<SxactId> = std::mem::take(&mut g.ro_trackers).into_iter().collect();
+            let had_out = !g.out_conflicts.is_empty()
+                || g.summary_conflict_out
+                || g.earliest_out_conflict_commit != CommitSeqNo::MAX;
+            // If we were a read-only transaction still being tracked.
+            let watched: Vec<SxactId> =
+                std::mem::take(&mut g.possible_unsafe).into_iter().collect();
             (
-                g.in_conflicts.iter().copied().collect(),
+                in_sources,
                 g.summary_conflict_in,
+                trackers,
+                g.earliest_out_conflict_commit,
+                had_out,
+                watched,
             )
         };
         order.active.remove(&sx);
@@ -1398,22 +1501,12 @@ impl SsiManager {
                 sg.earliest_out_conflict_commit = sg.earliest_out_conflict_commit.min(csn);
             }
         }
-        // Read-only safety resolution (§4.2): each read-only transaction watching
-        // us now learns whether we committed with a conflict out to something
-        // before its snapshot.
-        let (trackers, my_earliest, had_out) = {
-            let mut g = me.lock();
-            let t: Vec<SxactId> = std::mem::take(&mut g.ro_trackers).into_iter().collect();
-            let had_out = !g.out_conflicts.is_empty()
-                || g.summary_conflict_out
-                || g.earliest_out_conflict_commit != CommitSeqNo::MAX;
-            (t, g.earliest_out_conflict_commit, had_out)
-        };
         // §8.4 digest: the same facts `resolve_ro_tracking` feeds the master's
-        // own safe-snapshot tracking, exported for WAL followers. Built (and
-        // published) inside the commit-order section so the concurrent set is
-        // exact for any snapshot the hook captures alongside it.
-        let digest = CommitDigest {
+        // own safe-snapshot tracking, exported for WAL followers. Built (on
+        // the hook's demand) and published inside the commit-order section so
+        // the concurrent set is exact for any snapshot the hook captures
+        // alongside it.
+        publish(&|| CommitDigest {
             txid: me.txid,
             commit_csn: csn,
             serializable: true,
@@ -1423,42 +1516,58 @@ impl SsiManager {
             had_out_conflict: had_out,
             earliest_out_conflict_commit: my_earliest,
             concurrent_rw: Self::concurrent_rw(&order),
-        };
-        publish(digest);
+        });
+        // Each read-only transaction watching us now learns whether we
+        // committed with a conflict out to something before its snapshot.
         for r in trackers {
             self.resolve_ro_tracking(r, sx, Some(my_earliest), &mut ops);
         }
-        // If we were a read-only transaction still being tracked, unhook.
-        let watched: Vec<SxactId> = std::mem::take(&mut me.lock().possible_unsafe)
-            .into_iter()
-            .collect();
         for w in watched {
             if let Some(wx) = self.reg.get(w) {
                 wx.lock().ro_trackers.remove(&sx);
             }
         }
         trace!("commit {:?} csn={:?}", sx, csn);
-        order.committed.push_back(Arc::clone(&me));
+        order.committed.push_back(Arc::clone(me));
         self.cleanup_locked(&mut order, &mut ops);
         let excess = self.pop_excess_committed(&mut order);
+        let wake = order.safety_waiters > 0;
         drop(order);
         self.stats.commit_order_ns.record_elapsed(section);
         self.tracer.record(me.txid.0, TraceTag::Commit, 0);
+        // This transaction's SIREAD tallies reach the shared counters before
+        // its commit returns (its owner record may be retained long after).
+        if let Some(owner) = &handle.owner {
+            self.siread.flush_tallies(owner);
+        }
         // The O(degree) summarization walks and whole-table SIREAD work run
         // after the commit-order mutex is released.
         for rec in excess {
             self.summarize_record(&rec);
         }
         ops.run(&self.siread);
-        self.safety_cv.notify_all();
-        sim::notify(Site::SafetyWait, self.safety_key());
+        self.wake_safety_waiters(wake);
         Ok(csn)
+    }
+
+    /// Wake [`SsiManager::wait_for_safety`] sleepers, if `any` were
+    /// registered when the caller left its commit-order section. Safety flags
+    /// flip only under the order mutex and a waiter counts itself in under
+    /// that mutex before it sleeps (the condvar wait releases it atomically),
+    /// so a finisher that saw zero waiters flipped its flags before any
+    /// later waiter's check — that waiter never sleeps on them. Skipping the
+    /// condvar otherwise saves a futex syscall on every commit and abort.
+    fn wake_safety_waiters(&self, any: bool) {
+        if any {
+            self.safety_cv.notify_all();
+            sim::notify(Site::SafetyWait, self.safety_key());
+        }
     }
 
     /// Abort: remove the record and its edges, release its SIREAD locks, and
     /// resolve read-only tracking (an aborted writer cannot make a snapshot
     /// unsafe).
-    pub fn abort(&self, sx: SxactId) {
+    pub fn abort(&self, sx: &SxactHandle) {
         self.abort_with(sx, |_| {});
     }
 
@@ -1468,12 +1577,11 @@ impl SsiManager {
     /// the ones WAL followers may be waiting on. Running it under the mutex
     /// keeps the shipped stream in commit order: no commit record can name
     /// this transaction as concurrent *after* its abort is published.
-    pub fn abort_with(&self, sx: SxactId, publish: impl FnOnce(TxnId)) {
+    pub fn abort_with(&self, handle: &SxactHandle, publish: impl FnOnce(TxnId)) {
+        let me = &handle.rec;
+        let sx = me.id;
         let mut ops = DeferredLockOps::default();
         let mut order = self.lock_order();
-        let Some(me) = self.reg.get(sx) else {
-            return;
-        };
         let (outs, ins, poss, trackers, aliases) = {
             let mut g = me.lock();
             if g.gone {
@@ -1514,11 +1622,11 @@ impl SsiManager {
         }
         self.reg.remove(sx, me.txid, &aliases);
         self.cleanup_locked(&mut order, &mut ops);
+        let wake = order.safety_waiters > 0;
         drop(order);
         self.siread.release_owner(sx.0);
         ops.run(&self.siread);
-        self.safety_cv.notify_all();
-        sim::notify(Site::SafetyWait, self.safety_key());
+        self.wake_safety_waiters(wake);
     }
 
     /// A read/write transaction `w` finished; update read-only transaction `r`'s
@@ -1572,19 +1680,27 @@ impl SsiManager {
     // ------------------------------------------------------------------
 
     /// Current safety state of a read-only transaction's snapshot. Lock-free.
-    pub fn snapshot_safety(&self, sx: SxactId) -> SafetyState {
-        match self.reg.get(sx) {
-            Some(x) if x.ro_safe() => SafetyState::Safe,
-            Some(x) if x.ro_unsafe() => SafetyState::Unsafe,
-            Some(_) => SafetyState::Pending,
-            None => SafetyState::Unsafe,
+    pub fn snapshot_safety(&self, sx: &SxactHandle) -> SafetyState {
+        let x = &sx.rec;
+        if x.ro_safe() {
+            SafetyState::Safe
+        } else if x.ro_unsafe() {
+            SafetyState::Unsafe
+        } else {
+            SafetyState::Pending
         }
     }
 
     /// Block until the snapshot is proven safe or unsafe (deferrable
-    /// transactions, §4.3), or until `timeout` elapses (returns `Pending`).
+    /// transactions, §4.3), or until `timeout` elapses (returns the state at
+    /// the deadline — `Pending` unless it was decided at that very moment).
     /// The wait parks on the commit-order mutex — safety flags flip under it.
-    pub fn wait_for_safety(&self, sx: SxactId, timeout: Duration) -> SafetyState {
+    ///
+    /// The waiter counts itself into `safety_waiters` under the mutex before
+    /// every sleep and out after it: that count is what lets commits and
+    /// aborts skip the condvar when nobody waits (see
+    /// `wake_safety_waiters`).
+    pub fn wait_for_safety(&self, sx: &SxactHandle, timeout: Duration) -> SafetyState {
         let deadline = sim::now() + timeout;
         let mut order = self.lock_order();
         loop {
@@ -1592,21 +1708,22 @@ impl SsiManager {
             if state != SafetyState::Pending {
                 return state;
             }
-            if sim::is_sim_thread() {
+            order.safety_waiters += 1;
+            let timed_out = if sim::is_sim_thread() {
                 // Sim park: release the order mutex, hand the token to the
-                // scheduler, re-acquire (try-lock spin) on wake.
+                // scheduler, re-acquire (try-lock spin) on wake. The token is
+                // held from the drop to the scheduler's own park, so no sim
+                // finisher can run — and miss us — in between.
                 drop(order);
                 let r = sim::block(Site::SafetyWait, self.safety_key(), Some(deadline));
                 order = self.lock_order();
-                if r == WakeReason::TimedOut {
-                    let state = self.snapshot_safety(sx);
-                    if state != SafetyState::Pending {
-                        return state;
-                    }
-                    return SafetyState::Pending;
-                }
-            } else if self.safety_cv.wait_until(&mut order, deadline).timed_out() {
-                return SafetyState::Pending;
+                r == WakeReason::TimedOut
+            } else {
+                self.safety_cv.wait_until(&mut order, deadline).timed_out()
+            };
+            order.safety_waiters -= 1;
+            if timed_out {
+                return self.snapshot_safety(sx);
             }
         }
     }
@@ -1624,13 +1741,18 @@ impl SsiManager {
     /// PREPARE TRANSACTION: run the pre-commit check, then persist the SSI state
     /// that must survive a crash (the SIREAD locks; the dependency graph is
     /// deliberately not persisted — recovery assumes conflicts both ways).
-    pub fn prepare(&self, sx: SxactId, frontier: CommitSeqNo) -> Result<PreparedSsi> {
-        self.precommit(sx, frontier)?;
-        let me = self.reg.get(sx).expect("prepare on unknown record");
+    pub fn prepare(&self, handle: &SxactHandle, frontier: CommitSeqNo) -> Result<PreparedSsi> {
+        self.precommit(handle, frontier)?;
+        let me = &handle.rec;
+        let sx = me.id;
         // A prepared transaction outlives its session (possibly across a
         // crash): publish any pending read-set batch so the persisted lock
-        // list and the shared table both carry the complete read set.
-        self.siread.publish_pending(sx.0);
+        // list and the shared table both carry the complete read set — and
+        // hand its counter tallies over while the session still exists.
+        if let Some(owner) = &handle.owner {
+            self.siread.publish_pending_for(owner);
+            self.siread.flush_tallies(owner);
+        }
         // Prepare-time conflict facts: the same projection a CommitDigest
         // carries at commit, captured here so a cross-shard coordinator can
         // judge a distributed dangerous structure from its branches' records
@@ -1666,21 +1788,20 @@ impl SsiManager {
     /// existing prepared-pivot machinery (`precommit_check_t2`, pivot checks)
     /// fire on any new in- or out-edge, aborting the acting transaction instead
     /// of the unabortable prepared one.
-    pub fn mark_prepared_conservative(&self, sx: SxactId) {
-        if let Some(me) = self.reg.get(sx) {
-            let bound = me.prepare_csn().unwrap_or(CommitSeqNo::MAX);
-            let mut g = me.lock();
-            g.summary_conflict_in = true;
-            g.summary_conflict_out = true;
-            g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(bound);
-        }
+    pub fn mark_prepared_conservative(&self, sx: &SxactHandle) {
+        let me = &sx.rec;
+        let bound = me.prepare_csn().unwrap_or(CommitSeqNo::MAX);
+        let mut g = me.lock();
+        g.summary_conflict_in = true;
+        g.summary_conflict_out = true;
+        g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(bound);
     }
 
     /// Rebuild a prepared transaction after a crash. Its dependency edges are
     /// unknown, so it is conservatively assumed to have rw-antidependencies both
     /// in and out (§7.1); the recorded earliest out-conflict bound is its prepare
     /// CSN (anything later cannot have committed first).
-    pub fn recover_prepared(&self, rec: &PreparedSsi) -> SxactId {
+    pub fn recover_prepared(&self, rec: &PreparedSsi) -> SxactHandle {
         let mut order = self.lock_order();
         let id = SxactId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let sx = Arc::new(Sxact::new(id, rec.txid, rec.snapshot_csn, false, false));
@@ -1698,14 +1819,18 @@ impl SsiManager {
         order.active.insert(id, Arc::clone(&sx));
         self.reg.insert(&sx);
         drop(order);
-        self.siread.register_owner(id.0);
+        let owner = self.siread.register_owner(id.0);
         for t in &rec.siread_locks {
-            self.siread.acquire(id.0, *t);
+            self.siread.acquire_for(&owner, *t);
         }
         // Recovered locks go straight to the table: the prepared transaction
         // has no session accumulating further reads.
-        self.siread.publish_pending(id.0);
-        id
+        self.siread.publish_pending_for(&owner);
+        self.siread.flush_tallies(&owner);
+        SxactHandle {
+            rec: sx,
+            owner: Some(owner),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1861,6 +1986,13 @@ impl SsiManager {
         self.lock_order().committed.len()
     }
 
+    /// Number of threads asleep in [`SsiManager::wait_for_safety`]: read
+    /// under the commit-order mutex, so a counted waiter has already released
+    /// it into its sleep.
+    pub fn safety_waiters(&self) -> usize {
+        self.lock_order().safety_waiters
+    }
+
     /// Total transaction records (bounded-memory assertions).
     pub fn record_count(&self) -> usize {
         self.reg.record_count()
@@ -1869,19 +2001,5 @@ impl SsiManager {
     /// Whether the given transaction id currently has a serializable record.
     pub fn is_tracked(&self, txid: TxnId) -> bool {
         self.reg.get_txid(txid).is_some()
-    }
-
-    /// The record's doomed flag (tests).
-    pub fn is_doomed(&self, sx: SxactId) -> bool {
-        self.reg.get(sx).map(|x| x.is_doomed()).unwrap_or(false)
-    }
-
-    /// Shared handle to the record's doomed flag: the owning session polls it
-    /// per operation without taking any graph lock.
-    pub fn doomed_handle(
-        &self,
-        sx: SxactId,
-    ) -> Option<std::sync::Arc<std::sync::atomic::AtomicBool>> {
-        self.reg.get(sx).map(|x| x.doomed.clone())
     }
 }

@@ -24,6 +24,12 @@
 //! Edge sets are `BTreeSet`s so iteration order (and therefore victim choice)
 //! is deterministic — the graph-model proptest relies on identical verdicts
 //! across registry-shard counts.
+//!
+//! The transaction itself holds a [`SxactHandle`]: its own `Arc` to the record
+//! plus its SIREAD owner record. Every per-operation entry point of the
+//! manager takes the handle, so the owning session never resolves *itself*
+//! through the registry or the lock manager's owner directory — those lookups
+//! are for peers.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -31,6 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use pgssi_common::{CommitSeqNo, TxnId};
+use pgssi_lockmgr::siread::OwnerHandle;
 
 /// Dense identifier of a serializable transaction record. Doubles as the SIREAD
 /// lock-manager owner id; `0` is reserved for the dummy old-committed owner.
@@ -152,9 +159,9 @@ pub struct Sxact {
     /// Snapshot proven unsafe; normal SSI tracking continues (§4.2).
     ro_unsafe: AtomicBool,
     /// Marked for death by another transaction's conflict check (safe-retry
-    /// victim choice, §5.4); noticed at the next operation or commit. Shared
-    /// as an `Arc` so the owning session can poll it without any lock.
-    pub doomed: Arc<AtomicBool>,
+    /// victim choice, §5.4); noticed at the next operation or commit. The
+    /// owning session polls it through its [`SxactHandle`] without any lock.
+    doomed: AtomicBool,
     /// Edge state (see [`SxactMut`]).
     mu: Mutex<SxactMut>,
 }
@@ -180,7 +187,7 @@ impl Sxact {
             wrote: AtomicBool::new(false),
             ro_safe: AtomicBool::new(false),
             ro_unsafe: AtomicBool::new(false),
-            doomed: Arc::new(AtomicBool::new(false)),
+            doomed: AtomicBool::new(false),
             mu: Mutex::new(SxactMut {
                 in_conflicts: BTreeSet::new(),
                 out_conflicts: BTreeSet::new(),
@@ -343,6 +350,40 @@ impl Sxact {
             Phase::Prepared => self.prepare_csn(),
             _ => None,
         }
+    }
+}
+
+/// A serializable transaction's own reference to its SSI state: the record
+/// and, unless it began on a safe snapshot, its SIREAD owner record. Returned
+/// by `SsiManager::begin` and passed to every per-operation entry point, so a
+/// transaction that conflicts with nobody touches only memory it owns.
+/// Cloning is two reference-count bumps.
+#[derive(Clone, Debug)]
+pub struct SxactHandle {
+    pub(crate) rec: Arc<Sxact>,
+    /// `None` if the transaction never registered as a lock owner (safe
+    /// snapshot at begin).
+    pub(crate) owner: Option<OwnerHandle>,
+}
+
+impl SxactHandle {
+    /// The record id (and SIREAD owner id).
+    #[inline]
+    pub fn id(&self) -> SxactId {
+        self.rec.id
+    }
+
+    /// The transaction's top-level xid.
+    #[inline]
+    pub fn txid(&self) -> TxnId {
+        self.rec.txid
+    }
+
+    /// Has another transaction's conflict check marked this one for death
+    /// (§5.4)? One relaxed load of the transaction's own record.
+    #[inline]
+    pub fn is_doomed(&self) -> bool {
+        self.rec.is_doomed()
     }
 }
 

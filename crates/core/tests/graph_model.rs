@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use pgssi_common::{Error, LockTarget, RelId, Result, SsiConfig, TxnId};
-use pgssi_core::{SsiManager, SxactId};
+use pgssi_core::{SsiManager, SxactHandle};
 use pgssi_storage::visibility::VisEvent;
 use pgssi_storage::TxnManager;
 use proptest::prelude::*;
@@ -82,7 +82,7 @@ struct World {
     tm: TxnManager,
     ssi: SsiManager,
     /// Open transaction per slot.
-    live: [Option<(TxnId, SxactId)>; SLOTS],
+    live: [Option<(TxnId, SxactHandle)>; SLOTS],
     /// Last transaction to write each object (live or finished) — the writer
     /// a later reader's MVCC visibility event would name.
     writers: HashMap<u16, TxnId>,
@@ -99,7 +99,7 @@ impl World {
         World {
             tm: TxnManager::new(),
             ssi: SsiManager::new(config),
-            live: [None; SLOTS],
+            live: std::array::from_fn(|_| None),
             writers: HashMap::new(),
         }
     }
@@ -108,7 +108,7 @@ impl World {
     fn auto_abort(&mut self, slot: usize) {
         if let Some((txid, sx)) = self.live[slot].take() {
             self.tm.abort(&[txid]);
-            self.ssi.abort(sx);
+            self.ssi.abort(&sx);
         }
     }
 
@@ -125,11 +125,11 @@ impl World {
                 Verdict::Ok
             }
             Op::Read { slot, obj } => {
-                let Some((_, sx)) = self.live[slot] else {
+                let Some((_, sx)) = self.live[slot].clone() else {
                     return Verdict::Skip;
                 };
-                let r = self.ssi.check_doomed(sx).map(|()| {
-                    self.ssi.on_read(sx, &[tuple(obj)]);
+                let r = self.ssi.check_doomed(&sx).map(|()| {
+                    self.ssi.on_read(&sx, &[tuple(obj)]);
                 });
                 let v = verdict(r);
                 if v != Verdict::Ok {
@@ -138,14 +138,14 @@ impl World {
                 v
             }
             Op::ReadSeeingWriter { slot, obj } => {
-                let Some((txid, sx)) = self.live[slot] else {
+                let Some((txid, sx)) = self.live[slot].clone() else {
                     return Verdict::Skip;
                 };
-                let r = self.ssi.check_doomed(sx).and_then(|()| {
-                    self.ssi.on_read(sx, &[tuple(obj)]);
+                let r = self.ssi.check_doomed(&sx).and_then(|()| {
+                    self.ssi.on_read(&sx, &[tuple(obj)]);
                     match self.writers.get(&obj) {
                         Some(&w) if w != txid => self.ssi.on_mvcc_events(
-                            sx,
+                            &sx,
                             &[VisEvent::ConflictOutDeleter(w)],
                             self.tm.clog(),
                         ),
@@ -159,12 +159,12 @@ impl World {
                 v
             }
             Op::Write { slot, obj } => {
-                let Some((txid, sx)) = self.live[slot] else {
+                let Some((txid, sx)) = self.live[slot].clone() else {
                     return Verdict::Skip;
                 };
-                let r = self.ssi.check_doomed(sx).and_then(|()| {
+                let r = self.ssi.check_doomed(&sx).and_then(|()| {
                     self.ssi
-                        .on_write(sx, &tuple(obj).check_chain(), Some(tuple(obj)), false)
+                        .on_write(&sx, &tuple(obj).check_chain(), Some(tuple(obj)), false)
                 });
                 let v = verdict(r);
                 if v == Verdict::Ok {
@@ -175,13 +175,13 @@ impl World {
                 v
             }
             Op::Commit { slot } => {
-                let Some((txid, sx)) = self.live[slot] else {
+                let Some((txid, sx)) = self.live[slot].clone() else {
                     return Verdict::Skip;
                 };
                 let r = self
                     .ssi
-                    .precommit(sx, self.tm.frontier())
-                    .and_then(|()| self.ssi.commit_checked(sx, || self.tm.commit(&[txid])));
+                    .precommit(&sx, self.tm.frontier())
+                    .and_then(|()| self.ssi.commit_checked(&sx, || self.tm.commit(&[txid])));
                 match r {
                     Ok(_) => {
                         self.live[slot] = None;
@@ -217,11 +217,11 @@ fn run_and_compare(ops: &[Op]) {
         // Doom decisions must match record-for-record, not just for the
         // acting transaction.
         for slot in 0..SLOTS {
-            match (sharded.live[slot], reference.live[slot]) {
+            match (&sharded.live[slot], &reference.live[slot]) {
                 (Some((_, a)), Some((_, b))) => {
                     assert_eq!(
-                        sharded.ssi.is_doomed(a),
-                        reference.ssi.is_doomed(b),
+                        a.is_doomed(),
+                        b.is_doomed(),
                         "step {i} {op:?}: slot {slot} doom state diverged"
                     );
                 }

@@ -4,12 +4,14 @@
 //! (§4), safe retry (§5.4), memory-bounding behaviours (§6), and two-phase
 //! commit (§7.1).
 
+use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use pgssi_common::{
     CommitSeqNo, Error, LockTarget, RelId, Result, SerializationKind, SsiConfig, TxnId,
 };
-use pgssi_core::{SafetyState, SsiManager, SxactId};
+use pgssi_core::{SafetyState, SsiManager, SxactHandle, SxactId};
 use pgssi_storage::visibility::VisEvent;
 use pgssi_storage::TxnManager;
 
@@ -18,6 +20,9 @@ use pgssi_storage::TxnManager;
 struct Harness {
     tm: TxnManager,
     ssi: SsiManager,
+    /// The handle `begin` returned for each transaction, kept for its whole
+    /// life as the engine's `Transaction` keeps it ([`Harness::hd`]).
+    handles: Mutex<HashMap<SxactId, SxactHandle>>,
 }
 
 /// One running serializable transaction in the harness.
@@ -38,7 +43,13 @@ impl Harness {
         Harness {
             tm: TxnManager::new(),
             ssi: SsiManager::new(config),
+            handles: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// The transaction's own handle.
+    fn hd(&self, t: T) -> SxactHandle {
+        self.handles.lock().unwrap()[&t.sx].clone()
     }
 
     fn begin(&self) -> T {
@@ -52,7 +63,9 @@ impl Harness {
     fn begin_opts(&self, ro: bool, deferrable: bool) -> T {
         let txid = self.tm.begin();
         let snap = self.tm.snapshot();
-        let sx = self.ssi.begin(txid, || snap.csn, ro, deferrable);
+        let handle = self.ssi.begin(txid, || snap.csn, ro, deferrable);
+        let sx = handle.id();
+        self.handles.lock().unwrap().insert(sx, handle);
         T { txid, sx }
     }
 
@@ -60,17 +73,17 @@ impl Harness {
     /// the storage layer would additionally have reported an MVCC conflict-out
     /// event against that writer (we fabricate it, as the heap would).
     fn read(&self, t: T, obj: u16) -> Result<()> {
-        self.ssi.check_doomed(t.sx)?;
-        self.ssi.on_read(t.sx, &[tuple(obj)]);
+        self.ssi.check_doomed(&self.hd(t))?;
+        self.ssi.on_read(&self.hd(t), &[tuple(obj)]);
         Ok(())
     }
 
     /// Read that observed a newer, invisible version created by `writer`.
     fn read_seeing_concurrent_write(&self, t: T, obj: u16, writer: TxnId) -> Result<()> {
-        self.ssi.check_doomed(t.sx)?;
-        self.ssi.on_read(t.sx, &[tuple(obj)]);
+        self.ssi.check_doomed(&self.hd(t))?;
+        self.ssi.on_read(&self.hd(t), &[tuple(obj)]);
         self.ssi.on_mvcc_events(
-            t.sx,
+            &self.hd(t),
             &[VisEvent::ConflictOutDeleter(writer)],
             self.tm.clog(),
         )
@@ -78,21 +91,26 @@ impl Harness {
 
     /// Write an object: check SIREAD holders.
     fn write(&self, t: T, obj: u16) -> Result<()> {
-        self.ssi.check_doomed(t.sx)?;
-        self.ssi
-            .on_write(t.sx, &tuple(obj).check_chain(), Some(tuple(obj)), false)
+        self.ssi.check_doomed(&self.hd(t))?;
+        self.ssi.on_write(
+            &self.hd(t),
+            &tuple(obj).check_chain(),
+            Some(tuple(obj)),
+            false,
+        )
     }
 
     fn commit(&self, t: T) -> Result<CommitSeqNo> {
-        self.ssi.precommit(t.sx, self.tm.snapshot().csn)?;
+        self.ssi.precommit(&self.hd(t), self.tm.snapshot().csn)?;
         // Engine-faithful: the order-mutex-authoritative pivot re-check runs
         // at commit (`commit_checked`), exactly as `Transaction::commit` does.
-        self.ssi.commit_checked(t.sx, || self.tm.commit(&[t.txid]))
+        self.ssi
+            .commit_checked(&self.hd(t), || self.tm.commit(&[t.txid]))
     }
 
     fn abort(&self, t: T) {
         self.tm.abort(&[t.txid]);
-        self.ssi.abort(t.sx);
+        self.ssi.abort(&self.hd(t));
     }
 }
 
@@ -192,8 +210,8 @@ fn no_abort_before_any_commit() {
     }
     h.write(t1, 0).unwrap();
     h.write(t2, 1).unwrap();
-    assert!(!h.ssi.is_doomed(t1.sx));
-    assert!(!h.ssi.is_doomed(t2.sx));
+    assert!(!h.hd(t1).is_doomed());
+    assert!(!h.hd(t2).is_doomed());
     h.abort(t1);
     h.commit(t2).expect("T2 is fine once T1 aborted");
 }
@@ -343,7 +361,7 @@ fn commit_ordering_opt_avoids_false_positive() {
 fn read_only_with_no_concurrent_rw_is_immediately_safe() {
     let h = Harness::new(SsiConfig::default());
     let t1 = h.begin_ro();
-    assert_eq!(h.ssi.snapshot_safety(t1.sx), SafetyState::Safe);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(t1)), SafetyState::Safe);
     // Safe transactions take no SIREAD locks.
     h.read(t1, 0).unwrap();
     assert_eq!(h.ssi.siread().owner_lock_count(t1.sx.0), 0);
@@ -355,14 +373,14 @@ fn safety_established_when_concurrent_rw_commits_cleanly() {
     let h = Harness::new(SsiConfig::default());
     let w = h.begin(); // concurrent RW
     let r = h.begin_ro();
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Pending);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Pending);
     // While pending, the reader maintains SIREAD locks.
     h.read(r, 0).unwrap();
     assert_eq!(h.ssi.siread().owner_lock_count(r.sx.0), 1);
     // The writer commits without any conflict out to a pre-snapshot commit.
     h.write(w, 1).unwrap();
     h.commit(w).unwrap();
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Safe);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Safe);
     // Locks were dropped on the spot.
     assert_eq!(h.ssi.siread().owner_lock_count(r.sx.0), 0);
     h.commit(r).unwrap();
@@ -381,12 +399,12 @@ fn safety_denied_when_concurrent_rw_conflicts_out_to_presnapshot_commit() {
     h.commit(t3).unwrap();
 
     let r = h.begin_ro(); // snapshot taken after T3's commit
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Pending);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Pending);
     // T2 commits having a conflict out to T3, which committed before r's
     // snapshot → r's snapshot is unsafe.
     h.write(t2, 2).unwrap();
     h.commit(t2).unwrap();
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Unsafe);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Unsafe);
     h.commit(r).unwrap();
 }
 
@@ -395,9 +413,9 @@ fn aborted_writer_cannot_make_snapshot_unsafe() {
     let h = Harness::new(SsiConfig::default());
     let w = h.begin();
     let r = h.begin_ro();
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Pending);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Pending);
     h.abort(w);
-    assert_eq!(h.ssi.snapshot_safety(r.sx), SafetyState::Safe);
+    assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Safe);
 }
 
 #[test]
@@ -407,7 +425,8 @@ fn wait_for_safety_blocks_until_decision() {
     let w = h.begin();
     let r = h.begin_ro();
     let h2 = Arc::clone(&h);
-    let waiter = std::thread::spawn(move || h2.ssi.wait_for_safety(r.sx, Duration::from_secs(5)));
+    let waiter =
+        std::thread::spawn(move || h2.ssi.wait_for_safety(&h2.hd(r), Duration::from_secs(5)));
     std::thread::sleep(Duration::from_millis(30));
     h.write(w, 0).unwrap();
     h.commit(w).unwrap();
@@ -531,7 +550,7 @@ fn prepared_transaction_survives_recovery_and_commits() {
     let t = h.begin();
     h.read(t, 0).unwrap();
     h.write(t, 1).unwrap();
-    let rec = h.ssi.prepare(t.sx, h.tm.snapshot().csn).unwrap();
+    let rec = h.ssi.prepare(&h.hd(t), h.tm.snapshot().csn).unwrap();
     assert!(rec.wrote);
     assert!(!rec.siread_locks.is_empty());
 
@@ -543,7 +562,7 @@ fn prepared_transaction_survives_recovery_and_commits() {
     // COMMIT PREPARED succeeds.
     let txid2 = h2.tm.begin(); // stand-in for the recovered xid slot
     let _ = txid2;
-    h2.ssi.commit(sx2, || h2.tm.commit(&[rec.txid]));
+    h2.ssi.commit(&sx2, || h2.tm.commit(&[rec.txid]));
 }
 
 #[test]
@@ -563,7 +582,7 @@ fn prepared_transaction_cannot_be_victim_active_one_dies_instead() {
     h.read(t_active, 1).unwrap();
     // T_prepared writes Y — but don't check yet; prepare first.
     h.ssi
-        .prepare(t_prepared.sx, h.tm.snapshot().csn)
+        .prepare(&h.hd(t_prepared), h.tm.snapshot().csn)
         .expect("prepare must pass: structure incomplete so far");
 
     // Now the edge T_active → T_prepared forms (write after prepare).
@@ -576,7 +595,7 @@ fn prepared_transaction_cannot_be_victim_active_one_dies_instead() {
     assert!(matches!(err, Error::SerializationFailure { .. }));
     h.abort(t_active);
     h.ssi
-        .commit(t_prepared.sx, || h.tm.commit(&[t_prepared.txid]));
+        .commit(&h.hd(t_prepared), || h.tm.commit(&[t_prepared.txid]));
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +691,7 @@ fn write_lock_drop_suppressed_in_subtransaction() {
     let t = h.begin();
     h.read(t, 0).unwrap();
     h.ssi
-        .on_write(t.sx, &tuple(0).check_chain(), Some(tuple(0)), true)
+        .on_write(&h.hd(t), &tuple(0).check_chain(), Some(tuple(0)), true)
         .unwrap();
     assert_eq!(
         h.ssi.siread().owner_lock_count(t.sx.0),

@@ -11,7 +11,7 @@ use parking_lot::{Mutex, RwLock};
 use pgssi_common::config::WalMode;
 use pgssi_common::stats::{Counter, HistSnapshot, TraceEvent, Tracer};
 use pgssi_common::{CommitSeqNo, EngineConfig, Error, Key, Result, Row, Snapshot, TxnId};
-use pgssi_core::{SafetyState, SsiManager, SxactId};
+use pgssi_core::{SafetyState, SsiManager};
 use pgssi_lockmgr::s2pl::S2plLockManager;
 use pgssi_storage::wal::{Lsn, WalStore};
 use pgssi_storage::{BufferCache, CommitLog, TxnManager};
@@ -23,7 +23,7 @@ use crate::durability::{
 };
 use crate::replication::{ReplicationStats, WalStream};
 use crate::twophase::PreparedTxn;
-use crate::txn::Transaction;
+use crate::txn::{SsiTxn, Transaction};
 
 /// Transaction isolation levels (paper §5.1, §8).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -1219,11 +1219,12 @@ impl Database {
         }
         let txid = self.begin_txid(shard);
         let mut snapshot = None;
-        let sx = if opts.isolation == IsolationLevel::Serializable {
+        let ssi = if opts.isolation == IsolationLevel::Serializable {
             // The snapshot is taken inside `SsiManager::begin`, under the SSI
             // graph lock, so no cleanup/summarization can race between snapshot
             // acquisition and registration (see the method's docs).
-            Some(self.inner.ssi().begin(
+            let mgr = self.inner.ssi();
+            let sx = mgr.begin(
                 txid,
                 || {
                     let s = self.snapshot_registered(txid);
@@ -1233,7 +1234,8 @@ impl Database {
                 },
                 opts.read_only,
                 false,
-            ))
+            );
+            Some(SsiTxn { mgr, sx })
         } else {
             None
         };
@@ -1241,7 +1243,7 @@ impl Database {
             Some(s) => s,
             None => self.snapshot_registered(txid),
         };
-        Ok(self.make_txn(txid, snapshot, opts, sx))
+        Ok(self.make_txn(txid, snapshot, opts, ssi))
     }
 
     fn begin_txid(&self, shard: Option<usize>) -> TxnId {
@@ -1280,13 +1282,13 @@ impl Database {
                 true,
             );
             let snapshot = snapshot.expect("closure always runs");
-            match ssi.wait_for_safety(sx, Duration::from_secs(3600)) {
+            match ssi.wait_for_safety(&sx, Duration::from_secs(3600)) {
                 SafetyState::Safe => {
                     let opts = BeginOptions::new(IsolationLevel::Serializable).deferrable();
-                    return self.make_txn(txid, snapshot, opts, Some(sx));
+                    return self.make_txn(txid, snapshot, opts, Some(SsiTxn { mgr: ssi, sx }));
                 }
                 SafetyState::Unsafe | SafetyState::Pending => {
-                    ssi.abort(sx);
+                    ssi.abort(&sx);
                     // The retry loop's discarded txid never wrote anything.
                     self.inner.tm.abort_readonly(&[txid]);
                     self.inner.stats.deferrable_retries.bump();
@@ -1295,18 +1297,16 @@ impl Database {
         }
     }
 
+    /// Wrap a begun transaction. Its snapshot is already registered for the
+    /// vacuum horizon ([`Database::snapshot_registered`]).
     fn make_txn(
         &self,
         txid: TxnId,
         snapshot: Snapshot,
         opts: BeginOptions,
-        sx: Option<SxactId>,
+        ssi: Option<SsiTxn>,
     ) -> Transaction {
-        self.inner
-            .active_snapshots
-            .lock()
-            .insert(txid, snapshot.csn);
-        Transaction::new(Arc::clone(&self.inner), txid, snapshot, opts, sx)
+        Transaction::new(Arc::clone(&self.inner), txid, snapshot, opts, ssi)
     }
 
     /// The SSI manager (stats and diagnostics).
@@ -1487,7 +1487,7 @@ impl Database {
         let ssi = self.inner.ssi();
         let inner = &self.inner;
         let mut wal_lsn = None;
-        if let Some(sx) = rec.sx {
+        if let Some(sx) = &rec.sx {
             ssi.commit_with(
                 sx,
                 || {
@@ -1497,7 +1497,7 @@ impl Database {
                     wal_lsn = lsn;
                     csn
                 },
-                |digest| inner.wal.publish_commit(inner, digest),
+                |digest| inner.wal.publish_commit_lazy(inner, digest),
             );
         } else {
             let (csn, lsn) = inner
@@ -1537,7 +1537,7 @@ impl Database {
             .prepare_lsn
             .map(|_| self.inner.dwal.append_record(&encode_resolve(gid, false)));
         drop(prepared);
-        if let Some(sx) = rec.sx {
+        if let Some(sx) = &rec.sx {
             let inner = &self.inner;
             self.inner
                 .ssi()
@@ -1565,7 +1565,7 @@ impl Database {
         let rec = prepared
             .get(gid)
             .ok_or_else(|| Error::NotFound(format!("prepared transaction {gid:?}")))?;
-        if let Some(sx) = rec.sx {
+        if let Some(sx) = &rec.sx {
             self.inner.ssi().mark_prepared_conservative(sx);
         }
         Ok(())

@@ -212,6 +212,17 @@ impl WalStream {
     /// [`pgssi_core::SsiManager::observe_commit`]), so the digest, the
     /// post-commit snapshot taken here, and the record's stream position are
     /// mutually consistent — no serializable begin can interleave.
+    /// [`WalStream::publish_commit`] as a serializable commit's publish hook:
+    /// `digest` builds the §8.4 digest on demand, and is only called when a
+    /// replica is attached — decided here, inside the commit-order section,
+    /// where [`WalStream::attach`] (run in a commit-order barrier) is ordered
+    /// against it. With no replica the commit never builds a digest at all.
+    pub(crate) fn publish_commit_lazy(&self, db: &DbInner, digest: &dyn Fn() -> CommitDigest) {
+        if self.has_consumers() {
+            self.publish_commit(db, digest());
+        }
+    }
+
     pub(crate) fn publish_commit(&self, db: &DbInner, digest: CommitDigest) {
         if !self.has_consumers() || digest.declared_read_only {
             return; // no replica to serve / can make no snapshot unsafe

@@ -1,7 +1,7 @@
 //! Engine-level prepared-transaction records (two-phase commit, §7.1).
 
 use pgssi_common::TxnId;
-use pgssi_core::{PreparedSsi, SxactId};
+use pgssi_core::{PreparedSsi, SxactHandle};
 use pgssi_storage::Lsn;
 
 /// A prepared transaction awaiting COMMIT PREPARED / ROLLBACK PREPARED.
@@ -14,7 +14,7 @@ pub struct PreparedTxn {
     /// All xids (top-level + live subtransactions) to commit or abort together.
     pub xids: Vec<TxnId>,
     /// Volatile SSI handle (None for non-serializable transactions).
-    pub sx: Option<SxactId>,
+    pub sx: Option<SxactHandle>,
     /// Crash-safe SSI state (None for non-serializable transactions).
     pub ssi: Option<PreparedSsi>,
     /// 2PL owner whose locks must be released at resolution.

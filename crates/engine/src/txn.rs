@@ -24,13 +24,14 @@
 //! `rollback()`, mirroring what a PostgreSQL client must do after SQLSTATE
 //! 40001/40P01.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use pgssi_common::stats::AbortSite;
 use pgssi_common::{Error, Key, LockTarget, Result, Row, Snapshot, TupleId, TxnId};
-use pgssi_core::SxactId;
+use pgssi_core::{SsiManager, SxactHandle};
 use pgssi_lockmgr::s2pl::LockMode;
 use pgssi_storage::heap::{ChainRead, LockOutcome};
 use pgssi_storage::visibility::OwnXids;
@@ -52,6 +53,31 @@ impl OwnXids for TxnXids<'_> {
     }
 }
 
+/// `[txid] ++ subxids` for the transaction manager's finish calls: borrowed
+/// from the caller's copy of the top-level xid when there are no
+/// subtransactions (no allocation on the common finish), owned otherwise.
+fn all_xids<'a>(txid: &'a TxnId, subxids: &[TxnId]) -> Cow<'a, [TxnId]> {
+    if subxids.is_empty() {
+        Cow::Borrowed(std::slice::from_ref(txid))
+    } else {
+        Cow::Owned(
+            std::iter::once(*txid)
+                .chain(subxids.iter().copied())
+                .collect(),
+        )
+    }
+}
+
+/// A serializable transaction's SSI state: the handle `SsiManager::begin`
+/// returned and the manager that issued it. Holding the manager here (rather
+/// than re-reading [`DbInner::ssi`] per operation) keeps every read, write and
+/// finish on memory this transaction owns — and keeps a transaction that
+/// outlives a simulated crash talking to the manager its handle belongs to.
+pub(crate) struct SsiTxn {
+    pub mgr: Arc<SsiManager>,
+    pub sx: SxactHandle,
+}
+
 struct SavepointRec {
     name: String,
     /// Index into `subxids` of the subtransaction created for this savepoint.
@@ -66,9 +92,8 @@ pub struct Transaction {
     savepoints: Vec<SavepointRec>,
     snapshot: Snapshot,
     opts: BeginOptions,
-    sx: Option<SxactId>,
-    /// Lock-free view of the SSI doomed flag (polled every operation).
-    doomed: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
+    /// SSI state (`Serializable` only).
+    ssi: Option<SsiTxn>,
     /// Redo ops captured for the durable WAL, tagged with the subtransaction
     /// depth at capture time so savepoint rollback can discard exactly the
     /// ops belonging to aborted subtransactions.
@@ -83,9 +108,8 @@ impl Transaction {
         txid: TxnId,
         snapshot: Snapshot,
         opts: BeginOptions,
-        sx: Option<SxactId>,
+        ssi: Option<SsiTxn>,
     ) -> Transaction {
-        let doomed = sx.and_then(|sx| db.ssi().doomed_handle(sx));
         Transaction {
             db,
             txid,
@@ -93,8 +117,7 @@ impl Transaction {
             savepoints: Vec::new(),
             snapshot,
             opts,
-            sx,
-            doomed,
+            ssi,
             redo: Vec::new(),
             wrote: false,
             finished: false,
@@ -156,14 +179,8 @@ impl Transaction {
     /// statement).
     fn begin_op(&mut self) -> Result<()> {
         self.ensure_active()?;
-        if let Some(d) = &self.doomed {
-            if d.load(std::sync::atomic::Ordering::Relaxed) {
-                let e = Error::serialization(
-                    pgssi_common::SerializationKind::Doomed,
-                    "transaction was chosen as a serialization-failure victim",
-                );
-                return Err(self.abort_at(e, AbortSite::Statement, None));
-            }
+        if let Some(Err(e)) = self.ssi.as_ref().map(|s| s.mgr.check_doomed(&s.sx)) {
+            return Err(self.abort_at(e, AbortSite::Statement, None));
         }
         if !self.opts.isolation.txn_snapshot() || self.is_2pl() {
             self.snapshot = self.db.tm.snapshot();
@@ -195,8 +212,7 @@ impl Transaction {
         if self.finished {
             return;
         }
-        let mut xids = vec![self.txid];
-        xids.extend(&self.subxids);
+        let xids = all_xids(&self.txid, &self.subxids);
         if self.wrote {
             self.db.tm.abort(&xids);
         } else {
@@ -204,10 +220,10 @@ impl Transaction {
             // soundness argument as the writeless commit path.
             self.db.tm.abort_readonly(&xids);
         }
-        if let Some(sx) = self.sx {
+        if let Some(s) = &self.ssi {
             let db = &self.db;
-            db.ssi()
-                .abort_with(sx, |txid| db.wal.publish_abort(db, txid));
+            s.mgr
+                .abort_with(&s.sx, |txid| db.wal.publish_abort(db, txid));
         }
         if self.is_2pl() {
             self.db.s2pl.release_owner(self.txid.0);
@@ -227,19 +243,14 @@ impl Transaction {
     }
 
     fn ssi_read(&self, targets: &[LockTarget]) {
-        if let Some(sx) = self.sx {
-            if self.opts.read_only {
-                self.db.ssi().on_read(sx, targets);
-            } else {
-                // Read/write transactions can't become RO-safe: fast path.
-                self.db.ssi().on_read_rw(sx, targets);
-            }
+        if let Some(s) = &self.ssi {
+            s.mgr.on_read(&s.sx, targets);
         }
     }
 
     fn ssi_events(&mut self, events: &[VisEvent]) -> Result<()> {
-        if let Some(sx) = self.sx {
-            if let Err(e) = self.db.ssi().on_mvcc_events(sx, events, self.db.tm.clog()) {
+        if let Some(s) = &self.ssi {
+            if let Err(e) = s.mgr.on_mvcc_events(&s.sx, events, self.db.tm.clog()) {
                 return Err(self.abort_at(e, AbortSite::OnRead, None));
             }
         }
@@ -247,13 +258,13 @@ impl Transaction {
     }
 
     fn ssi_write(&mut self, chain: &[LockTarget], written: Option<LockTarget>) -> Result<()> {
-        if let Some(sx) = self.sx {
+        if let Some(s) = &self.ssi {
             let in_sub = !self.subxids.is_empty();
-            let rel = written
-                .as_ref()
-                .or(chain.first())
-                .map(|t| t.relation().0 as u64);
-            if let Err(e) = self.db.ssi().on_write(sx, chain, written, in_sub) {
+            if let Err(e) = s.mgr.on_write(&s.sx, chain, written, in_sub) {
+                let rel = written
+                    .as_ref()
+                    .or(chain.first())
+                    .map(|t| t.relation().0 as u64);
                 return Err(self.abort_at(e, AbortSite::OnWrite, rel));
             }
         }
@@ -306,8 +317,8 @@ impl Transaction {
             &t,
             &inner,
             &inner.pk,
-            Bound::Included(key.clone()),
-            Bound::Included(key.clone()),
+            Bound::Included(key),
+            Bound::Included(key),
         )?;
         Ok(rows.into_iter().next().map(|(_, row)| row))
     }
@@ -324,8 +335,8 @@ impl Transaction {
                     &t,
                     &inner,
                     slot,
-                    Bound::Included(key.clone()),
-                    Bound::Included(key.clone()),
+                    Bound::Included(key),
+                    Bound::Included(key),
                 )?,
                 IndexImpl::Hash(h) => {
                     // Hash indexes cannot lock gaps: fall back to a
@@ -361,7 +372,7 @@ impl Transaction {
                 "index {index} does not support range scans"
             )));
         }
-        self.read_via_index(&t, &inner, slot, lo, hi)
+        self.read_via_index(&t, &inner, slot, lo.as_ref(), hi.as_ref())
     }
 
     /// Range scan on the primary key.
@@ -374,7 +385,7 @@ impl Transaction {
         self.begin_op()?;
         let t = self.db.catalog.table(table)?;
         let inner = t.inner.read();
-        self.read_via_index(&t, &inner, &inner.pk, lo, hi)
+        self.read_via_index(&t, &inner, &inner.pk, lo.as_ref(), hi.as_ref())
     }
 
     /// Full sequential scan, optionally filtered. Serializable transactions take
@@ -394,7 +405,7 @@ impl Transaction {
         }
         // One pass over the heap's pages; every version is judged on its own,
         // so rows come back in physical (unspecified) order.
-        let track = self.sx.is_some();
+        let track = self.ssi.is_some();
         let mut events: Vec<VisEvent> = Vec::new();
         let mut rows = Vec::new();
         inner.heap.scan_visible(
@@ -429,18 +440,18 @@ impl Transaction {
         t: &Table,
         inner: &TableInner,
         slot: &IndexSlot,
-        lo: Bound<Key>,
-        hi: Bound<Key>,
+        lo: Bound<&Key>,
+        hi: Bound<&Key>,
     ) -> Result<Vec<(Key, Row)>> {
         let IndexImpl::BTree(btree) = &slot.imp else {
             return Err(Error::Misuse("expected a B+-tree index".into()));
         };
         let in_bounds = |k: &Key| {
-            (match &lo {
+            (match lo {
                 Bound::Included(b) => k >= b,
                 Bound::Excluded(b) => k > b,
                 Bound::Unbounded => true,
-            }) && (match &hi {
+            }) && (match hi {
                 Bound::Included(b) => k <= b,
                 Bound::Excluded(b) => k < b,
                 Bound::Unbounded => true,
@@ -454,7 +465,7 @@ impl Transaction {
             self.s2pl_lock(LockTarget::Relation(slot.rel()), LockMode::IntentionShared)?;
             let mut locked: HashSet<pgssi_common::PageNo> = HashSet::new();
             loop {
-                let s = btree.range(lo.clone(), hi.clone());
+                let s = btree.range_hooked(lo, hi, &mut |_| {});
                 let mut newly_locked = false;
                 for &p in &s.leaf_pages {
                     if !locked.contains(&p) {
@@ -470,22 +481,8 @@ impl Transaction {
         } else {
             // SSI gap locks are taken under the tree lock (see
             // `range_hooked`), closing the scan-vs-insert race.
-            match self.sx {
-                Some(sx) => {
-                    let ssi = self.db.ssi();
-                    let rel = slot.rel();
-                    let ro = self.opts.read_only;
-                    btree.range_hooked(lo.clone(), hi.clone(), &mut |p| {
-                        let t = [LockTarget::Page(rel, p)];
-                        if ro {
-                            ssi.on_read(sx, &t)
-                        } else {
-                            ssi.on_read_rw(sx, &t)
-                        }
-                    })
-                }
-                None => btree.range(lo.clone(), hi.clone()),
-            }
+            let rel = slot.rel();
+            btree.range_hooked(lo, hi, &mut |p| self.ssi_read(&[LockTarget::Page(rel, p)]))
         };
         let roots: Vec<TupleId> = scan.entries.iter().map(|(_, tid)| *tid).collect();
         self.resolve_roots(t, inner, slot, roots, in_bounds)
@@ -495,23 +492,12 @@ impl Transaction {
     /// lock on the visible version under its page latch (see
     /// [`pgssi_storage::Heap::read_chain`] for why this ordering matters).
     fn read_root(&self, t: &Table, inner: &TableInner, root: TupleId) -> ChainRead {
-        let ssi = self.sx.map(|sx| (self.db.ssi(), sx));
-        let ro = self.opts.read_only;
         inner.heap.read_chain(
             root,
             &self.snapshot,
             self.db.tm.clog(),
             &self.own(),
-            &mut |tid| {
-                if let Some((ssi, sx)) = &ssi {
-                    let target = [LockTarget::tuple(t.heap_rel, tid)];
-                    if ro {
-                        ssi.on_read(*sx, &target)
-                    } else {
-                        ssi.on_read_rw(*sx, &target)
-                    }
-                }
-            },
+            &mut |tid| self.ssi_read(&[LockTarget::tuple(t.heap_rel, tid)]),
         )
     }
 
@@ -988,8 +974,8 @@ impl Transaction {
     /// conflict events naming the subxid find this transaction's record.
     fn new_subxid(&self) -> TxnId {
         let sub = self.db.tm.begin_sub();
-        if let Some(sx) = self.sx {
-            self.db.ssi().register_subxid(sx, sub);
+        if let Some(s) = &self.ssi {
+            s.mgr.register_subxid(&s.sx, sub);
         }
         sub
     }
@@ -1048,8 +1034,8 @@ impl Transaction {
     pub fn commit(mut self) -> Result<()> {
         self.ensure_active()?;
         let span = self.db.stats.commit_ns.start();
-        let mut xids = vec![self.txid];
-        xids.extend(&self.subxids);
+        let txid = self.txid;
+        let xids = all_xids(&txid, &self.subxids);
         let wrote = self.wrote;
         let payload = if wrote {
             self.take_redo_payload()
@@ -1064,8 +1050,7 @@ impl Transaction {
                 tm.commit_readonly(&xids)
             }
         };
-        if let Some(sx) = self.sx {
-            let ssi = self.db.ssi();
+        if let Some(SsiTxn { mgr: ssi, sx }) = &self.ssi {
             if let Err(e) = ssi.precommit(sx, self.db.tm.frontier()) {
                 return Err(self.abort_at(e, AbortSite::Precommit, None));
             }
@@ -1087,7 +1072,7 @@ impl Transaction {
                     wal_lsn = lsn;
                     csn
                 },
-                |digest| db.wal.publish_commit(db, digest),
+                |digest| db.wal.publish_commit_lazy(db, digest),
             ) {
                 return Err(self.abort_at(e, AbortSite::Precommit, None));
             }
@@ -1144,16 +1129,12 @@ impl Transaction {
         // unresolved transaction is the state other commits must respect.
         pgssi_common::sim::yield_point(pgssi_common::sim::Site::TwoPhasePrepare);
         self.ensure_active()?;
-        let mut xids = vec![self.txid];
-        xids.extend(&self.subxids);
-        let ssi_rec = match self.sx {
-            Some(sx) => {
-                let ssi = self.db.ssi();
-                match ssi.prepare(sx, self.db.tm.frontier()) {
-                    Ok(rec) => Some(rec),
-                    Err(e) => return Err(self.abort_at(e, AbortSite::Prepare, None)),
-                }
-            }
+        let xids = all_xids(&self.txid, &self.subxids).into_owned();
+        let ssi_rec = match &self.ssi {
+            Some(s) => match s.mgr.prepare(&s.sx, self.db.tm.frontier()) {
+                Ok(rec) => Some(rec),
+                Err(e) => return Err(self.abort_at(e, AbortSite::Prepare, None)),
+            },
             None => None,
         };
         // Persist the in-doubt state as a durable Prepare record: gid, redo
@@ -1184,7 +1165,7 @@ impl Transaction {
         let rec = crate::twophase::PreparedTxn {
             txid: self.txid,
             xids,
-            sx: self.sx,
+            sx: self.ssi.as_ref().map(|s| s.sx.clone()),
             ssi: ssi_rec,
             s2pl_owner: self.is_2pl().then_some(self.txid.0),
             prepare_lsn: None,

@@ -142,13 +142,13 @@ impl BTreeIndex {
         }
     }
 
-    /// Descend to the leaf that would hold `probe`.
-    fn descend(tree: &Tree, probe: &(Key, TupleId)) -> PageNo {
+    /// Descend to the leaf that would hold the entry `(key, tid)`.
+    fn descend(tree: &Tree, key: &Key, tid: TupleId) -> PageNo {
         let mut page = tree.root;
         loop {
             match &tree.nodes[page as usize] {
                 Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|sep| (&sep.0, &sep.1) <= (&probe.0, &probe.1));
+                    let idx = keys.partition_point(|sep| (&sep.0, &sep.1) <= (key, &tid));
                     page = children[idx];
                 }
                 Node::Leaf { .. } => return page,
@@ -160,8 +160,7 @@ impl BTreeIndex {
     /// removed. Pages are never merged.
     pub fn remove(&self, key: &Key, tid: TupleId) -> bool {
         let mut tree = self.tree.write();
-        let probe = (key.clone(), tid);
-        let page = Self::descend(&tree, &probe);
+        let page = Self::descend(&tree, key, tid);
         let Node::Leaf { entries, .. } = &mut tree.nodes[page as usize] else {
             unreachable!("descent ends at a leaf");
         };
@@ -176,14 +175,14 @@ impl BTreeIndex {
 
     /// Exact-key lookup. Equivalent to `range(Included(key), Included(key))`.
     pub fn search(&self, key: &Key) -> RangeScan {
-        self.range(Bound::Included(key.clone()), Bound::Included(key.clone()))
+        self.range_hooked(Bound::Included(key), Bound::Included(key), &mut |_| {})
     }
 
     /// Scan the key range given by the bounds, returning matches and the leaf pages
     /// visited. An empty result still reports the leaf covering the gap, which is
     /// what makes phantom detection work (paper §5.2.1).
     pub fn range(&self, lo: Bound<Key>, hi: Bound<Key>) -> RangeScan {
-        self.range_hooked(lo, hi, &mut |_| {})
+        self.range_hooked(lo.as_ref(), hi.as_ref(), &mut |_| {})
     }
 
     /// [`BTreeIndex::range`] with an `on_leaf` hook invoked for every visited
@@ -194,17 +193,17 @@ impl BTreeIndex {
     /// lock is in place (lock-side conflict). The hook must not block.
     pub fn range_hooked(
         &self,
-        lo: Bound<Key>,
-        hi: Bound<Key>,
+        lo: Bound<&Key>,
+        hi: Bound<&Key>,
         on_leaf: &mut dyn FnMut(PageNo),
     ) -> RangeScan {
         let tree = self.tree.read();
         let mut scan = RangeScan::default();
 
         // Descend to the leaf where the first in-range entry would live.
-        let mut page = match &lo {
-            Bound::Included(k) => Self::descend(&tree, &(k.clone(), MIN_TID)),
-            Bound::Excluded(k) => Self::descend(&tree, &(k.clone(), MAX_TID)),
+        let mut page = match lo {
+            Bound::Included(k) => Self::descend(&tree, k, MIN_TID),
+            Bound::Excluded(k) => Self::descend(&tree, k, MAX_TID),
             Bound::Unbounded => {
                 let mut p = tree.root;
                 loop {
@@ -216,12 +215,12 @@ impl BTreeIndex {
             }
         };
 
-        let in_lo = |k: &Key| match &lo {
+        let in_lo = |k: &Key| match lo {
             Bound::Included(b) => k >= b,
             Bound::Excluded(b) => k > b,
             Bound::Unbounded => true,
         };
-        let in_hi = |k: &Key| match &hi {
+        let in_hi = |k: &Key| match hi {
             Bound::Included(b) => k <= b,
             Bound::Excluded(b) => k < b,
             Bound::Unbounded => true,
@@ -234,10 +233,10 @@ impl BTreeIndex {
                 unreachable!("descent ends at a leaf");
             };
             let mut past_hi = false;
-            for (k, tid) in entries {
-                if !in_lo(k) {
-                    continue;
-                }
+            // Entries are sorted by `(key, tid)`, so those below the lower
+            // bound form a prefix: skip it by binary search.
+            let start = entries.partition_point(|(k, _)| !in_lo(k));
+            for (k, tid) in &entries[start..] {
                 if !in_hi(k) {
                     past_hi = true;
                     break;

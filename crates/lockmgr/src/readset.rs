@@ -47,10 +47,78 @@
 //! acquire the partition mutex after the spill's insertion was released, so
 //! the table probe finds it (see the proof sketch in DESIGN.md §6).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgssi_common::LockTarget;
+
+/// Hasher for the lock manager's own maps. Their keys — [`LockTarget`]s,
+/// `(relation, page)` pairs, relation and owner ids — are a few small
+/// integers the engine itself assigned (physical addresses and dense
+/// counters, never bytes from outside the program), so SipHash's flooding
+/// resistance buys nothing here and costs most of a read's bookkeeping.
+/// Each field is folded in with one rotate-xor-multiply; `finish` runs the
+/// SplitMix64 finalizer so the table's bucket index (low bits) and control
+/// byte (high bits) both see every input bit.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct TargetHasher(u64);
+
+impl TargetHasher {
+    #[inline]
+    fn fold(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for TargetHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.fold(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        self.fold(v as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        crate::siread::spread(self.0)
+    }
+}
+
+/// `HashMap` keyed through [`TargetHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<TargetHasher>>;
+/// `HashSet` keyed through [`TargetHasher`].
+pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<TargetHasher>>;
 
 /// Number of counting-filter slots per lock-table partition. A secondary hash
 /// of the exact target picks one slot; collisions only cause false positives
@@ -64,7 +132,7 @@ pub const FILTER_SLOTS: usize = 64;
 /// exactly the same points as the eager path.
 #[derive(Default, Debug)]
 pub struct TxReadSet {
-    targets: HashSet<LockTarget>,
+    targets: FastSet<LockTarget>,
 }
 
 impl TxReadSet {

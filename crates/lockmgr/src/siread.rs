@@ -29,13 +29,20 @@
 //! tuple on that page land in the *same* partition: the tuple→page promotion is
 //! a single-partition operation, and a writer's coarse-to-fine check chain
 //! touches at most two partitions (the relation's and the page's). Per-owner
-//! bookkeeping (held targets, promotion counts) lives in a separately-locked
-//! owner map — a `RwLock` directory of per-owner mutexes — so different
-//! transactions' acquisitions never contend on each other's bookkeeping.
+//! bookkeeping (held targets, promotion counts, counter tallies) lives in a
+//! per-owner mutex-guarded record. [`SireadLockManager::register_owner`]
+//! returns an [`OwnerHandle`] to it: the owning transaction keeps the handle
+//! and every acquisition it makes goes straight to its own record — no
+//! shared structure is consulted. The `RwLock` **owner directory** maps ids
+//! to the same records for everyone else: it is written at register/release
+//! and walked by a writer's filter hit, a page split, or DDL promotion; the
+//! id-taking entry points (2PC, tests, probes) look the handle up there and
+//! delegate.
 //!
 //! The internal lock order, which every operation follows, is:
 //!
-//! 1. the owner directory (`RwLock`, read for lookups, write to add/remove);
+//! 1. the owner directory (`RwLock`, read for lookups and walks, write to
+//!    add/remove);
 //! 2. one per-owner mutex (never two at once);
 //! 3. partition mutexes, all needed ones at once, in **ascending index order**.
 //!
@@ -68,21 +75,37 @@
 //! counters span published ∪ pending, so promotions fire at exactly the same
 //! points as the eager path; promotions whose victims are all pending happen
 //! entirely locally. `read_batch <= 1` restores the eager per-read path.
+//!
+//! ## What one conflict-free read costs
+//!
+//! The owner mutex (uncontended: only a writer's filter hit or a release
+//! ever takes someone else's), a coverage check and an insert in the owner's
+//! own read set (a few multiply-hash probes — `TargetHasher` in
+//! `readset.rs`), and one relaxed increment of the filter
+//! word. The promotion counters are not even maintained until the owner holds
+//! more targets than the smallest promotion threshold (no threshold can fire
+//! below it; they are rebuilt from the read set when it is crossed), and the
+//! `acquisitions` / `local_accumulated` / `batches_published` tallies
+//! accumulate in the owner record and reach the shared counters in one
+//! [`SireadLockManager::flush_tallies`] per transaction (the SSI core calls
+//! it before a commit returns; release and consolidation flush whatever is
+//! left), so a counter read between two transactions is exact.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use pgssi_common::sim;
 use pgssi_common::stats::Counter;
 use pgssi_common::{CommitSeqNo, LockTarget, PageNo, RelId, SsiConfig};
 
-use crate::readset::{PresenceFilter, TxReadSet, FILTER_SLOTS};
+use crate::readset::{FastMap, FastSet, PresenceFilter, TxReadSet, FILTER_SLOTS};
 use crate::{OwnerId, OLD_COMMITTED_OWNER};
 
 #[derive(Default)]
 struct Holders {
-    owners: HashSet<OwnerId>,
+    owners: FastSet<OwnerId>,
     /// If summarized (dummy-owned) locks cover this target: the commit sequence
     /// number of the most recent summarized transaction that held it (§6.2).
     old_committed_csn: Option<CommitSeqNo>,
@@ -95,7 +118,7 @@ impl Holders {
 }
 
 /// The target → holders map guarded by one partition mutex.
-type PartitionMap = HashMap<LockTarget, Holders>;
+type PartitionMap = FastMap<LockTarget, Holders>;
 
 /// One lock-table partition: its share of the target map plus contention
 /// counters (each [`Counter`] is cache-line padded, so the per-partition pairs
@@ -111,23 +134,86 @@ struct PartitionSlot {
 
 #[derive(Default)]
 struct OwnerLocks {
-    targets: HashSet<LockTarget>,
+    targets: FastSet<LockTarget>,
     /// Accumulated-but-unpublished read-set targets (read-set batching).
     /// Disjoint from `targets`; every pending target is counted in the
     /// manager's presence filter. The promotion counters below span
     /// `targets` ∪ `pending`.
     pending: TxReadSet,
-    tuples_per_page: HashMap<(RelId, PageNo), usize>,
-    pages_per_rel: HashMap<RelId, usize>,
+    /// Whether the two promotion counters below are being maintained. They
+    /// are a pure function of `targets` ∪ `pending`, and no threshold can be
+    /// exceeded while the owner holds at most `count_from` targets (the
+    /// manager's smallest threshold), so they stay empty until then and are
+    /// rebuilt from the sets at the crossing.
+    counting: bool,
+    tuples_per_page: FastMap<(RelId, PageNo), usize>,
+    pages_per_rel: FastMap<RelId, usize>,
     /// Tombstone: set under this owner's mutex when the owner is released or
     /// consolidated. An acquisition racing with the release may still hold a
     /// reference to this record; the flag turns it into a no-op instead of
     /// resurrecting locks that would never be freed.
     released: bool,
+    /// Counter increments not yet added to the manager's shared counters
+    /// (see [`SireadLockManager::flush_tallies`]).
+    tally: Tally,
 }
 
-/// Shared handle to one owner's bookkeeping in the owner directory.
-type OwnerRef = std::sync::Arc<Mutex<OwnerLocks>>;
+/// Per-owner share of [`SireadLockManager::acquisitions`],
+/// [`SireadLockManager::local_accumulated`] and
+/// [`SireadLockManager::batches_published`].
+#[derive(Default)]
+struct Tally {
+    acquisitions: u64,
+    local_accumulated: u64,
+    batches_published: u64,
+}
+
+impl OwnerLocks {
+    /// Targets held, published and pending alike.
+    fn held(&self) -> usize {
+        self.targets.len() + self.pending.len()
+    }
+
+    /// Is `target` already covered by a held lock on it or on a coarser
+    /// target (published or pending)? The one coverage test every
+    /// acquisition runs.
+    fn covers(&self, target: LockTarget) -> bool {
+        let mut cur = Some(target);
+        while let Some(t) = cur {
+            if self.pending.contains(&t) || self.targets.contains(&t) {
+                return true;
+            }
+            cur = t.parent();
+        }
+        false
+    }
+}
+
+/// Shared reference to one owner's bookkeeping record.
+type OwnerRef = Arc<Mutex<OwnerLocks>>;
+
+/// A lock owner's own reference to its bookkeeping record, returned by
+/// [`SireadLockManager::register_owner`]. Operations taking a handle reach the
+/// record directly; the id-taking variants find the same record through the
+/// owner directory first.
+#[derive(Clone)]
+pub struct OwnerHandle {
+    id: OwnerId,
+    locks: OwnerRef,
+}
+
+impl OwnerHandle {
+    /// The owner's id.
+    pub fn id(&self) -> OwnerId {
+        self.id
+    }
+}
+
+impl std::fmt::Debug for OwnerHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "OwnerHandle({})", self.id)
+    }
+}
 
 /// Lock one owner's bookkeeping. Owner mutexes are held while acquiring
 /// partition mutexes (which under sim spin-yield on contention), so a sim
@@ -188,7 +274,13 @@ pub struct SireadLockManager {
     /// every partition mutex when nothing is summarized (the common case).
     summarized_targets: AtomicU64,
     config: SsiConfig,
-    /// SIREAD lock acquisitions (after coverage/dedup filtering).
+    /// The smallest promotion threshold: an owner holding at most this many
+    /// targets cannot exceed any of them, so its promotion counters are not
+    /// maintained yet.
+    count_from: usize,
+    /// SIREAD lock acquisitions (after coverage/dedup filtering). Like
+    /// `local_accumulated` and `batches_published`, exact once the acquiring
+    /// transaction has finished (see [`SireadLockManager::flush_tallies`]).
     pub acquisitions: Counter,
     /// Granularity promotions performed (tuple→page and page→relation).
     pub promotions: Counter,
@@ -212,7 +304,7 @@ pub struct SireadLockManager {
 
 /// SplitMix64 finalizer: cheap, well-mixed 64-bit hash for partition choice.
 #[inline]
-fn spread(mut x: u64) -> u64 {
+pub(crate) fn spread(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -236,6 +328,10 @@ impl SireadLockManager {
             owners: RwLock::new(HashMap::new()),
             filter: PresenceFilter::new(n),
             summarized_targets: AtomicU64::new(0),
+            count_from: config
+                .promote_tuple_threshold
+                .min(config.promote_page_threshold)
+                .min(config.max_predicate_locks_per_txn),
             config,
             acquisitions: Counter::new(),
             promotions: Counter::new(),
@@ -325,43 +421,44 @@ impl SireadLockManager {
         }
     }
 
-    /// The owner's bookkeeping handle, if registered.
+    /// The owner's bookkeeping record, if registered.
     fn owner_ref(&self, owner: OwnerId) -> Option<OwnerRef> {
         self.owners.read().get(&owner).cloned()
     }
 
-    /// Register a lock owner (a serializable transaction). Acquisitions for
-    /// unregistered owners are silently dropped — the owner may already have
-    /// been released concurrently (e.g. the read-only safe-snapshot downgrade).
-    pub fn register_owner(&self, owner: OwnerId) {
-        assert_ne!(owner, OLD_COMMITTED_OWNER, "dummy owner is implicit");
-        self.owners.write().entry(owner).or_default();
+    /// The handle of a registered owner (the directory lookup behind every
+    /// id-taking entry point; `None` once the owner was released).
+    fn owner_handle(&self, owner: OwnerId) -> Option<OwnerHandle> {
+        let locks = self.owner_ref(owner)?;
+        Some(OwnerHandle { id: owner, locks })
     }
 
-    /// Take a SIREAD lock on `target` for `owner`.
+    /// Register a lock owner (a serializable transaction) and return its
+    /// handle (the existing one if the id is already registered).
+    /// Acquisitions for unregistered or released owners are silently dropped
+    /// — the owner may already have been released concurrently (e.g. the
+    /// read-only safe-snapshot downgrade).
+    pub fn register_owner(&self, owner: OwnerId) -> OwnerHandle {
+        assert_ne!(owner, OLD_COMMITTED_OWNER, "dummy owner is implicit");
+        let locks = Arc::clone(self.owners.write().entry(owner).or_default());
+        OwnerHandle { id: owner, locks }
+    }
+
+    /// Take a SIREAD lock on `target` for the owner behind `owner`, touching
+    /// only that owner's record and (batched mode) the filter word.
     ///
-    /// No-ops if a coarser lock already covers the target, or if the owner is
-    /// not (or no longer) registered. May trigger granularity promotion when
-    /// per-page / per-relation / per-owner thresholds are exceeded (§6
-    /// technique 2). In batched mode the target is accumulated in the owner's
-    /// pending set — no partition mutex — and published when the batch fills.
-    pub fn acquire(&self, owner: OwnerId, target: LockTarget) {
-        let Some(ol_ref) = self.owner_ref(owner) else {
-            return;
-        };
-        let mut ol = lock_owner(&ol_ref);
-        if ol.released {
+    /// No-ops if a coarser lock already covers the target, or if the owner
+    /// has been released. May trigger granularity promotion when per-page /
+    /// per-relation / per-owner thresholds are exceeded (§6 technique 2). In
+    /// batched mode the target is accumulated in the owner's pending set — no
+    /// partition mutex — and published when the batch fills.
+    pub fn acquire_for(&self, owner: &OwnerHandle, target: LockTarget) {
+        let mut ol = lock_owner(&owner.locks);
+        if ol.released || ol.covers(target) {
             return;
         }
-        // Covered by an existing coarser (or identical) lock — published or
-        // pending?
-        let mut cur = Some(target);
-        while let Some(t) = cur {
-            if ol.targets.contains(&t) || ol.pending.contains(&t) {
-                return;
-            }
-            cur = t.parent();
-        }
+        let id = owner.id;
+        ol.tally.acquisitions += 1;
         if self.batching() {
             // Accumulate locally. The filter count goes in before the read
             // hook returns (we hold only the owner mutex), so a writer whose
@@ -371,20 +468,50 @@ impl SireadLockManager {
             self.filter.add(fp, fs);
             Self::count_insert(&mut ol, target);
             ol.pending.insert(target);
-            self.local_accumulated.bump();
-            self.acquisitions.bump();
-            self.maybe_promote(&mut ol, owner, target);
+            ol.tally.local_accumulated += 1;
+            self.maybe_promote(&mut ol, id, target);
             if ol.pending.len() >= self.config.read_batch {
-                self.publish_pending_locked(&mut ol, owner);
-                self.batches_published.bump();
+                self.publish_pending_locked(&mut ol, id);
+                ol.tally.batches_published += 1;
             }
         } else {
             {
                 let mut part = self.lock_partition(self.partition_of(&target));
-                Self::insert_locked(&mut part, &mut ol, owner, target);
+                Self::insert_locked(&mut part, &mut ol, id, target);
             }
-            self.acquisitions.bump();
-            self.maybe_promote(&mut ol, owner, target);
+            self.maybe_promote(&mut ol, id, target);
+        }
+    }
+
+    /// [`SireadLockManager::acquire_for`] by owner id: dropped if the owner
+    /// is not (or no longer) registered.
+    pub fn acquire(&self, owner: OwnerId, target: LockTarget) {
+        if let Some(h) = self.owner_handle(owner) {
+            self.acquire_for(&h, target);
+        }
+    }
+
+    /// Add the owner's accumulated counter tallies to the shared counters.
+    /// The SSI core calls this once per transaction, before its commit
+    /// returns; releasing or consolidating an owner flushes what is left. A
+    /// reader of the shared counters therefore sees every acquisition of
+    /// every *finished* transaction — which is all `StatsReport::delta` is
+    /// ever asked about — while a running transaction's reads cost it no
+    /// shared-counter traffic.
+    pub fn flush_tallies(&self, owner: &OwnerHandle) {
+        self.flush_tallies_locked(&mut lock_owner(&owner.locks));
+    }
+
+    fn flush_tallies_locked(&self, ol: &mut OwnerLocks) {
+        let t = std::mem::take(&mut ol.tally);
+        if t.acquisitions > 0 {
+            self.acquisitions.add(t.acquisitions);
+        }
+        if t.local_accumulated > 0 {
+            self.local_accumulated.add(t.local_accumulated);
+        }
+        if t.batches_published > 0 {
+            self.batches_published.add(t.batches_published);
         }
     }
 
@@ -418,35 +545,41 @@ impl SireadLockManager {
         self.publish_ns.record_elapsed(span);
     }
 
-    /// Publish `owner`'s pending read-set batch, if any. The SSI core calls
+    /// Publish the owner's pending read-set batch, if any. The SSI core calls
     /// this on the transaction's own first write (its read set must be in the
     /// table before peers probe it as a writer's victim) and at two-phase
     /// `PREPARE` (the persisted lock list must be complete). Returns the
     /// number of targets published.
-    pub fn publish_pending(&self, owner: OwnerId) -> usize {
+    pub fn publish_pending_for(&self, owner: &OwnerHandle) -> usize {
         // Sim yield before any lock: callers (first own write, PREPARE,
         // prepared-txn recovery) hold nothing here, so a thread parked at
         // this point blocks nobody. This is the window in which a peer
         // writer's probe can race the spill — exactly the interleaving the
         // simulator wants to schedule.
         pgssi_common::sim::yield_point(pgssi_common::sim::Site::SireadPublish);
-        let Some(ol_ref) = self.owner_ref(owner) else {
-            return 0;
-        };
-        let mut ol = lock_owner(&ol_ref);
+        let mut ol = lock_owner(&owner.locks);
         if ol.released || ol.pending.is_empty() {
             return 0;
         }
         let n = ol.pending.len();
-        self.publish_pending_locked(&mut ol, owner);
-        self.batches_published.bump();
+        self.publish_pending_locked(&mut ol, owner.id);
+        ol.tally.batches_published += 1;
         n
+    }
+
+    /// [`SireadLockManager::publish_pending_for`] by owner id.
+    pub fn publish_pending(&self, owner: OwnerId) -> usize {
+        self.owner_handle(owner)
+            .map_or(0, |h| self.publish_pending_for(&h))
     }
 
     /// Bump the promotion counters for a newly-tracked target. The counters
     /// deliberately span published and pending targets, so promotion
     /// thresholds fire at exactly the same points in batched and eager mode.
     fn count_insert(ol: &mut OwnerLocks, target: LockTarget) {
+        if !ol.counting {
+            return;
+        }
         match target {
             LockTarget::Tuple(r, p, _) => {
                 *ol.tuples_per_page.entry((r, p)).or_insert(0) += 1;
@@ -460,6 +593,9 @@ impl SireadLockManager {
 
     /// Inverse of [`Self::count_insert`].
     fn count_remove(ol: &mut OwnerLocks, target: LockTarget) {
+        if !ol.counting {
+            return;
+        }
         match target {
             LockTarget::Tuple(r, p, _) => {
                 if let Some(c) = ol.tuples_per_page.get_mut(&(r, p)) {
@@ -522,6 +658,22 @@ impl SireadLockManager {
     }
 
     fn maybe_promote(&self, ol: &mut OwnerLocks, owner: OwnerId, target: LockTarget) {
+        if !ol.counting {
+            if ol.held() <= self.count_from {
+                return; // no threshold is reachable yet
+            }
+            // Crossing: rebuild the counters from the held sets.
+            ol.counting = true;
+            let held: Vec<LockTarget> = ol
+                .targets
+                .iter()
+                .chain(ol.pending.iter())
+                .copied()
+                .collect();
+            for t in held {
+                Self::count_insert(ol, t);
+            }
+        }
         // Tuple locks on one page exceed threshold → one page lock.
         if let LockTarget::Tuple(r, p, _) = target {
             let count = ol.tuples_per_page.get(&(r, p)).copied().unwrap_or(0);
@@ -536,7 +688,7 @@ impl SireadLockManager {
             self.promote_owner_to_relation(ol, owner, rel);
         }
         // Owner-wide cap → promote the busiest relation wholesale.
-        if ol.targets.len() + ol.pending.len() > self.config.max_predicate_locks_per_txn {
+        if ol.held() > self.config.max_predicate_locks_per_txn {
             if let Some(busiest) = Self::busiest_relation(ol) {
                 self.promote_owner_to_relation(ol, owner, busiest);
             }
@@ -670,11 +822,12 @@ impl SireadLockManager {
         }
         let mut mg = self.lock_targets(chain.iter().copied());
         let mut result = ConflictCheck::default();
-        let mut seen: HashSet<OwnerId> = HashSet::new();
         for t in chain {
             if let Some(h) = mg.map(self.partition_of(t)).get(t) {
                 for &o in &h.owners {
-                    if o != exclude && seen.insert(o) {
+                    // A target rarely has more than a couple of holders:
+                    // linear dedup beats hashing them.
+                    if o != exclude && !result.owners.contains(&o) {
                         result.owners.push(o);
                     }
                 }
@@ -736,15 +889,12 @@ impl SireadLockManager {
         max
     }
 
-    /// Drop `owner`'s locks on a specific target (the write-lock-drop
+    /// Drop the owner's lock on a specific target (the write-lock-drop
     /// optimization, §7.3: a transaction that later writes a tuple may drop its
     /// own SIREAD lock on it — except inside subtransactions, which the caller
     /// enforces).
-    pub fn release_target(&self, owner: OwnerId, target: LockTarget) {
-        let Some(ol_ref) = self.owner_ref(owner) else {
-            return;
-        };
-        let mut ol = lock_owner(&ol_ref);
+    pub fn release_target_for(&self, owner: &OwnerHandle, target: LockTarget) {
+        let mut ol = lock_owner(&owner.locks);
         if ol.released {
             return;
         }
@@ -757,7 +907,14 @@ impl SireadLockManager {
             return;
         }
         let mut part = self.lock_partition(self.partition_of(&target));
-        Self::remove_locked(&mut part, &mut ol, owner, target);
+        Self::remove_locked(&mut part, &mut ol, owner.id, target);
+    }
+
+    /// [`SireadLockManager::release_target_for`] by owner id.
+    pub fn release_target(&self, owner: OwnerId, target: LockTarget) {
+        if let Some(h) = self.owner_handle(owner) {
+            self.release_target_for(&h, target);
+        }
     }
 
     /// Release every lock `owner` holds and forget the owner (abort, RO-safe
@@ -770,6 +927,7 @@ impl SireadLockManager {
         };
         let mut ol = lock_owner(&ol_ref);
         ol.released = true;
+        self.flush_tallies_locked(&mut ol);
         // A never-published batch dies without touching a single partition —
         // the common exit for a short read-only transaction under batching.
         for t in ol.pending.drain() {
@@ -814,6 +972,7 @@ impl SireadLockManager {
                 return;
             }
             ol.released = true;
+            self.flush_tallies_locked(&mut ol);
             let published: Vec<LockTarget> = ol.targets.drain().collect();
             let pending: Vec<LockTarget> = ol.pending.drain();
             ol.tuples_per_page.clear();
@@ -1059,10 +1218,7 @@ impl SireadLockManager {
     /// Number of locks held by `owner`, published and pending alike.
     pub fn owner_lock_count(&self, owner: OwnerId) -> usize {
         self.owner_ref(owner)
-            .map(|r| {
-                let ol = lock_owner(&r);
-                ol.targets.len() + ol.pending.len()
-            })
+            .map(|r| lock_owner(&r).held())
             .unwrap_or(0)
     }
 
@@ -1343,7 +1499,7 @@ mod tests {
     fn targets_spread_across_partitions() {
         let m = mgr();
         assert_eq!(m.partition_count(), 16);
-        let used: HashSet<usize> = (0..256)
+        let used: std::collections::HashSet<usize> = (0..256)
             .map(|p| m.partition_of(&LockTarget::Page(R, p)))
             .collect();
         assert!(
@@ -1393,9 +1549,9 @@ mod tests {
             read_batch: 4,
             ..SsiConfig::default()
         });
-        m.register_owner(1);
+        let h = m.register_owner(1);
         for s in 0..3 {
-            m.acquire(1, LockTarget::Tuple(R, 0, s));
+            m.acquire_for(&h, LockTarget::Tuple(R, 0, s));
         }
         assert_eq!(
             m.total_lock_count(),
@@ -1404,12 +1560,16 @@ mod tests {
         );
         assert_eq!(m.owner_pending_count(1), 3);
         assert_eq!(m.owner_lock_count(1), 3);
+        assert_eq!(m.local_accumulated.get(), 0, "tallied in the owner record");
+        m.flush_tallies(&h);
         assert_eq!(m.local_accumulated.get(), 3);
         // The fourth read fills the batch and spills everything at once.
-        m.acquire(1, LockTarget::Tuple(R, 1, 0));
+        m.acquire_for(&h, LockTarget::Tuple(R, 1, 0));
         assert_eq!(m.total_lock_count(), 4);
         assert_eq!(m.owner_pending_count(1), 0);
+        m.flush_tallies(&h);
         assert_eq!(m.batches_published.get(), 1);
+        assert_eq!(m.acquisitions.get(), 4);
         assert_eq!(m.filter_pending_total(), 0);
     }
 
@@ -1460,7 +1620,9 @@ mod tests {
         assert_eq!(m.total_lock_count(), 1, "published immediately");
         let _ = m.conflicting_holders(&LockTarget::Tuple(R, 0, 0).check_chain(), 2);
         assert_eq!(m.filter_probes.get(), 0);
+        m.release_owner(1);
         assert_eq!(m.local_accumulated.get(), 0);
+        assert_eq!(m.acquisitions.get(), 1);
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn apply_and_compare(ops: &[Op]) {
     let (eager, batched) = mgrs.split_first().expect("three managers");
     for op in ops {
         match *op {
-            Op::Register(o) => mgrs.iter().for_each(|m| m.register_owner(o)),
+            Op::Register(o) => mgrs.iter().for_each(|m| drop(m.register_owner(o))),
             Op::Read(o, t) => mgrs.iter().for_each(|m| m.acquire(o, t)),
             Op::WriteProbe(t, exclude) => {
                 let chain = t.check_chain();

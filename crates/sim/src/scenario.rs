@@ -5,7 +5,7 @@
 //!
 //! | scenario  | exercises                               | checks |
 //! |-----------|------------------------------------------|--------|
-//! | `mix`     | serializable OLTP mix with vacuum steps, retries, wakeup faults | history (snapshot reads, FCW, SG acyclicity), snapshot oracle |
+//! | `mix`     | serializable OLTP mix with vacuum steps, retries, wakeup faults, a DEFERRABLE reader parking on safe-snapshot waits | history (snapshot reads, FCW, SG acyclicity), snapshot oracle, no lost safety wake-up |
 //! | `crash`   | durable WAL + injected crash/torn-write/fsync faults | acked ⊆ recovered, recovery ≡ independent prefix replay |
 //! | `repl`    | §7.2 marker shipping + replica catch-up/reconnect | marker position invariant, no panics |
 //! | `pool`    | session pool + wire protocol under sim   | protocol responses, final row values, clean shutdown |
@@ -215,6 +215,48 @@ fn run_recorded(
     }
 }
 
+/// A DEFERRABLE begin that takes this much *virtual* time slept to
+/// `wait_for_safety`'s deadline instead of being woken: every writer it can
+/// wait on finishes within a few lock-wait timeouts.
+const LOST_WAKEUP: std::time::Duration = std::time::Duration::from_secs(1800);
+
+/// One DEFERRABLE READ ONLY transaction (§4.3) reading `keys`, recorded in
+/// `hist` like any other. Its begin parks in `wait_for_safety` whenever a
+/// read/write transaction is in flight, which puts the register-then-sleep
+/// window of the gated safety notify (the waiter counts itself in under the
+/// commit-order mutex, drops it, parks; the finisher reads the count under
+/// the same mutex) on the seeded schedule. Returns `false` if the begin slept
+/// to its deadline — a lost wake-up, unless the fault plan drops wake-ups on
+/// purpose.
+fn run_deferrable(db: &Database, hist: &History, keys: &[i64], label: String) -> bool {
+    let t0 = sim::now();
+    let mut txn = db
+        .begin_with(BeginOptions::new(IsolationLevel::Serializable).deferrable())
+        .expect("valid options");
+    let woken = sim::now() - t0 < LOST_WAKEUP;
+    let scsn = txn.snapshot().csn.0;
+    let txid = txn.txid().0;
+    let mut reads = Vec::new();
+    for &k in keys {
+        // A safe snapshot never aborts (§4.2).
+        let r = txn
+            .get("acct", &row![k])
+            .expect("safe snapshot")
+            .expect("keys are pre-seeded");
+        reads.push((k, int(&r[1])));
+    }
+    txn.commit().expect("safe snapshot");
+    hist.push(CommittedTxn {
+        label,
+        txid,
+        snapshot_csn: scsn,
+        commit_csn: commit_csn(db, txid),
+        reads,
+        writes: Vec::new(),
+    });
+    woken
+}
+
 /// Post-run checks shared by the history-recording scenarios: scheduler
 /// health, panics, history invariants, and the maintained-vs-rebuilt
 /// snapshot oracle.
@@ -299,9 +341,38 @@ pub fn mix(seed: u64, scale: u32) -> Outcome {
             }),
         ));
     }
+    // A DEFERRABLE reader beside the workers: each begin waits out whatever
+    // read/write transactions are in flight (see `run_deferrable`).
+    let lost_wakeups = Arc::new(AtomicUsize::new(0));
+    {
+        let db = db.clone();
+        let hist = Arc::clone(&hist);
+        let lost = Arc::clone(&lost_wakeups);
+        roots.push((
+            "mix-defer".to_string(),
+            Box::new(move || {
+                let mut rng = splitmix64(seed ^ 0xdefe_22ab1e);
+                for j in 0..txns / 2 {
+                    let ks: Vec<i64> = (0..3)
+                        .map(|_| (next(&mut rng) % keys as u64) as i64)
+                        .collect();
+                    if !run_deferrable(&db, &hist, &ks, format!("defer/{j}")) {
+                        lost.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }),
+        ));
+    }
     let run = Scheduler::run(sim_config(seed, &plan), roots);
     let mut violations = Vec::new();
     common_checks(&db, &hist, &run, &mut violations);
+    // With wake-ups dropped on purpose the deadline is the designed way out.
+    let lost = lost_wakeups.load(Ordering::Relaxed);
+    if lost > 0 && plan.drop_wakeup_permille == 0 {
+        violations.push(format!(
+            "{lost} DEFERRABLE begin(s) slept to the safe-snapshot deadline: lost wake-up"
+        ));
+    }
     Outcome {
         run,
         violations,

@@ -158,3 +158,25 @@ fn default_sweep_slice_passes() {
         }
     }
 }
+
+/// The `mix` scenario's DEFERRABLE reader must actually park on the
+/// safe-snapshot wait on some seeds — otherwise the sweep no longer
+/// schedules the register-then-sleep window of the gated safety notify
+/// (`SsiManager::wake_safety_waiters`), and a lost wake-up there would go
+/// unseen. With that notify deleted, every seed whose reader parks reports
+/// "slept to the safe-snapshot deadline" (seed 0 is one).
+#[test]
+fn mix_parks_a_deferrable_reader() {
+    let parked = (0..8u64)
+        .filter(|&seed| {
+            scenario::mix(seed, 1).run.trace.iter().any(|e| {
+                let line = e.to_string();
+                line.contains("block") && line.contains("safety-wait")
+            })
+        })
+        .count();
+    assert!(
+        parked > 0,
+        "no mix seed in 0..8 parked its DEFERRABLE reader"
+    );
+}

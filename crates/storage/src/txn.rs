@@ -489,13 +489,22 @@ impl TxnManager {
         self.abort(&[xid]);
     }
 
-    /// Wake `wait_for` sleepers. The empty waits critical section pairs with
-    /// the waiter's check-then-sleep: a waiter that observed the old active
-    /// state is guaranteed to be asleep (or gone) by the time we notify.
+    /// Wake `wait_for` sleepers — only if there are any. The waits map is the
+    /// waiter registry: `wait_for` inserts its edge under the waits mutex
+    /// *before* its first `is_active` re-check and keeps it until it returns,
+    /// and this runs after the finishing ids left their active stripes. So
+    /// either the waiter registered first and the map is non-empty here (it
+    /// is asleep, or will re-check under the mutex we just released — notify),
+    /// or it takes the mutex after us and its re-check sees the ids gone.
+    /// An empty map therefore means nobody can be sleeping on an id this
+    /// finish retired, and the condvar (a futex syscall even with no
+    /// sleepers) is skipped — the common case for every commit and abort.
     fn notify_finished(&self) {
-        drop(self.waits.lock());
-        self.finished.notify_all();
-        sim::notify(Site::LockWait, self.wait_key());
+        let any_waiter = !self.waits.lock().is_empty();
+        if any_waiter {
+            self.finished.notify_all();
+            sim::notify(Site::LockWait, self.wait_key());
+        }
     }
 
     /// Scheduler wakeup key for `wait_for` parking: the condvar's address
