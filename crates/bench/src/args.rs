@@ -97,44 +97,22 @@ impl BenchArgs {
         }
     }
 
-    /// [`BenchArgs::print_stats`], but subtracting a warmup-boundary baseline
-    /// snapshot so only the measured window is reported (delta snapshots
-    /// replace the old counter-reset idiom — resets raced in-flight bumps).
-    pub fn print_stats_since(
-        &self,
-        label: &str,
-        db: &Database,
-        baseline: &pgssi_engine::StatsReport,
-    ) {
-        if self.flag("--stats") {
-            println!("\n[{label}] stats since warmup:");
-            println!("{}", db.stats_report().delta(baseline));
-        }
-    }
-
-    /// Latency recording is on by default; `--no-latency` turns the
-    /// histograms off for A/B overhead comparisons.
-    pub fn latency(&self) -> bool {
-        !self.flag("--no-latency")
-    }
-
     /// True if `--trace` was passed (per-transaction event ring).
     pub fn trace(&self) -> bool {
         self.flag("--trace")
     }
 
-    /// Observability config implied by the flags: `--no-latency` disables the
-    /// latency histograms, `--trace` enables the per-transaction event ring.
+    /// Observability config implied by the flags: `--trace` enables the
+    /// per-transaction event ring.
     pub fn obs(&self) -> ObsConfig {
         ObsConfig {
-            latency: self.latency(),
             trace: self.trace(),
             ..ObsConfig::default()
         }
     }
 
     /// Print a percentile table for the run's latency histograms when
-    /// `--latency` was passed (recording itself defaults on; the flag only
+    /// `--latency` was passed (recording is always on; the flag only
     /// controls the report). Skips histograms with no samples.
     pub fn print_latency(&self, label: &str, db: &Database) {
         if !self.flag("--latency") {
@@ -172,21 +150,6 @@ impl BenchArgs {
     }
 }
 
-/// JSON fragment for one histogram snapshot: `{"p50_us":…,"p95_us":…,
-/// "p99_us":…,"max_us":…,"n":…}` (microseconds, fractional). Used by the
-/// figure binaries that emit machine-readable trajectories.
-pub fn latency_json(h: &pgssi_common::HistSnapshot) -> String {
-    let us = |v: u64| v as f64 / 1000.0;
-    format!(
-        "{{\"n\":{},\"p50_us\":{:.1},\"p95_us\":{:.1},\"p99_us\":{:.1},\"max_us\":{:.1}}}",
-        h.count(),
-        us(h.percentile(50.0)),
-        us(h.percentile(95.0)),
-        us(h.percentile(99.0)),
-        us(h.max())
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,9 +172,9 @@ mod tests {
 
     #[test]
     fn list_parses_sweeps_and_single_values() {
-        let a = args(&["x", "--partitions", "1,4,16,64", "--graph-shards", "8"]);
-        assert_eq!(a.list("--partitions"), Some(vec![1, 4, 16, 64]));
-        assert_eq!(a.list("--graph-shards"), Some(vec![8]));
+        let a = args(&["x", "--shards", "1,2,4", "--cross-pct", "20"]);
+        assert_eq!(a.list("--shards"), Some(vec![1, 2, 4]));
+        assert_eq!(a.list("--cross-pct"), Some(vec![20]));
         assert_eq!(a.list("--nope"), None);
     }
 
@@ -226,15 +189,8 @@ mod tests {
 
     #[test]
     fn obs_flags() {
-        // Recording defaults on; tracing defaults off.
-        let a = args(&["x"]);
-        assert!(a.latency() && !a.trace());
-        let obs = a.obs();
-        assert!(obs.latency && !obs.trace);
-
-        let a = args(&["x", "--no-latency", "--trace"]);
-        assert!(!a.latency() && a.trace());
-        let obs = a.obs();
-        assert!(!obs.latency && obs.trace);
+        // Tracing defaults off.
+        assert!(!args(&["x"]).obs().trace);
+        assert!(args(&["x", "--trace"]).obs().trace);
     }
 }

@@ -1,32 +1,29 @@
 //! §8.4 WAL-follower serializability: safe-query staleness and replication
 //! lag with the follower deciding snapshot safety locally from shipped
-//! commit-order/conflict metadata, versus the §7.2 shipped-marker protocol
-//! (`--markers` ablation).
+//! commit-order/conflict metadata.
 //!
 //! Serializable read/write writers keep the master busy while one replica
 //! continuously catches up and runs serializable read-only queries on its
 //! latest safe snapshot. Reported per run:
 //!
-//! * **safe snapshots** obtained (locally derived vs marker-adopted) — under
-//!   overlapping writers the marker protocol rarely sees a quiescent commit,
-//!   so the §8.4 follower should obtain at least as many, usually far more;
+//! * **safe snapshots** derived, and how many of them the §7.2 marker
+//!   protocol would have had to wait for (their commit had a serializable
+//!   read/write transaction in flight — under overlapping writers, many);
 //! * **mean safe-query staleness** in commits (master's commit frontier minus
-//!   the safe snapshot's csn at query start) — the §8.4 follower tracks the
-//!   head of the stream, the marker replica is stuck until quiescence;
+//!   the safe snapshot's csn at query start);
 //! * **mean replication lag** in records per catch-up, the cost side of §8.4
 //!   (more records shipped per commit).
 //!
 //! ```sh
 //! cargo run --release -p pgssi-bench --bin fig_replication \
-//!     [-- --duration-ms 800 --writers 4 --rows 256 --markers --stats --json]
+//!     [-- --duration-ms 800 --writers 4 --rows 256 --stats]
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use pgssi_bench::args::BenchArgs;
-use pgssi_bench::harness::append_json_record;
-use pgssi_common::{row, EngineConfig, ReplicationConfig, ReplicationMode};
+use pgssi_common::{row, EngineConfig};
 use pgssi_engine::{Database, IsolationLevel, Replica, TableDef};
 
 fn main() {
@@ -34,21 +31,12 @@ fn main() {
     let duration = args.duration_or(800);
     let writers = args.usize_or("--writers", 4);
     let rows = args.value_or("--rows", 256) as i64;
-    let markers = args.flag("--markers");
-
-    let mode = if markers {
-        ReplicationMode::ShipMarkers
-    } else {
-        ReplicationMode::ShipMetadata
-    };
-    let mode_label = if markers { "markers" } else { "local" };
     println!(
-        "WAL-follower serializability (§8.4): mode {mode_label}, {writers} serializable \
-         writers, {rows} rows, {duration:?}"
+        "WAL-follower serializability (§8.4): {writers} serializable writers, {rows} rows, \
+         {duration:?}"
     );
 
     let db = Database::new(EngineConfig {
-        replication: ReplicationConfig { mode },
         obs: args.obs(),
         ..EngineConfig::default()
     });
@@ -99,8 +87,8 @@ fn main() {
                         }
                     }
                     iter += 1;
-                    // An occasional breather gives the marker ablation a
-                    // fighting chance at a quiescent commit.
+                    // An occasional breather: a quiescent commit now and
+                    // then, so not every candidate is born pending.
                     if iter.is_multiple_of(64) {
                         std::thread::sleep(Duration::from_micros(100));
                     }
@@ -152,13 +140,7 @@ fn main() {
     println!("\n{:>24}: {}", "commits", report.commits);
     println!("{:>24}: {}", "safe queries served", queries);
     println!("{:>24}: {}", "safe-query waits", waits);
-    println!(
-        "{:>24}: {} (local {} + marker {})",
-        "safe snapshots",
-        report.repl_safe_snapshots(),
-        report.repl_safe_local,
-        report.repl_safe_marker
-    );
+    println!("{:>24}: {}", "safe snapshots", report.repl_safe_local);
     println!(
         "{:>24}: {}",
         "marker waits avoided", report.repl_marker_waits_avoided
@@ -178,59 +160,10 @@ fn main() {
         report.repl_records
     );
 
-    if args.json() {
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        // `null`, not NaN, when no safe query was served: NaN is not JSON.
-        let staleness_json = if mean_staleness.is_nan() {
-            "null".to_string()
-        } else {
-            format!("{mean_staleness:.3}")
-        };
-        let record = format!(
-            "{{\"bench\":\"fig_replication\",\"unix_ms\":{unix_ms},\"mode\":\"{mode_label}\",\
-             \"writers\":{writers},\"rows\":{rows},\"duration_ms\":{},\"commits\":{},\
-             \"safe_queries\":{queries},\"safe_waits\":{waits},\"safe_snapshots\":{},\
-             \"safe_local\":{},\"safe_marker\":{},\"marker_waits_avoided\":{},\
-             \"unsafe_candidates\":{},\"mean_staleness\":{staleness_json},\
-             \"mean_lag_records\":{:.3},\"wal_records\":{},\
-             \"latency\":{{\"commit\":{},\"repl_catchup\":{}}}}}",
-            duration.as_millis(),
-            report.commits,
-            report.repl_safe_snapshots(),
-            report.repl_safe_local,
-            report.repl_safe_marker,
-            report.repl_marker_waits_avoided,
-            report.repl_unsafe_candidates,
-            report.repl_mean_lag(),
-            report.repl_records,
-            pgssi_bench::args::latency_json(&report.latency.commit),
-            // Catch-up lag is records-behind, not time: raw percentiles.
-            {
-                let lag = &report.latency.repl_catchup;
-                format!(
-                    "{{\"n\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                    lag.count(),
-                    lag.percentile(50.0),
-                    lag.percentile(99.0),
-                    lag.max()
-                )
-            },
-        );
-        const JSON_PATH: &str = "BENCH_replication.json";
-        match append_json_record(JSON_PATH, &record) {
-            Ok(()) => println!("appended run record to {JSON_PATH}"),
-            Err(e) => eprintln!("failed to append {JSON_PATH}: {e}"),
-        }
-    }
-    args.print_stats(&format!("fig_replication {mode_label}"), &db);
-    args.print_latency(&format!("fig_replication {mode_label}"), &db);
+    args.print_stats("fig_replication", &db);
+    args.print_latency("fig_replication", &db);
 
-    println!(
-        "\nexpected shape: locally-derived safe snapshots ≥ marker-mode safe snapshots on the"
-    );
-    println!("same workload, with far lower safe-query staleness — the follower decides safety");
+    println!("\nexpected shape: many safe snapshots are marker waits avoided, and safe-query");
+    println!("staleness stays within a few commits of the head — the follower decides safety");
     println!("from shipped §8.4 metadata instead of waiting for a quiescent commit.");
 }

@@ -14,16 +14,15 @@
 //! terminal is a real `TcpClient` socket against the server's TCP front-end,
 //! so the sweep additionally pays kernel socket wakeups and line framing.
 //!
-//! The companion ablation is the transaction manager itself: begins draw
-//! txids from per-shard blocks and snapshots clone an epoch-cached snapshot,
-//! so `begin`+`snapshot` no longer serialize on one mutex (`--id-shards 1`
-//! restores a single allocation shard; `--stats` prints the snapshot-cache
-//! hit rate).
+//! The sweep leans on the transaction manager: begins draw txids from
+//! per-shard blocks and snapshots clone an epoch-cached snapshot, so
+//! `begin`+`snapshot` do not serialize on one mutex (`--stats` prints the
+//! snapshot-cache hit rate).
 //!
 //! ```sh
 //! cargo run --release -p pgssi-bench --bin fig_sessions \
 //!     [-- --duration-ms 400 --workers 16 --max-sessions 1024 --rows 1024 \
-//!         --id-shards 8 --read-batch 32 --tcp --stats]
+//!         --tcp --stats]
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -168,9 +167,6 @@ fn main() {
     let workers = args.usize_or("--workers", ServerConfig::default().workers);
     let max_sessions = args.usize_or("--max-sessions", 1024);
     let rows = args.value_or("--rows", 1024) as i64;
-    let id_shards = args.value("--id-shards").map(|s| s as usize);
-    let graph_shards = args.value("--graph-shards").map(|s| s as usize);
-    let read_batch = args.value("--read-batch").map(|s| s as usize);
     let tcp = args.flag("--tcp");
 
     let mut sweep: Vec<usize> = vec![16, 64, 256, 1024];
@@ -181,15 +177,6 @@ fn main() {
 
     let bench = Sibench { table_size: rows };
     let mut config = Mode::Ssi.config(IoModel::in_memory());
-    if let Some(shards) = id_shards {
-        config.txn.id_shards = shards;
-    }
-    if let Some(shards) = graph_shards {
-        config.ssi.graph_shards = shards;
-    }
-    if let Some(batch) = read_batch {
-        config.ssi.read_batch = batch;
-    }
     config.obs = args.obs();
     let shards = config.txn.id_shards;
     let db = bench.setup_with(config);
@@ -256,8 +243,8 @@ fn main() {
     println!("\nexpected shape: throughput holds (or grows into the worker budget) as");
     println!("sessions far exceed workers — the pool multiplexes idle sessions for free,");
     println!("and the sharded txid allocator + incrementally-maintained snapshot keep");
-    println!("begin/snapshot off any single mutex (compare --id-shards 1; snap-hit%");
-    println!("should sit at ~100 since only cold starts walk the shards). --tcp adds a");
+    println!("begin/snapshot off any single mutex (snap-hit% should sit at ~100,");
+    println!("since only cold starts walk the shards). --tcp adds a");
     println!("per-message socket round trip but the curve's shape should survive it.");
 
     args.print_stats("SSI", server.db().shard(0));

@@ -169,19 +169,9 @@ pub fn seed_for(base: u64, thread: usize) -> u64 {
     base ^ (thread as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Format a `[a, b, c]` JSON array from anything `Display`able (numbers).
-pub fn json_array(xs: impl IntoIterator<Item = impl std::fmt::Display>) -> String {
-    let body = xs
-        .into_iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("[{body}]")
-}
-
 /// Append one JSON record (a single line) to `path`, creating the file on
 /// first use. Benchmark binaries use this to grow machine-readable run
-/// trajectories (e.g. `BENCH_scaling.json`, one run record per line) without
+/// trajectories (`BENCH_cluster.json`, one run record per line) without
 /// pulling in a JSON dependency.
 pub fn append_json_record(path: &str, record: &str) -> std::io::Result<()> {
     use std::io::Write;
@@ -225,13 +215,6 @@ mod tests {
         let expected = r.aborted as f64 / (r.committed + r.aborted) as f64;
         assert!((r.failure_rate() - expected).abs() < 1e-9);
         assert!(r.tps() > 0.0);
-    }
-
-    #[test]
-    fn json_array_formats_numbers() {
-        assert_eq!(json_array([1, 2, 3]), "[1,2,3]");
-        assert_eq!(json_array(Vec::<i64>::new()), "[]");
-        assert_eq!(json_array(["1.5".to_string()]), "[1.5]");
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //! from the paper's testbed, but the comparative *shape* (who wins, by what
 //! factor, where curves converge) is the reproduction target.
 //!
-//! A fifth binary, `fig_scaling`, is the repo's own figure rather than the
-//! paper's: committed-throughput scaling over threads 1→16 for SI/SSI/S2PL on
-//! the SIBENCH read-mostly mix, with `--partitions N` exposing the SIREAD
-//! lock-table partition count (N = 1 reproduces the pre-partitioning
-//! single-mutex behavior for ablation). Every binary accepts `--stats` to
-//! print the aggregated [`pgssi_engine::Database::stats_report`] after the run.
+//! Three more binaries are the repo's own figures rather than the paper's
+//! (`fig_sessions`, `fig_replication`, `fig_cluster`). Every binary accepts
+//! `--stats` to print the aggregated
+//! [`pgssi_engine::Database::stats_report`] after the run. Performance claims
+//! are made with `benchmark/observatory`, not with these.
 
 pub mod args;
 pub mod dbt2;

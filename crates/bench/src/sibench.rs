@@ -76,23 +76,6 @@ impl Sibench {
         ok.is_ok()
     }
 
-    /// One read-mostly transaction: point-read a handful of random keys.
-    /// Deliberately *not* declared READ ONLY, so it exercises the full SIREAD
-    /// acquisition path rather than the §4 safe-snapshot bypass — this is the
-    /// mix the throughput-scaling figure measures the lock table with.
-    pub fn read_txn(&self, db: &Database, mode: Mode, rng: &mut SmallRng) -> bool {
-        let mut txn = db.begin(mode.isolation());
-        let ok = (|| -> pgssi_common::Result<()> {
-            for _ in 0..4 {
-                let k = rng.gen_range(0..self.table_size);
-                txn.get("si", &row![k])?;
-            }
-            Ok(())
-        })()
-        .and_then(|()| txn.commit());
-        ok.is_ok()
-    }
-
     /// Timed 50/50 update/scan run against an existing database.
     pub fn run_on(
         &self,
@@ -117,26 +100,6 @@ impl Sibench {
         let db = self.setup(mode);
         self.run_on(&db, mode, threads, duration, seed)
     }
-
-    /// Timed read-mostly run against an existing database: 90% 4-point-read
-    /// transactions, 10% single-key updates (the scaling figure's mix).
-    pub fn run_read_mostly_on(
-        &self,
-        db: &Database,
-        mode: Mode,
-        threads: usize,
-        duration: Duration,
-        seed: u64,
-    ) -> RunResult {
-        run_for(threads, duration, |th, iter| {
-            let mut rng = SmallRng::seed_from_u64(seed_for(seed, th).wrapping_add(iter));
-            if iter % 10 == 0 {
-                self.update_txn(db, mode, &mut rng)
-            } else {
-                self.read_txn(db, mode, &mut rng)
-            }
-        })
-    }
 }
 
 /// Sanity-check the workload semantics (used by tests).
@@ -157,20 +120,6 @@ mod tests {
             let r = b.run(mode, 2, Duration::from_millis(80), 7);
             assert!(r.committed > 0, "{mode:?} made no progress");
         }
-    }
-
-    #[test]
-    fn read_mostly_mix_progresses_and_reports_partition_stats() {
-        let b = Sibench { table_size: 64 };
-        let db = b.setup(Mode::Ssi);
-        let r = b.run_read_mostly_on(&db, Mode::Ssi, 2, Duration::from_millis(80), 9);
-        assert!(r.committed > 0);
-        let report = db.stats_report();
-        assert_eq!(report.siread_partitions, 16);
-        assert!(
-            report.siread_acquisitions > 0,
-            "reads must take SIREAD locks"
-        );
     }
 
     #[test]

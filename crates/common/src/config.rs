@@ -14,15 +14,20 @@ pub struct SsiConfig {
     /// Number of lightweight-lock partitions the SIREAD lock table is hashed
     /// into (PostgreSQL: `NUM_PREDICATELOCK_PARTITIONS`, fixed at 16). Targets
     /// hash by relation/page, so operations touching disjoint data take
-    /// disjoint mutexes; `1` degenerates to a single table-wide mutex (the
-    /// pre-partitioning behavior, kept for ablation runs).
+    /// disjoint mutexes; `1` degenerates to a single table-wide mutex.
+    /// Kept as a fixed default, not tuned: the observatory A/B of `1` against
+    /// `16` (`readmostly-ssi` 164.0k vs 160.8k txn/s, `scan-update-ssi` 22.9k
+    /// vs 22.4k) sits inside run-to-run spread — 2 vCPU, re-measure on ≥ 8
+    /// cores.
     pub lock_partitions: usize,
     /// Number of shards the SSI transaction-record registry (`sxacts` /
     /// `by_txid` in the conflict-graph manager) is hashed into. Registry
     /// lookups and insertions on different shards share nothing; the conflict
     /// edges themselves are guarded by per-transaction locks, so this knob
-    /// only sizes the id→record maps. `1` reproduces the old single-map
-    /// behavior for ablation runs (`--graph-shards 1`).
+    /// only sizes the id→record maps; `1` is a single map. Kept as a fixed
+    /// default, not tuned: the observatory A/B of `1` against `16`
+    /// (`readmostly-ssi` 163.1k vs 160.8k txn/s) sits inside run-to-run
+    /// spread — 2 vCPU, re-measure on ≥ 8 cores.
     pub graph_shards: usize,
     /// Soft cap on SIREAD locks a single transaction may hold before the lock
     /// manager starts promoting its fine-grained locks to coarser granularity
@@ -40,8 +45,10 @@ pub struct SsiConfig {
     /// writers) and published to the partitioned lock table in batches instead
     /// of eagerly per read. This is the publication batch bound: once the
     /// pending set reaches it, the batch is spilled to the partition table.
-    /// `1` (or `0`) restores the eager per-read acquisition path — the
-    /// `--read-batch 1` ablation.
+    /// `1` (or `0`) is the eager per-read acquisition path. Batching stays:
+    /// `read_batch = 1` costs 39 % of `tps` on the observatory's
+    /// `readmostly-ssi` (100.0k vs 162.9k txn/s, p95 57 vs 32 µs, 3 of 3
+    /// rounds, 2 vCPU).
     pub read_batch: usize,
     /// Capacity of the committed-transaction table. When exceeded, the oldest
     /// committed transaction is *summarized*: its SIREAD locks are consolidated onto
@@ -59,9 +66,6 @@ pub struct SsiConfig {
     /// Apply the read-only snapshot ordering rule (paper §4.1, Theorem 3) and safe
     /// snapshots (§4.2). The Figure 4/5 "SSI (no r/o opt.)" series disables this.
     pub enable_read_only_opt: bool,
-    /// How long a deferrable transaction waits between safe-snapshot attempts before
-    /// re-sampling (it is woken eagerly on state changes; this bounds the sleep).
-    pub deferrable_retry_interval: Duration,
     /// Maximum time to wait on another transaction's row lock or S2PL lock before
     /// giving up with [`crate::Error::LockTimeout`]. Deadlock detection usually
     /// fires far earlier; the timeout is a backstop.
@@ -76,16 +80,15 @@ impl Default for SsiConfig {
             max_predicate_locks_per_txn: 4096,
             promote_tuple_threshold: 16,
             promote_page_threshold: 64,
-            // Tuned on the fig_scaling SIBENCH sweep: comfortably above the
-            // read footprint of a point-read transaction, so common
-            // transactions never spill mid-flight, while still bounding the
-            // pending set a writer-side filter hit has to walk.
+            // Comfortably above the read footprint of a point-read
+            // transaction, so common transactions never spill mid-flight,
+            // while still bounding the pending set a writer-side filter hit
+            // has to walk.
             read_batch: 32,
             max_committed_sxacts: 1024,
             serial_ram_pages: 8,
             enable_commit_ordering_opt: true,
             enable_read_only_opt: true,
-            deferrable_retry_interval: Duration::from_millis(10),
             lock_wait_timeout: Duration::from_secs(10),
         }
     }
@@ -97,37 +100,6 @@ impl SsiConfig {
     pub fn without_read_only_opt() -> Self {
         SsiConfig {
             enable_read_only_opt: false,
-            ..SsiConfig::default()
-        }
-    }
-
-    /// Configuration with a single SIREAD lock partition: every operation
-    /// serializes on one table-wide mutex, reproducing the pre-partitioning
-    /// behavior for scaling ablations.
-    pub fn single_partition() -> Self {
-        SsiConfig {
-            lock_partitions: 1,
-            ..SsiConfig::default()
-        }
-    }
-
-    /// Configuration with a single conflict-graph registry shard: every
-    /// record lookup serializes on one map mutex, reproducing the
-    /// pre-sharding registry shape for scaling ablations (the per-sxact edge
-    /// locks are unaffected).
-    pub fn single_graph_shard() -> Self {
-        SsiConfig {
-            graph_shards: 1,
-            ..SsiConfig::default()
-        }
-    }
-
-    /// Configuration with read-set batching disabled: every read publishes its
-    /// SIREAD lock to the partition table eagerly (the pre-batching behavior,
-    /// kept for ablation runs and as the reference in model tests).
-    pub fn eager_reads() -> Self {
-        SsiConfig {
-            read_batch: 1,
             ..SsiConfig::default()
         }
     }
@@ -156,13 +128,17 @@ impl SsiConfig {
 pub struct TxnConfig {
     /// Number of txid-allocation shards. `begin` takes only its (thread-affine)
     /// shard's mutex plus one id-striped active-set mutex, so begins on
-    /// different shards never contend. `1` restores a single allocation point
-    /// for ablation runs.
+    /// different shards never contend; `1` is a single allocation point.
+    /// Txid blocks stay: `id_shards = 1, txid_block = 1` is +26 %
+    /// `lat_p50_us` on the observatory's `scan-update-ssi` (17.8 vs 14.1 µs,
+    /// 4 of 4 rounds) and −6.5 % `tps` on `cluster-cross` (4 of 4), though
+    /// +7 % on `durable-write` (2 vCPU).
     pub id_shards: usize,
     /// Size of the txid block a shard reserves from the global atomic frontier
     /// when its current block runs out. Larger blocks mean fewer touches of
     /// the shared cache line, but each partially-consumed block's unissued ids
     /// ride along in snapshot `xip` lists (they must read as in-progress).
+    /// Kept by the same measurement as [`TxnConfig::id_shards`].
     pub txid_block: u64,
 }
 
@@ -178,60 +154,6 @@ impl Default for TxnConfig {
                 .unwrap_or(4)
                 .clamp(1, 8),
             txid_block: 16,
-        }
-    }
-}
-
-impl TxnConfig {
-    /// Single allocation shard (every `begin` serializes on one mutex again) —
-    /// the pre-sharding ablation configuration.
-    pub fn single_shard() -> Self {
-        TxnConfig {
-            id_shards: 1,
-            ..TxnConfig::default()
-        }
-    }
-}
-
-/// What the master ships in its WAL stream for replicas (§7.2 vs §8.4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplicationMode {
-    /// §8.4 (the paper's future-work design, the default here): every commit
-    /// record carries the committer's commit CSN plus a conflict digest
-    /// (in/out rw-antidependency facts and the set of concurrent serializable
-    /// read/write xids, captured in the master's commit-order critical
-    /// section), and serializable read/write aborts ship resolution records.
-    /// A follower decides snapshot safety *locally* from that metadata,
-    /// without waiting for the master to observe a quiescent moment.
-    ShipMetadata,
-    /// §7.2 (the paper's implemented workaround, kept as an ablation —
-    /// `fig_replication --markers`): the master appends an explicit
-    /// safe-snapshot marker whenever a commit happens with no serializable
-    /// read/write transaction in flight; replicas may only run serializable
-    /// read-only queries on marked snapshots.
-    ShipMarkers,
-}
-
-/// Replication configuration.
-#[derive(Clone, Debug)]
-pub struct ReplicationConfig {
-    /// What commit metadata the WAL stream carries.
-    pub mode: ReplicationMode,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            mode: ReplicationMode::ShipMetadata,
-        }
-    }
-}
-
-impl ReplicationConfig {
-    /// The §7.2 marker ablation.
-    pub fn markers() -> Self {
-        ReplicationConfig {
-            mode: ReplicationMode::ShipMarkers,
         }
     }
 }
@@ -285,11 +207,11 @@ impl ServerConfig {
 }
 
 /// Where the durable write-ahead log lives (DESIGN.md §5).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub enum WalMode {
-    /// In-memory log (the default): redo records are captured behind the same
-    /// `WalStore` trait as the file log, but `sync` is free and nothing
-    /// survives process exit — today's all-in-memory behavior.
+    /// No log (the default): an in-memory database captures no redo records,
+    /// appends nothing and survives nothing — there is no store behind it.
+    #[default]
     Memory,
     /// File-backed log under the given directory (`wal.log` + `checkpoint.bin`).
     /// Commits park until their record's sync epoch is fsynced; reopening the
@@ -300,33 +222,20 @@ pub enum WalMode {
     },
 }
 
-/// Durability configuration.
-#[derive(Clone, Debug)]
+/// Durability configuration. Fsyncs are always batched across concurrent
+/// committers (group commit): a leader with nobody behind it *is* the
+/// one-fsync-per-commit arm, so that arm could never win and has no knob.
+#[derive(Clone, Debug, Default)]
 pub struct WalConfig {
-    /// Log placement (in-memory vs file-backed).
+    /// Log placement (none vs file-backed).
     pub mode: WalMode,
-    /// Batch fsyncs across concurrent committers (group commit): a commit whose
-    /// record is not yet durable elects one leader to fsync everything buffered
-    /// so far while the rest park on the sync epoch. `false` is the ablation —
-    /// every committer pays its own fsync (`fig_recovery --group-commit 1`).
-    pub group_commit: bool,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            mode: WalMode::Memory,
-            group_commit: true,
-        }
-    }
 }
 
 impl WalConfig {
-    /// File-backed durable log under `dir` with group commit on.
+    /// File-backed durable log under `dir`.
     pub fn file(dir: impl Into<std::path::PathBuf>) -> Self {
         WalConfig {
             mode: WalMode::File { dir: dir.into() },
-            group_commit: true,
         }
     }
 }
@@ -375,13 +284,10 @@ impl Default for IoModel {
     }
 }
 
-/// Observability: latency histograms and the per-transaction event tracer.
+/// Observability: the per-transaction event tracer. (The latency histograms
+/// are always on — recording is one relaxed atomic add per sample.)
 #[derive(Clone, Copy, Debug)]
 pub struct ObsConfig {
-    /// Record latency histograms (commit end-to-end plus per-phase timings).
-    /// On by default — recording is one relaxed atomic add per sample — and
-    /// switched off by the benches' `--no-latency` overhead baseline.
-    pub latency: bool,
     /// Retain per-transaction lifecycle events (begin, conflict edges, doom,
     /// commit/abort …) in a fixed-size ring. Off by default: the disabled
     /// tracer allocates nothing and its record path is a single branch.
@@ -393,7 +299,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
-            latency: true,
             trace: false,
             trace_capacity: 4096,
         }
@@ -409,11 +314,9 @@ pub struct EngineConfig {
     pub io: IoModel,
     /// Transaction-manager sharding (txid blocks, snapshot cache).
     pub txn: TxnConfig,
-    /// Replication WAL-shipping mode (§7.2 markers vs §8.4 metadata).
-    pub replication: ReplicationConfig,
-    /// Durable-WAL placement and group-commit policy.
+    /// Durable-WAL placement.
     pub wal: WalConfig,
-    /// Observability: histograms and tracing.
+    /// Observability: tracing.
     pub obs: ObsConfig,
 }
 
@@ -443,27 +346,14 @@ mod tests {
     }
 
     #[test]
-    fn read_batch_default_and_ablation() {
-        assert!(SsiConfig::default().read_batch > 1);
-        assert_eq!(SsiConfig::eager_reads().read_batch, 1);
-        assert_eq!(SsiConfig::eager_reads().lock_partitions, 16);
-    }
-
-    #[test]
-    fn partition_counts() {
-        assert_eq!(SsiConfig::default().lock_partitions, 16);
-        assert_eq!(SsiConfig::single_partition().lock_partitions, 1);
-        assert_eq!(SsiConfig::default().graph_shards, 16);
-        assert_eq!(SsiConfig::single_graph_shard().graph_shards, 1);
-        assert_eq!(SsiConfig::single_graph_shard().lock_partitions, 16);
-    }
-
-    #[test]
-    fn txn_config_defaults_and_ablation() {
-        let c = TxnConfig::default();
-        assert!(c.id_shards >= 1);
-        assert!(c.txid_block >= 1);
-        assert_eq!(TxnConfig::single_shard().id_shards, 1);
+    fn sharding_and_batching_defaults() {
+        let c = SsiConfig::default();
+        assert!(c.read_batch > 1);
+        assert_eq!(c.lock_partitions, 16);
+        assert_eq!(c.graph_shards, 16);
+        let t = TxnConfig::default();
+        assert!(t.id_shards >= 1);
+        assert!(t.txid_block >= 1);
     }
 
     #[test]
@@ -476,26 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn replication_defaults_to_metadata_shipping() {
-        assert_eq!(
-            ReplicationConfig::default().mode,
-            ReplicationMode::ShipMetadata
-        );
-        assert_eq!(
-            ReplicationConfig::markers().mode,
-            ReplicationMode::ShipMarkers
-        );
-        assert_eq!(
-            EngineConfig::default().replication.mode,
-            ReplicationMode::ShipMetadata
-        );
-    }
-
-    #[test]
-    fn wal_defaults_to_memory_with_group_commit() {
+    fn wal_defaults_to_memory() {
         let c = WalConfig::default();
         assert_eq!(c.mode, WalMode::Memory);
-        assert!(c.group_commit);
         let f = WalConfig::file("/tmp/x");
         assert!(matches!(f.mode, WalMode::File { .. }));
         assert_eq!(EngineConfig::default().wal.mode, WalMode::Memory);

@@ -18,8 +18,7 @@ pub mod target;
 pub mod value;
 
 pub use config::{
-    EngineConfig, IoModel, ObsConfig, ReplicationConfig, ReplicationMode, ServerConfig, SsiConfig,
-    TxnConfig, WalConfig, WalMode,
+    EngineConfig, IoModel, ObsConfig, ServerConfig, SsiConfig, TxnConfig, WalConfig, WalMode,
 };
 pub use error::{Error, Result, SerializationKind};
 pub use ids::{CommitSeqNo, PageNo, RelId, SlotNo, TupleId, TxnId};

@@ -95,8 +95,6 @@ pub enum Site {
     RetryBackoff,
     /// Deferrable/safe-snapshot wait (`wait_for_safety`).
     SafetyWait,
-    /// The emulated pre-fix marker race window (test gate only).
-    MarkerRace,
     /// Inside a commit-order section, between the commit-CSN assignment and
     /// the fold of that CSN into the in-sources' out-conflict bounds — the
     /// window the authoritative commit-time pivot re-check exists to close.
@@ -125,7 +123,6 @@ impl Site {
             Site::ReplCatchUp => "repl-catch-up",
             Site::RetryBackoff => "retry-backoff",
             Site::SafetyWait => "safety-wait",
-            Site::MarkerRace => "marker-race",
             Site::CsnFold => "csn-fold",
             Site::ThreadJoin => "thread-join",
             Site::DriverStep => "driver-step",

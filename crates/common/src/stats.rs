@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -142,12 +142,7 @@ fn shard_of() -> usize {
 /// whatever unit the call site chooses (the engine records nanoseconds for
 /// latency phases and plain record counts for replica lag). Quantization
 /// error is bounded at 12.5% of the value (see [`HIST_BUCKETS`]).
-///
-/// The `enabled` flag gates recording so a `--no-latency` run pays only one
-/// relaxed load per would-be sample; [`Histogram::start`] returns `None` when
-/// disabled so call sites also skip the clock read.
 pub struct Histogram {
-    enabled: AtomicBool,
     shards: Vec<HistShard>,
 }
 
@@ -160,58 +155,34 @@ impl Default for Histogram {
 impl fmt::Debug for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Histogram")
-            .field("enabled", &self.is_enabled())
             .field("snapshot", &self.snapshot())
             .finish()
     }
 }
 
 impl Histogram {
-    /// New, enabled, all-zero histogram.
+    /// New, all-zero histogram.
     pub fn new() -> Histogram {
         Histogram {
-            enabled: AtomicBool::new(true),
             shards: (0..HIST_SHARDS).map(|_| HistShard::new()).collect(),
         }
     }
 
-    /// Flip recording on or off (callable concurrently; takes effect for
-    /// subsequent samples).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+    /// Start a timing span.
+    #[inline]
+    pub fn start(&self) -> Instant {
+        Instant::now()
     }
 
-    /// Whether samples are currently being recorded.
+    /// Record the nanoseconds elapsed since [`Histogram::start`].
     #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Start a timing span: `Some(now)` when enabled, `None` when disabled
-    /// (so disabled runs skip the clock read entirely).
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        if self.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Record the nanoseconds elapsed since [`Histogram::start`], if any.
-    #[inline]
-    pub fn record_elapsed(&self, started: Option<Instant>) {
-        if let Some(t) = started {
-            self.record(t.elapsed().as_nanos() as u64);
-        }
+    pub fn record_elapsed(&self, started: Instant) {
+        self.record(started.elapsed().as_nanos() as u64);
     }
 
     /// Record one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let shard = &self.shards[shard_of()];
         shard.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         shard.max.fetch_max(value, Ordering::Relaxed);
@@ -743,16 +714,6 @@ mod tests {
         assert!(s.percentile(50.0) <= s.percentile(95.0));
         assert!(s.percentile(95.0) <= s.percentile(99.0));
         assert!(s.percentile(99.0) <= s.max());
-    }
-
-    #[test]
-    fn disabled_histogram_records_nothing() {
-        let h = Histogram::new();
-        h.set_enabled(false);
-        assert!(h.start().is_none());
-        h.record(42);
-        h.record_elapsed(h.start());
-        assert_eq!(h.snapshot().count(), 0);
     }
 
     #[test]

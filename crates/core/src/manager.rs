@@ -1374,7 +1374,7 @@ impl SsiManager {
     /// captures alongside it, such as the post-commit snapshot and the WAL
     /// append — must still be read under the commit-order mutex, or a
     /// serializable begin could slip between the membership read and the
-    /// snapshot (the marker race this API exists to close).
+    /// snapshot (the capture race this API exists to close).
     pub fn observe_commit(
         &self,
         txid: TxnId,

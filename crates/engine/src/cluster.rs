@@ -206,12 +206,7 @@ pub struct ShardedDatabase {
 fn shard_config(config: &EngineConfig, shard: usize) -> EngineConfig {
     let mut cfg = config.clone();
     if let WalMode::File { dir } = &config.wal.mode {
-        cfg.wal = WalConfig {
-            mode: WalMode::File {
-                dir: dir.join(format!("shard-{shard}")),
-            },
-            group_commit: config.wal.group_commit,
-        };
+        cfg.wal = WalConfig::file(dir.join(format!("shard-{shard}")));
     }
     cfg
 }

@@ -216,16 +216,12 @@ pub struct StatsReport {
     pub session_reserve_workers: u64,
     /// WAL records shipped (all kinds).
     pub repl_records: u64,
-    /// Safe-snapshot markers shipped (marker mode).
-    pub repl_markers_shipped: u64,
-    /// Resolution records shipped (metadata mode).
+    /// Resolution records shipped.
     pub repl_resolves_shipped: u64,
     /// Safe snapshots replicas derived locally from §8.4 metadata.
     pub repl_safe_local: u64,
-    /// Safe snapshots replicas adopted from shipped §7.2 markers.
-    pub repl_safe_marker: u64,
-    /// Locally derived safe snapshots the marker protocol would have waited
-    /// on (their candidate had serializable read/write txns in flight).
+    /// Locally derived safe snapshots the §7.2 marker protocol would have
+    /// waited on (their candidate had serializable read/write txns in flight).
     pub repl_marker_waits_avoided: u64,
     /// Candidate snapshots proven unsafe and discarded.
     pub repl_unsafe_candidates: u64,
@@ -245,8 +241,6 @@ pub struct StatsReport {
     pub wal_recovered_records: u64,
     /// Torn-tail bytes truncated when the log was opened.
     pub wal_torn_bytes: u64,
-    /// Whether group commit is in force.
-    pub wal_group_commit: bool,
     /// Abort taxonomy: kind × detecting-site counts plus per-relation tallies.
     pub aborts_by: pgssi_common::AbortSnapshot,
     /// Latency histograms for the commit path and its phases.
@@ -353,11 +347,6 @@ impl StatsReport {
         }
     }
 
-    /// Total safe snapshots replicas obtained, however derived.
-    pub fn repl_safe_snapshots(&self) -> u64 {
-        self.repl_safe_local + self.repl_safe_marker
-    }
-
     /// Mean replication lag in records per catch-up.
     pub fn repl_mean_lag(&self) -> f64 {
         if self.repl_catch_ups == 0 {
@@ -380,8 +369,8 @@ impl StatsReport {
     /// Events recorded since `baseline` — the race-free replacement for
     /// resetting counters at a warmup boundary (zeroing relaxed counters from
     /// a coordinator races with worker bumps and undercounts; subtracting two
-    /// snapshots never loses an event). Shape fields (shard/partition counts,
-    /// group-commit flag) and gauges (`siread_locks`) keep `self`'s value.
+    /// snapshots never loses an event). Shape fields (shard/partition counts)
+    /// and gauges (`siread_locks`) keep `self`'s value.
     pub fn delta(&self, baseline: &StatsReport) -> StatsReport {
         macro_rules! sub {
             ($($f:ident),* $(,)?) => {
@@ -391,7 +380,6 @@ impl StatsReport {
                     siread_partitions: self.siread_partitions,
                     siread_locks: self.siread_locks,
                     txn_id_shards: self.txn_id_shards,
-                    wal_group_commit: self.wal_group_commit,
                     cluster_shards: self.cluster_shards,
                     aborts_by: self.aborts_by.delta(&baseline.aborts_by),
                     latency: self.latency.delta(&baseline.latency),
@@ -434,10 +422,8 @@ impl StatsReport {
             session_lock_wakeups,
             session_reserve_workers,
             repl_records,
-            repl_markers_shipped,
             repl_resolves_shipped,
             repl_safe_local,
-            repl_safe_marker,
             repl_marker_waits_avoided,
             repl_unsafe_candidates,
             repl_catch_ups,
@@ -459,8 +445,8 @@ impl StatsReport {
 
     /// Fold another shard's report into this one (cluster aggregation over
     /// disjoint databases): counters and the resident-lock gauge add, latency
-    /// histograms merge, per-shard shape fields (partition counts, group
-    /// commit) keep `self`'s value — shards are configured identically.
+    /// histograms merge, per-shard shape fields (partition counts) keep
+    /// `self`'s value — shards are configured identically.
     pub fn absorb(&mut self, other: &StatsReport) {
         macro_rules! add {
             ($($f:ident),* $(,)?) => { $(self.$f += other.$f;)* };
@@ -502,10 +488,8 @@ impl StatsReport {
             session_lock_wakeups,
             session_reserve_workers,
             repl_records,
-            repl_markers_shipped,
             repl_resolves_shipped,
             repl_safe_local,
-            repl_safe_marker,
             repl_marker_waits_avoided,
             repl_unsafe_candidates,
             repl_catch_ups,
@@ -617,37 +601,26 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "repl   : records {}  markers {}  resolves {}  safe-local {}  safe-marker {}  \
+            "repl   : records {}  resolves {}  safe-local {}  \
              marker-waits-avoided {}  unsafe-candidates {}  catch-ups {}  mean-lag {:.2}",
             self.repl_records,
-            self.repl_markers_shipped,
             self.repl_resolves_shipped,
             self.repl_safe_local,
-            self.repl_safe_marker,
             self.repl_marker_waits_avoided,
             self.repl_unsafe_candidates,
             self.repl_catch_ups,
             self.repl_mean_lag(),
         )?;
-        // Sync waits only exist under group commit (followers waiting on a
-        // leader's batched fsync); with it off the counter is structurally
-        // zero, which reads like "no contention" — print n/a instead.
-        let sync_waits = if self.wal_group_commit {
-            self.wal_sync_waits.to_string()
-        } else {
-            "n/a".to_string()
-        };
         writeln!(
             f,
             "wal    : records {}  bytes {}  syncs {}  sync-waits {}  recovered {}  \
-             torn-bytes {}  group-commit {}",
+             torn-bytes {}",
             self.wal_records,
             self.wal_bytes,
             self.wal_syncs,
-            sync_waits,
+            self.wal_sync_waits,
             self.wal_recovered_records,
             self.wal_torn_bytes,
-            if self.wal_group_commit { "on" } else { "off" },
         )?;
         // Cluster counters only when the report came from a routing layer —
         // single-database reports keep their exact pre-cluster output.
@@ -709,8 +682,9 @@ pub(crate) struct DbInner {
     pub active_snapshots: Mutex<HashMap<TxnId, CommitSeqNo>>,
     pub prepared: Mutex<HashMap<String, PreparedTxn>>,
     pub wal: WalStream,
-    /// Durable logical redo log (DESIGN.md §5). Orthogonal to `wal`, which is
-    /// the in-memory replication stream of SSI metadata.
+    /// Durable logical redo log (DESIGN.md §5); store-less in memory mode.
+    /// Orthogonal to `wal`, which is the in-memory replication stream of SSI
+    /// metadata.
     pub dwal: DurableWal,
     pub stats: EngineStats,
     pub session_stats: SessionStats,
@@ -800,16 +774,13 @@ pub struct Database {
 
 impl Database {
     /// Open a database with the given configuration. With the default
-    /// in-memory WAL this is a fresh empty database; with
-    /// [`WalMode::File`] it delegates to [`Database::open_durable`]
+    /// [`WalMode::Memory`] this is a fresh empty database that keeps no log;
+    /// with [`WalMode::File`] it delegates to [`Database::open_durable`]
     /// (recovering any existing log) and panics on I/O errors — call
     /// `open_durable` directly to handle them.
     pub fn new(config: EngineConfig) -> Database {
         match &config.wal.mode {
-            WalMode::Memory => {
-                let dwal = DurableWal::new(&config.wal);
-                Database::fresh(config, dwal)
-            }
+            WalMode::Memory => Database::fresh(config, DurableWal::none()),
             WalMode::File { .. } => {
                 Database::open_durable(config).expect("failed to open durable database")
             }
@@ -823,7 +794,7 @@ impl Database {
         } else {
             Tracer::disabled()
         });
-        let db = Database {
+        Database {
             inner: Arc::new(DbInner {
                 catalog: Catalog::new(cache),
                 tm: TxnManager::with_config(&config.txn),
@@ -843,26 +814,11 @@ impl Database {
                 tracer,
                 config,
             }),
-        };
-        db.apply_latency_config();
-        db
+        }
     }
 
-    /// Propagate `config.obs.latency` to every layer's histogram (they are
-    /// constructed enabled; the `--no-latency` overhead baseline turns them
-    /// all off). Re-applied to the rebuilt SSI manager after crash recovery.
-    fn apply_latency_config(&self) {
-        let on = self.inner.config.obs.latency;
-        let ssi = self.inner.ssi();
-        self.inner.stats.commit_ns.set_enabled(on);
-        ssi.stats.commit_order_ns.set_enabled(on);
-        ssi.siread().publish_ns.set_enabled(on);
-        self.inner.tm.stats.wait_ns.set_enabled(on);
-        self.inner.dwal.stats.sync_wait_ns.set_enabled(on);
-        self.inner.repl_stats.lag_hist.set_enabled(on);
-    }
-
-    /// Open with default configuration (in-memory, both optimizations on).
+    /// Open with default configuration (in-memory, no log, both optimizations
+    /// on).
     pub fn open() -> Database {
         Database::new(EngineConfig::default())
     }
@@ -871,13 +827,13 @@ impl Database {
     /// truncated at the first bad checksum, the newest valid checkpoint is
     /// bulk-loaded, and every log record past the checkpoint is replayed —
     /// rebuilding heap, clog, and the transaction-manager frontier. Requires
-    /// [`WalMode::File`]; with an in-memory WAL it is just [`Database::new`].
+    /// [`WalMode::File`]; in memory mode it is just [`Database::new`].
     pub fn open_durable(config: EngineConfig) -> Result<Database> {
         let WalMode::File { dir } = config.wal.mode.clone() else {
             return Ok(Database::new(config));
         };
         std::fs::create_dir_all(&dir).map_err(Error::wal)?;
-        let dwal = DurableWal::open_file(&dir, config.wal.group_commit).map_err(Error::wal)?;
+        let dwal = DurableWal::open_file(&dir).map_err(Error::wal)?;
         let db = Database::fresh(config, dwal);
         // Replayed writes must not be re-logged.
         db.inner.dwal.set_capture(false);
@@ -902,9 +858,11 @@ impl Database {
     /// the store already holds. No checkpoint file is involved: databases
     /// opened this way recover from the log alone. This is the simulation
     /// harness's entry point — it wraps stores in fault injectors and
-    /// "reopens" the surviving bytes after a simulated crash.
+    /// "reopens" the surviving bytes after a simulated crash — and the only
+    /// way to get an in-memory log (hand in a
+    /// [`MemWalStore`](pgssi_storage::wal::MemWalStore)).
     pub fn open_with_store(config: EngineConfig, store: Box<dyn WalStore>) -> Result<Database> {
-        let dwal = DurableWal::with_store(store, config.wal.group_commit);
+        let dwal = DurableWal::with_store(store);
         let db = Database::fresh(config, dwal);
         // Replayed writes must not be re-logged.
         db.inner.dwal.set_capture(false);
@@ -916,14 +874,15 @@ impl Database {
     /// Replay every log record past `applied_lsn` (the position a loaded
     /// checkpoint already covers; 0 = replay everything).
     fn replay_log_from(&self, applied_lsn: Lsn) -> Result<()> {
-        let base = self.inner.dwal.store().base_lsn();
+        let store = self.inner.dwal.store().expect("replay needs a log");
+        let base = store.base_lsn();
         if base > applied_lsn {
             return Err(Error::Wal(format!(
                 "log trimmed to LSN {base} but no valid checkpoint covers it \
                  (checkpoint file missing or corrupt)"
             )));
         }
-        let frames = self.inner.dwal.store().read_all().map_err(Error::wal)?;
+        let frames = store.read_all().map_err(Error::wal)?;
         // gid → (prepare record, prepare LSN) for prepares the log has not
         // resolved yet.
         let mut stash: HashMap<String, (PreparedRecord, Lsn)> = HashMap::new();
@@ -1101,7 +1060,7 @@ impl Database {
     /// WAL position they cover, atomically captured (no commit can land
     /// between the snapshot and the recorded LSN), written tmp-then-rename.
     /// Recovery replays only records past the returned LSN. A no-op (returns
-    /// 0) with an in-memory WAL.
+    /// 0) outside [`WalMode::File`].
     pub fn checkpoint(&self) -> Result<Lsn> {
         let WalMode::File { dir } = &self.inner.config.wal.mode else {
             return Ok(0);
@@ -1167,8 +1126,8 @@ impl Database {
         &self.inner.dwal
     }
 
-    /// Create a table. Durable: the DDL is logged (and fsynced, in file mode)
-    /// before this returns.
+    /// Create a table. With a log, the DDL is appended (and fsynced, in file
+    /// mode) before this returns.
     pub fn create_table(&self, def: TableDef) -> Result<()> {
         let logged = self
             .inner
@@ -1289,8 +1248,10 @@ impl Database {
                 }
                 SafetyState::Unsafe | SafetyState::Pending => {
                     ssi.abort(&sx);
-                    // The retry loop's discarded txid never wrote anything.
+                    // The retry loop's discarded txid never wrote anything;
+                    // its snapshot must stop pinning the vacuum horizon.
                     self.inner.tm.abort_readonly(&[txid]);
+                    self.inner.active_snapshots.lock().remove(&txid);
                     self.inner.stats.deferrable_retries.bump();
                 }
             }
@@ -1389,21 +1350,18 @@ impl Database {
             session_lock_wakeups: self.inner.session_stats.lock_holder_wakeups.get(),
             session_reserve_workers: self.inner.session_stats.reserve_workers.get(),
             repl_records: self.inner.repl_stats.records.get(),
-            repl_markers_shipped: self.inner.repl_stats.markers_shipped.get(),
             repl_resolves_shipped: self.inner.repl_stats.resolves_shipped.get(),
             repl_safe_local: self.inner.repl_stats.safe_local.get(),
-            repl_safe_marker: self.inner.repl_stats.safe_marker.get(),
             repl_marker_waits_avoided: self.inner.repl_stats.marker_waits_avoided.get(),
             repl_unsafe_candidates: self.inner.repl_stats.unsafe_candidates.get(),
             repl_catch_ups: self.inner.repl_stats.catch_ups.get(),
             repl_lag_records: self.inner.repl_stats.lag_records.get(),
             wal_records: self.inner.dwal.stats.records.get(),
-            wal_bytes: self.inner.dwal.store().end_lsn(),
+            wal_bytes: self.inner.dwal.end_lsn(),
             wal_syncs: self.inner.dwal.stats.syncs.get(),
             wal_sync_waits: self.inner.dwal.stats.sync_waits.get(),
             wal_recovered_records: self.inner.dwal.stats.recovered_records.get(),
             wal_torn_bytes: self.inner.dwal.stats.torn_bytes.get(),
-            wal_group_commit: self.inner.dwal.group_commit(),
             aborts_by: self.inner.stats.aborts_by.snapshot(),
             latency: self.latency_report(),
             trace_events: self.inner.tracer.events.get(),
@@ -1639,7 +1597,6 @@ impl Database {
                 .map(|ssi_rec| fresh.recover_prepared(ssi_rec));
         }
         *self.inner.ssi.write() = fresh;
-        self.apply_latency_config();
     }
 
     // ------------------------------------------------------------------

@@ -17,28 +17,31 @@
 //!    states that existed (a transaction-consistent history).
 //! 2. **Commit ⇒ durable.** A committing transaction does not return success
 //!    until the log is fsynced past its record ([`DurableWal::wait_durable`]).
-//!    With group commit, one *leader* fsyncs everything buffered so far while
-//!    the other committers park on the sync epoch — the classic batched-fsync
-//!    amortization.
+//!    One *leader* fsyncs everything buffered so far while the other
+//!    committers park on the sync epoch — group commit, the classic
+//!    batched-fsync amortization.
 //! 3. **Torn tail = uncommitted.** A crash mid-append leaves at most one torn
 //!    frame at the tail; open-time truncation (see `pgssi_storage::wal`)
 //!    discards it, which is safe because the commit that wrote it never
 //!    reported success (it was still parked in `wait_durable`).
+//!
+//! An in-memory database (`WalMode::Memory`) keeps no log at all: its
+//! [`DurableWal`] has no store, redo capture is off for good, and commits
+//! never reach the append lock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use pgssi_common::config::{WalConfig, WalMode};
 use pgssi_common::sim::{self, Site};
 use pgssi_common::stats::Counter;
 use pgssi_common::{CommitSeqNo, Key, Row, TxnId, Value};
-use pgssi_storage::wal::{FileWalStore, Lsn, MemWalStore, WalStore};
+use pgssi_storage::wal::{FileWalStore, Lsn, WalStore};
 
 use crate::catalog::{IndexDef, IndexKind, TableDef};
 
-/// Log file name inside a [`WalMode::File`] directory.
+/// Log file name inside a `WalMode::File` directory.
 pub const WAL_FILE: &str = "wal.log";
-/// Checkpoint file name inside a [`WalMode::File`] directory.
+/// Checkpoint file name inside a `WalMode::File` directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 // ---------------------------------------------------------------------------
@@ -439,8 +442,8 @@ pub struct WalStats {
     /// Torn-tail bytes truncated at open.
     pub torn_bytes: Counter,
     /// Time (ns) a committer spent in `wait_durable` parked behind another
-    /// committer's in-flight fsync (group commit only; leaders and the
-    /// non-group ablation fsync directly and record nothing here).
+    /// committer's in-flight fsync (leaders fsync directly and record
+    /// nothing here).
     pub sync_wait_ns: pgssi_common::Histogram,
 }
 
@@ -462,10 +465,10 @@ struct SyncState {
 /// The engine's handle on the durable log: redo appends serialized with clog
 /// commits, plus the group-commit machinery.
 pub struct DurableWal {
-    store: Box<dyn WalStore>,
-    group_commit: bool,
+    /// `None` for an in-memory database, which keeps no log.
+    store: Option<Box<dyn WalStore>>,
     /// Redo capture switch: off while recovery replays the log (replayed
-    /// writes must not be re-logged).
+    /// writes must not be re-logged), and off for good without a store.
     capture: AtomicBool,
     /// Serializes `{clog commit; buffered append}` so log order equals commit
     /// order (invariant 1 above). Checkpointing also takes it to capture a
@@ -478,23 +481,21 @@ pub struct DurableWal {
 }
 
 impl DurableWal {
-    /// Build from config: `Memory` mode gets a [`MemWalStore`] (no fsync, no
-    /// parking); `File` mode must come through [`DurableWal::with_store`]
-    /// because opening the file can fail.
-    pub fn new(config: &WalConfig) -> DurableWal {
-        debug_assert!(
-            matches!(config.mode, WalMode::Memory),
-            "File-mode DurableWal is built by Database::open_durable"
-        );
-        DurableWal::with_store(Box::new(MemWalStore::new()), config.group_commit)
+    /// The in-memory database's handle: no store, capture off. Every append
+    /// site is gated on [`DurableWal::capturing`], so nothing is ever logged.
+    pub fn none() -> DurableWal {
+        DurableWal::build(None)
     }
 
     /// Wrap an already-open store.
-    pub fn with_store(store: Box<dyn WalStore>, group_commit: bool) -> DurableWal {
+    pub fn with_store(store: Box<dyn WalStore>) -> DurableWal {
+        DurableWal::build(Some(store))
+    }
+
+    fn build(store: Option<Box<dyn WalStore>>) -> DurableWal {
         DurableWal {
+            capture: AtomicBool::new(store.is_some()),
             store,
-            group_commit,
-            capture: AtomicBool::new(true),
             append_lock: Mutex::new(()),
             sync_state: Mutex::new(SyncState {
                 synced: 0,
@@ -507,10 +508,10 @@ impl DurableWal {
     }
 
     /// Open the file store under `dir`, truncating any torn tail.
-    pub fn open_file(dir: &std::path::Path, group_commit: bool) -> std::io::Result<DurableWal> {
+    pub fn open_file(dir: &std::path::Path) -> std::io::Result<DurableWal> {
         let store = FileWalStore::open(dir.join(WAL_FILE))?;
         let torn = store.truncated_tail();
-        let wal = DurableWal::with_store(Box::new(store), group_commit);
+        let wal = DurableWal::with_store(Box::new(store));
         wal.stats.torn_bytes.add(torn);
         Ok(wal)
     }
@@ -521,23 +522,32 @@ impl DurableWal {
     }
 
     /// Suspend/resume redo capture (recovery replay runs with it off).
-    pub fn set_capture(&self, on: bool) {
+    pub(crate) fn set_capture(&self, on: bool) {
+        debug_assert!(self.store.is_some(), "no log to capture into");
         self.capture.store(on, Ordering::Relaxed);
     }
 
     /// Whether commits actually park for fsync (file-backed store).
     pub fn is_durable(&self) -> bool {
-        self.store.is_durable()
+        self.store.as_ref().is_some_and(|s| s.is_durable())
     }
 
-    /// Group-commit policy in force.
-    pub fn group_commit(&self) -> bool {
-        self.group_commit
+    /// The underlying store (recovery, tests); `None` in memory mode.
+    pub fn store(&self) -> Option<&dyn WalStore> {
+        self.store.as_deref()
     }
 
-    /// The underlying store (recovery, checkpointing, benchmarks).
-    pub fn store(&self) -> &dyn WalStore {
-        &*self.store
+    /// Offset just past the last appended record (0 with no log).
+    pub fn end_lsn(&self) -> Lsn {
+        self.store.as_ref().map_or(0, |s| s.end_lsn())
+    }
+
+    /// The store behind an append site. Those sites are reachable only while
+    /// capturing, which a store-less handle never is.
+    fn log(&self) -> &dyn WalStore {
+        self.store
+            .as_deref()
+            .expect("redo capture is off without a log")
     }
 
     /// Acquire the append lock. Under the simulator this spins on `try_lock`
@@ -571,7 +581,7 @@ impl DurableWal {
     /// invariant's critical section the single point of log mutation).
     pub fn trim_to(&self, up_to: Lsn) -> std::io::Result<()> {
         let _g = self.lock_append();
-        self.store.trim_to(up_to)
+        self.log().trim_to(up_to)
     }
 
     /// Run the clog commit and, if `payload` is present, append it to the log
@@ -592,7 +602,7 @@ impl DurableWal {
             Some(p) => {
                 let _g = self.lock_append();
                 let csn = commit();
-                let lsn = self.store.append(p).expect("WAL append failed");
+                let lsn = self.log().append(p).expect("WAL append failed");
                 self.stats.records.bump();
                 (csn, Some(lsn))
             }
@@ -604,7 +614,7 @@ impl DurableWal {
     /// a [`wait_durable`](DurableWal::wait_durable) on the returned position.
     pub fn append_record(&self, payload: &[u8]) -> Lsn {
         let _g = self.lock_append();
-        let lsn = self.store.append(payload).expect("WAL append failed");
+        let lsn = self.log().append(payload).expect("WAL append failed");
         self.stats.records.bump();
         lsn
     }
@@ -622,28 +632,16 @@ impl DurableWal {
     pub fn quiesced<T>(&self, f: impl FnOnce() -> T) -> (T, Lsn) {
         let _g = self.lock_append();
         let t = f();
-        (t, self.store.end_lsn())
+        (t, self.end_lsn())
     }
 
-    /// Block until the log is durable past `lsn`. No-op for the in-memory
-    /// store. With group commit, the first committer to find no fsync in
-    /// flight becomes the leader and syncs everything buffered (covering
-    /// every record appended before its call); the rest park on the sync
-    /// epoch and are woken exactly once, when `synced` passes them.
+    /// Block until the log is durable past `lsn`. No-op for a store whose
+    /// `sync` is free. The first committer to find no fsync in flight becomes
+    /// the leader and syncs everything buffered (covering every record
+    /// appended before its call); the rest park on the sync epoch and are
+    /// woken exactly once, when `synced` passes them.
     pub fn wait_durable(&self, lsn: Lsn) {
-        if !self.store.is_durable() {
-            return;
-        }
-        if !self.group_commit {
-            // Ablation: every committer pays a full fsync of its own.
-            let end = self.sync_or_poison();
-            self.stats.syncs.bump();
-            let mut st = self.sync_state.lock();
-            if end > st.synced {
-                st.synced = end;
-            }
-            drop(st);
-            self.notify_synced();
+        if !self.is_durable() {
             return;
         }
         let mut st = self.sync_state.lock();
@@ -690,7 +688,7 @@ impl DurableWal {
     /// Run the store's fsync; on failure poison the sync state (wake every
     /// follower into a panic — see [`SyncState::failed`]) and then panic.
     fn sync_or_poison(&self) -> Lsn {
-        match self.store.sync() {
+        match self.log().sync() {
             Ok(end) => end,
             Err(e) => {
                 let mut st = self.sync_state.lock();
@@ -710,7 +708,7 @@ impl DurableWal {
 
     /// Fsync whatever is buffered (shutdown, tests).
     pub fn flush(&self) {
-        if self.store.is_durable() {
+        if self.is_durable() {
             let end = self.sync_or_poison();
             let mut st = self.sync_state.lock();
             if end > st.synced {
@@ -797,6 +795,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
 mod tests {
     use super::*;
     use pgssi_common::row;
+    use pgssi_storage::wal::MemWalStore;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
@@ -968,13 +967,13 @@ mod tests {
     /// batches: with one slow fsync in flight, the stragglers' records all
     /// ride the next fsync (2 syncs for N committers, not N).
     #[test]
-    fn group_commit_wakes_every_waiter_once() {
+    fn batched_fsync_wakes_every_waiter_once() {
         let sync_count = Arc::new(AtomicU64::new(0));
         let store = Box::new(SlowSyncStore {
             inner: MemWalStore::new(),
             syncs: Arc::clone(&sync_count),
         });
-        let wal = Arc::new(DurableWal::with_store(store, true));
+        let wal = Arc::new(DurableWal::with_store(store));
 
         // Leader: appended first, starts the first (slow) fsync.
         let leader = {
@@ -1011,22 +1010,6 @@ mod tests {
         );
         assert_eq!(wal.stats.syncs.get(), syncs);
         // Everything committed is durable and readable.
-        assert_eq!(wal.store().read_all().unwrap().len(), 9);
-    }
-
-    /// With group commit off, every committer issues its own fsync.
-    #[test]
-    fn no_group_commit_syncs_per_committer() {
-        let store = Box::new(SlowSyncStore {
-            inner: MemWalStore::new(),
-            syncs: Arc::new(AtomicU64::new(0)),
-        });
-        let wal = DurableWal::with_store(store, false);
-        for i in 0..5 {
-            let (_, lsn) = wal.commit_durably(Some(b"x"), || CommitSeqNo(i + 1));
-            wal.wait_durable(lsn.unwrap());
-        }
-        assert_eq!(wal.stats.syncs.get(), 5);
-        assert_eq!(wal.stats.sync_waits.get(), 0);
+        assert_eq!(wal.store().unwrap().read_all().unwrap().len(), 9);
     }
 }

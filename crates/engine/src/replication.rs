@@ -1,42 +1,42 @@
-//! Log-shipping replication: §8.4 metadata shipping (default) with the §7.2
-//! safe-snapshot-marker protocol retained as an ablation.
+//! Log-shipping replication: §8.4 commit-metadata shipping.
 //!
 //! SSI breaks the classic "read-only queries on a replica's snapshot are
 //! serializable" property: a read-only transaction can be the `T1` of a
 //! dangerous structure (the batch-processing REPORT), and a replica cannot see
-//! the master's rw-antidependency graph. The paper implements a workaround
-//! (§7.2): the master marks **safe snapshots** (§4.2) in the log stream when a
-//! commit happens with no serializable read/write transaction in flight, and
-//! replicas run serializable read-only queries *only* on marked snapshots. Its
-//! §8.4 future work proposes the better design implemented here as the
-//! default: ship commit-order/conflict metadata in the WAL — each commit
-//! record carries the committer's CSN, its conflict digest, and the set of
-//! serializable read/write transactions in flight at the commit — so a
-//! follower can decide snapshot safety *locally*, without waiting for the
-//! master to observe a quiescent moment.
+//! the master's rw-antidependency graph. The paper's §8.4 proposes shipping
+//! commit-order/conflict metadata in the WAL — each commit record carries the
+//! committer's CSN, its conflict digest, and the set of serializable
+//! read/write transactions in flight at the commit — so a follower can decide
+//! snapshot safety *locally*. That is the one protocol implemented here. The
+//! stop-gap the paper actually shipped (§7.2: the master marks a **safe
+//! snapshot**, §4.2, whenever a commit happens with no serializable
+//! read/write transaction in flight) is the special case of the same rule
+//! where the shipped concurrent set is empty; it survives only as a quantity
+//! computed from the digests ([`ReplicationStats::marker_waits_avoided`]).
 //!
 //! Our WAL is logical and the replica shares the master's storage (physical
 //! replication keeps the bytes identical anyway — see DESIGN.md §2); what is
 //! faithfully modelled is the *protocol*: commit records with §8.4 metadata,
-//! resolution records for serializable aborts and writeless commits, marker
-//! records in the ablation mode, and the replica's three options (latest safe
-//! snapshot, wait for the next one, or run at a weaker isolation level).
+//! resolution records for serializable aborts and writeless commits, and the
+//! replica's three options (latest safe snapshot, wait for the next one, or
+//! run at a weaker isolation level).
 //!
 //! ## Why every record is published inside the commit-order critical section
 //!
-//! The old marker emitter checked `active_count() == 0` and then took
-//! `tm.snapshot()` as two separate steps; a serializable read/write
-//! transaction beginning in between was shipped *inside* a marker the replica
-//! would trust as safe — exactly the Figure-2 REPORT anomaly the protocol
-//! exists to prevent. Every publish path now runs under the SSI commit-order
-//! mutex ([`pgssi_core::SsiManager::commit_checked_with`] /
+//! A digest read in one step and a snapshot taken in another would let a
+//! serializable read/write transaction begin in between and be shipped
+//! *inside* a snapshot whose pending set does not name it — exactly the
+//! Figure-2 REPORT anomaly the protocol exists to prevent. Every publish path
+//! runs under the SSI commit-order mutex
+//! ([`pgssi_core::SsiManager::commit_checked_with`] /
 //! [`pgssi_core::SsiManager::observe_commit`] /
 //! [`pgssi_core::SsiManager::abort_with`]), where serializable begins also
 //! take their snapshots, so the {safety facts, snapshot, stream position}
 //! triple is captured atomically. Two invariants follow by construction:
 //!
-//! 1. **markers are sound**: a marker's snapshot cannot be concurrent with an
-//!    in-flight serializable read/write transaction;
+//! 1. **candidates are complete**: every serializable read/write transaction
+//!    in flight when a commit record's snapshot was captured is named in that
+//!    record's `concurrent_rw`;
 //! 2. **resolutions follow candidates**: a commit record that names `X` as
 //!    concurrent precedes `X`'s own commit/abort record in the stream, so a
 //!    follower may forget a resolution as soon as it has applied it.
@@ -55,15 +55,16 @@
 //! the candidate unsafe (the committer is a pivot a reader on that snapshot
 //! could complete, Theorem 3) and the candidate is dropped. When the pending
 //! set drains, the candidate *is* a safe snapshot — derived locally, with no
-//! marker and no master round-trip.
+//! master round-trip. A candidate born with an empty pending set is safe on
+//! arrival: the §7.2 case.
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pgssi_common::stats::Counter;
-use pgssi_common::{CommitSeqNo, ReplicationMode, Snapshot, TxnId};
+use pgssi_common::{CommitSeqNo, Snapshot, TxnId};
 use pgssi_core::CommitDigest;
 
 use crate::database::DbInner;
@@ -81,25 +82,19 @@ pub enum WalRecord {
         csn: CommitSeqNo,
         /// §8.4 payload: the post-commit snapshot (the follower's candidate)
         /// and the commit digest, captured together in the master's
-        /// commit-order critical section. `None` in marker mode. The
-        /// snapshot is a shared handle to the transaction manager's
-        /// maintained snapshot — no `xip` copy is made on the commit path.
-        meta: Option<(Arc<Snapshot>, CommitDigest)>,
+        /// commit-order critical section. The snapshot is a shared handle to
+        /// the transaction manager's maintained snapshot — no `xip` copy is
+        /// made on the commit path.
+        meta: (Arc<Snapshot>, CommitDigest),
     },
     /// A serializable read/write transaction finished without a data-bearing
     /// commit record (it aborted, or committed without writing): followers
-    /// drop it from their pending sets. Only shipped in metadata mode.
+    /// drop it from their pending sets.
     Resolve {
         /// The resolved transaction.
         txid: TxnId,
         /// Its digest if it committed writeless; `None` if it aborted.
         digest: Option<CommitDigest>,
-    },
-    /// Marker mode only: the snapshot at this point is safe — no serializable
-    /// read/write transaction was in flight (a trivially safe snapshot, §4.2).
-    SafeSnapshot {
-        /// The safe snapshot itself.
-        snapshot: Arc<Snapshot>,
     },
 }
 
@@ -111,17 +106,13 @@ pub enum WalRecord {
 pub struct ReplicationStats {
     /// WAL records appended, all kinds.
     pub records: Counter,
-    /// Safe-snapshot markers appended (marker mode).
-    pub markers_shipped: Counter,
-    /// Resolution records appended (metadata mode).
+    /// Resolution records appended.
     pub resolves_shipped: Counter,
     /// Safe snapshots replicas derived locally from shipped metadata.
     pub safe_local: Counter,
-    /// Safe snapshots replicas adopted from shipped markers.
-    pub safe_marker: Counter,
     /// Locally derived safe snapshots whose candidate had serializable
-    /// read/write transactions in flight — snapshots the marker protocol
-    /// would never have marked, i.e. marker waits avoided.
+    /// read/write transactions in flight — snapshots the §7.2 marker
+    /// protocol would never have marked, i.e. marker waits avoided.
     pub marker_waits_avoided: Counter,
     /// Candidates proven unsafe and discarded (§4.2).
     pub unsafe_candidates: Counter,
@@ -145,21 +136,6 @@ pub struct WalStream {
     /// inside a commit-order barrier, so "records published after my
     /// attach" is a well-defined, gap-free set for every replica.
     attached: AtomicUsize,
-    /// Test-only gate: emulate the historical safe-snapshot marker race by
-    /// deferring the marker push *out* of the commit-order section — the
-    /// membership check happens in-section, the snapshot is taken after it,
-    /// with a sim yield between the two (the old check-then-snapshot
-    /// two-step). The deterministic-simulation regression tests flip this on
-    /// to prove the harness finds the bug on pinned seeds; nothing in
-    /// production code sets it.
-    emulate_marker_race: AtomicBool,
-}
-
-thread_local! {
-    /// Set inside the commit-order section when the emulated (racy) marker
-    /// protocol decided "no serializable r/w in flight"; consumed by
-    /// [`WalStream::publish_deferred_marker`] after the section is left.
-    static MARKER_DUE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 impl Default for WalStream {
@@ -174,14 +150,7 @@ impl WalStream {
         WalStream {
             records: Mutex::new(Vec::new()),
             attached: AtomicUsize::new(0),
-            emulate_marker_race: AtomicBool::new(false),
         }
-    }
-
-    /// Enable/disable the marker-race emulation (see the field docs). Test
-    /// hook for the simulation regression suite; defaults to off.
-    pub fn set_emulate_marker_race(&self, on: bool) {
-        self.emulate_marker_race.store(on, Ordering::Relaxed);
     }
 
     /// Whether any replica is attached (racy fast-path read; the publish
@@ -206,12 +175,6 @@ impl WalStream {
         db.repl_stats.records.bump();
     }
 
-    /// Append the record(s) for a commit. Runs **inside the SSI commit-order
-    /// critical section** (via the `publish` hooks of
-    /// [`pgssi_core::SsiManager::commit_checked_with`] /
-    /// [`pgssi_core::SsiManager::observe_commit`]), so the digest, the
-    /// post-commit snapshot taken here, and the record's stream position are
-    /// mutually consistent — no serializable begin can interleave.
     /// [`WalStream::publish_commit`] as a serializable commit's publish hook:
     /// `digest` builds the §8.4 digest on demand, and is only called when a
     /// replica is attached — decided here, inside the commit-order section,
@@ -223,96 +186,38 @@ impl WalStream {
         }
     }
 
+    /// Append the record for a commit. Runs **inside the SSI commit-order
+    /// critical section** (via the `publish` hooks of
+    /// [`pgssi_core::SsiManager::commit_checked_with`] /
+    /// [`pgssi_core::SsiManager::observe_commit`]), so the digest, the
+    /// post-commit snapshot taken here, and the record's stream position are
+    /// mutually consistent — no serializable begin can interleave.
     pub(crate) fn publish_commit(&self, db: &DbInner, digest: CommitDigest) {
         if !self.has_consumers() || digest.declared_read_only {
             return; // no replica to serve / can make no snapshot unsafe
         }
-        match db.config.replication.mode {
-            ReplicationMode::ShipMetadata => {
-                if digest.wrote {
-                    self.push(
-                        db,
-                        WalRecord::Commit {
-                            txid: digest.txid,
-                            csn: digest.commit_csn,
-                            meta: Some((db.tm.snapshot_arc(), digest)),
-                        },
-                    );
-                } else if digest.serializable {
-                    // Writeless serializable commits ship no data but must
-                    // still unpin followers waiting on them.
-                    let txid = digest.txid;
-                    self.push(
-                        db,
-                        WalRecord::Resolve {
-                            txid,
-                            digest: Some(digest),
-                        },
-                    );
-                    db.repl_stats.resolves_shipped.bump();
-                }
-            }
-            ReplicationMode::ShipMarkers => {
-                if !digest.wrote {
-                    return;
-                }
-                self.push(
-                    db,
-                    WalRecord::Commit {
-                        txid: digest.txid,
-                        csn: digest.commit_csn,
-                        meta: None,
-                    },
-                );
-                // Trivially safe point: no serializable read/write transaction
-                // is in flight. (Active read-only serializable transactions
-                // cannot make a *new* snapshot unsafe; they have no writes for
-                // anyone to miss.) The membership check and the snapshot are
-                // captured in the same commit-order section — the fix for the
-                // old check-then-snapshot race.
-                if digest.concurrent_rw.is_empty() {
-                    if self.emulate_marker_race.load(Ordering::Relaxed) {
-                        // Emulated pre-fix protocol: record the decision now,
-                        // push the marker after the order section is left —
-                        // restoring the racy window between the membership
-                        // check and the snapshot.
-                        MARKER_DUE.with(|m| m.set(true));
-                    } else {
-                        self.push(
-                            db,
-                            WalRecord::SafeSnapshot {
-                                snapshot: db.tm.snapshot_arc(),
-                            },
-                        );
-                        db.repl_stats.markers_shipped.bump();
-                    }
-                }
-            }
+        if digest.wrote {
+            self.push(
+                db,
+                WalRecord::Commit {
+                    txid: digest.txid,
+                    csn: digest.commit_csn,
+                    meta: (db.tm.snapshot_arc(), digest),
+                },
+            );
+        } else if digest.serializable {
+            // Writeless serializable commits ship no data but must still
+            // unpin followers waiting on them.
+            let txid = digest.txid;
+            self.push(
+                db,
+                WalRecord::Resolve {
+                    txid,
+                    digest: Some(digest),
+                },
+            );
+            db.repl_stats.resolves_shipped.bump();
         }
-    }
-
-    /// Push the marker the emulated (racy) protocol deferred out of the
-    /// commit-order section, if one is due on this thread. The yield between
-    /// the in-section membership check and the snapshot taken here is the
-    /// reintroduced race window: a serializable r/w transaction scheduled
-    /// into it can begin — and land in the shipped "safe" snapshot as
-    /// concurrent — exactly the bug the in-section capture fixed. No-op
-    /// unless [`WalStream::set_emulate_marker_race`] is on.
-    pub(crate) fn publish_deferred_marker(&self, db: &DbInner) {
-        if !self.emulate_marker_race.load(Ordering::Relaxed) {
-            return;
-        }
-        if !MARKER_DUE.with(|m| m.replace(false)) {
-            return;
-        }
-        pgssi_common::sim::yield_point(pgssi_common::sim::Site::MarkerRace);
-        self.push(
-            db,
-            WalRecord::SafeSnapshot {
-                snapshot: db.tm.snapshot_arc(),
-            },
-        );
-        db.repl_stats.markers_shipped.bump();
     }
 
     /// Append the resolution record for a serializable read/write abort.
@@ -322,10 +227,8 @@ impl WalStream {
         if !self.has_consumers() {
             return;
         }
-        if db.config.replication.mode == ReplicationMode::ShipMetadata {
-            self.push(db, WalRecord::Resolve { txid, digest: None });
-            db.repl_stats.resolves_shipped.bump();
-        }
+        self.push(db, WalRecord::Resolve { txid, digest: None });
+        db.repl_stats.resolves_shipped.bump();
     }
 
     /// Total records shipped so far.
@@ -355,8 +258,8 @@ impl WalStream {
 struct Candidate {
     snapshot: Arc<Snapshot>,
     pending: HashSet<TxnId>,
-    /// Whether the pending set was non-empty at creation — if so, the marker
-    /// protocol would never have marked this snapshot.
+    /// Whether the pending set was non-empty at creation — if so, the §7.2
+    /// marker protocol would never have marked this snapshot.
     awaited: bool,
 }
 
@@ -377,7 +280,7 @@ struct ReplicaState {
     next_record: usize,
     /// Commit frontier at attach time: snapshots older than this may already
     /// be vacuumed (they predate this replica's feedback pin), so backlog
-    /// candidates and markers below it are discarded rather than served.
+    /// candidates below it are discarded rather than served.
     floor: CommitSeqNo,
     latest_safe: Option<Arc<Snapshot>>,
     /// Outstanding candidates, oldest first. Bounded: each candidate waits
@@ -453,9 +356,8 @@ impl Replica {
         n
     }
 
-    /// Begin a serializable read-only query on the latest safe snapshot
-    /// (locally derived in metadata mode, shipped in marker mode). Returns
-    /// `None` if no safe snapshot is known yet — the caller may retry after
+    /// Begin a serializable read-only query on the latest locally derived
+    /// safe snapshot. Returns `None` if no safe snapshot is known yet — the caller may retry after
     /// [`Replica::catch_up`], mirroring the "wait for the next available safe
     /// snapshot" option of §7.2.
     pub fn begin_safe_query(&self) -> Option<Transaction> {
@@ -537,36 +439,31 @@ impl Drop for Replica {
 impl ReplicaState {
     fn apply(&mut self, rec: WalRecord, stats: &ReplicationStats) {
         match rec {
-            WalRecord::Commit { txid, meta, .. } => {
-                if let Some((snapshot, digest)) = meta {
-                    if digest.serializable {
-                        self.resolve(txid, Some(&digest), stats);
-                    }
-                    // Below the floor: the snapshot predates this replica's
-                    // feedback pin and may already be vacuumed — never a
-                    // candidate (its resolution facts were applied above).
-                    if snapshot.csn < self.floor {
-                        return;
-                    }
-                    let pending: HashSet<TxnId> = digest.concurrent_rw.iter().copied().collect();
-                    self.candidates.push_back(Candidate {
-                        snapshot,
-                        awaited: !pending.is_empty(),
-                        pending,
-                    });
-                    self.promote(stats);
+            WalRecord::Commit {
+                txid,
+                meta: (snapshot, digest),
+                ..
+            } => {
+                if digest.serializable {
+                    self.resolve(txid, Some(&digest), stats);
                 }
+                // Below the floor: the snapshot predates this replica's
+                // feedback pin and may already be vacuumed — never a
+                // candidate (its resolution facts were applied above).
+                if snapshot.csn < self.floor {
+                    return;
+                }
+                let pending: HashSet<TxnId> = digest.concurrent_rw.iter().copied().collect();
+                self.candidates.push_back(Candidate {
+                    snapshot,
+                    awaited: !pending.is_empty(),
+                    pending,
+                });
+                self.promote(stats);
             }
             WalRecord::Resolve { txid, digest } => {
                 self.resolve(txid, digest.as_ref(), stats);
                 self.promote(stats);
-            }
-            WalRecord::SafeSnapshot { snapshot } => {
-                if snapshot.csn < self.floor {
-                    return; // pre-attach marker: possibly vacuumed
-                }
-                self.latest_safe = Some(snapshot);
-                stats.safe_marker.bump();
             }
         }
     }

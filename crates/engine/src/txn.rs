@@ -1076,10 +1076,6 @@ impl Transaction {
             ) {
                 return Err(self.abort_at(e, AbortSite::Precommit, None));
             }
-            // Test-only: the emulated (pre-fix) marker protocol pushes its
-            // safe-snapshot marker *after* the order section — a no-op
-            // unless the simulation regression suite enabled the emulation.
-            db.wal.publish_deferred_marker(db);
         } else {
             let csn = {
                 let db = &self.db;

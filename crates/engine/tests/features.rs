@@ -1,8 +1,7 @@
 //! Feature interactions from §7: two-phase commit (with crash recovery and the
-//! degraded safe-retry case), streaming replication (§8.4 metadata shipping in
-//! the default configuration — the concurrent suite and the race regression
-//! tests cover it and the §7.2 marker ablation in depth), and deferrable
-//! transactions.
+//! degraded safe-retry case), streaming replication (§8.4 metadata shipping —
+//! the concurrent suite and the race regression tests cover it in depth), and
+//! deferrable transactions.
 
 use pgssi_common::{row, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, Replica, TableDef, Transaction};
@@ -133,7 +132,7 @@ fn prepare_runs_precommit_check() {
 }
 
 // ---------------------------------------------------------------------------
-// Replication (§7.2)
+// Replication (§8.4; §7.2 is its empty-pending-set case)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -146,7 +145,7 @@ fn replica_receives_commits_and_safe_snapshots() {
     assert!(replica.catch_up() >= 1);
     let mut q = replica
         .begin_safe_query()
-        .expect("idle master → safe marker");
+        .expect("idle master → candidate safe on arrival");
     assert_eq!(q.get("kv", &row![1]).unwrap(), Some(row![1, 10]));
     q.commit().unwrap();
 }
@@ -156,20 +155,21 @@ fn replica_safe_snapshot_lags_behind_active_serializable_txns() {
     let db = kv_db();
     let replica = Replica::connect(&db);
 
-    // Commit something with no serializable activity: safe marker shipped.
+    // Commit something with no serializable activity: safe on arrival.
     let mut a = db.begin(IsolationLevel::ReadCommitted);
     a.insert("kv", row![1, 1]).unwrap();
     a.commit().unwrap();
     replica.catch_up();
 
     // Now hold a serializable RW transaction open while another commit happens:
-    // that commit ships WITHOUT a safe marker.
+    // that commit's candidate stays pending on it.
     let mut hold = db.begin(IsolationLevel::Serializable);
     let _ = hold.get("kv", &row![1]).unwrap();
     let mut b = db.begin(IsolationLevel::ReadCommitted);
     b.insert("kv", row![2, 2]).unwrap();
     b.commit().unwrap();
     replica.catch_up();
+    assert_eq!(replica.pending_candidates(), 1);
 
     let mut q = replica.begin_safe_query().unwrap();
     assert_eq!(q.get("kv", &row![1]).unwrap(), Some(row![1, 1]));
@@ -194,9 +194,9 @@ fn replica_safe_snapshot_lags_behind_active_serializable_txns() {
 }
 
 /// The Figure 2 anomaly through a replica: a stale (unsafe) replica snapshot
-/// can observe the non-serializable state, while the safe-snapshot protocol
-/// cannot — this is exactly why PostgreSQL restricts replicas to safe
-/// snapshots (§7.2).
+/// can observe the non-serializable state, while the metadata follower's safe
+/// queries cannot — this is exactly why PostgreSQL restricts replicas to safe
+/// snapshots (§7.2), and what the follower's pending rule (§8.4) preserves.
 #[test]
 fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
     let db = Database::open();
@@ -215,7 +215,8 @@ fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
     let x = t2.get("control", &row![0]).unwrap().unwrap()[1]
         .as_int()
         .unwrap();
-    // T3 (CLOSE-BATCH) commits while T2 is active → no safe marker.
+    // T3 (CLOSE-BATCH) commits while T2 is active → its candidate stays
+    // pending on T2.
     let mut t3 = db.begin(IsolationLevel::Serializable);
     let b = t3.get("control", &row![0]).unwrap().unwrap()[1]
         .as_int()
@@ -223,6 +224,7 @@ fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
     t3.update("control", &row![0], row![0, b + 1]).unwrap();
     t3.commit().unwrap();
     replica.catch_up();
+    assert_eq!(replica.pending_candidates(), 1);
 
     // A stale replica REPORT sees batch closed with an empty total…
     let mut stale = replica.begin_stale_query();
@@ -249,6 +251,22 @@ fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
         .unwrap();
     assert_eq!(safe_cur, x, "safe snapshot is from before CLOSE-BATCH");
     safe.commit().unwrap();
+
+    // T2's record then proves T3's candidate unsafe (T2 committed with a
+    // conflict out to T3); the follower drops it and adopts T2's own
+    // snapshot — the consistent final state, receipt included.
+    replica.catch_up();
+    assert_eq!(replica.pending_candidates(), 0);
+    assert!(db.stats_report().repl_unsafe_candidates >= 1);
+    let mut after = replica.begin_safe_query().unwrap();
+    let closed = after.get("control", &row![0]).unwrap().unwrap()[1]
+        .as_int()
+        .unwrap();
+    let receipts = after
+        .scan_where("receipts", |r| r[1] == Value::Int(x))
+        .unwrap();
+    assert_eq!((closed, receipts.len()), (x + 1, 1));
+    after.commit().unwrap();
 }
 
 // ---------------------------------------------------------------------------

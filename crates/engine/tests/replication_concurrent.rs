@@ -6,19 +6,20 @@
 //!   from-scratch §4.2 safety check replayed over the full WAL;
 //! * the Figure-2 REPORT anomaly reproduces under `begin_stale_query` but
 //!   never under safe queries;
-//! * an interleaved chain of serializable writers starves the §7.2 marker
-//!   protocol completely while the §8.4 follower keeps deriving safe
-//!   snapshots — the "marker waits avoided" win, deterministically.
+//! * an interleaved chain of serializable writers would starve the §7.2
+//!   marker protocol completely (no shipped digest has an empty concurrent
+//!   set) while the §8.4 follower keeps deriving safe snapshots — the "marker
+//!   waits avoided" win, deterministically.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use pgssi_common::{row, CommitSeqNo, EngineConfig, ReplicationConfig, TxnId};
+use pgssi_common::{row, CommitSeqNo, TxnId};
 use pgssi_engine::{CommitDigest, Database, IsolationLevel, Replica, TableDef, WalRecord};
 
 fn kv_db() -> Database {
-    let db = Database::open(); // default config: §8.4 metadata shipping
+    let db = Database::open();
     db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
         .unwrap();
     db
@@ -35,7 +36,7 @@ fn oracle_verdicts(records: &[WalRecord]) -> (HashSet<CommitSeqNo>, HashSet<Comm
         match rec {
             WalRecord::Commit {
                 txid,
-                meta: Some((_, digest)),
+                meta: (_, digest),
                 ..
             } if digest.serializable => {
                 resolutions.insert(*txid, Some(digest.clone()));
@@ -65,7 +66,7 @@ fn oracle_verdicts(records: &[WalRecord]) -> (HashSet<CommitSeqNo>, HashSet<Comm
     let mut unsafe_or_undecided = HashSet::new();
     for rec in records {
         let WalRecord::Commit {
-            meta: Some((snapshot, digest)),
+            meta: (snapshot, digest),
             ..
         } = rec
         else {
@@ -196,14 +197,9 @@ fn locally_derived_safe_snapshots_match_from_scratch_safety_check() {
     );
     let report = db.stats_report();
     assert!(report.repl_safe_local > 0, "local derivations counted");
-    assert_eq!(
-        report.repl_markers_shipped, 0,
-        "metadata mode ships no markers"
-    );
 }
 
-/// The Figure 2 REPORT anomaly through a replica, in §8.4 metadata mode: a
-/// stale replica snapshot observes the non-serializable intermediate state;
+/// The Figure 2 REPORT anomaly through a replica: a stale replica snapshot observes the non-serializable intermediate state;
 /// the locally-deciding follower discards that snapshot's candidate as unsafe
 /// and never serves it.
 #[test]
@@ -283,84 +279,79 @@ fn report_anomaly_reproduces_under_stale_queries_never_under_safe() {
     safe.commit().unwrap();
 }
 
-/// An interleaved chain of serializable writers keeps at least one r/w
-/// transaction in flight at every commit: the §7.2 marker protocol ships no
-/// marker at all, while the §8.4 follower derives a safe snapshot from almost
-/// every commit.
-#[test]
-fn metadata_mode_derives_safe_snapshots_where_markers_starve() {
-    let meta_db = kv_db();
-    let marker_db = Database::new(EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..EngineConfig::default()
-    });
-    marker_db
-        .create_table(TableDef::new("kv", &["k", "v"], vec![0]))
-        .unwrap();
+/// §7.2 as a quantity computed from the shipped stream: the marker protocol
+/// marks a commit's snapshot safe exactly when no serializable read/write
+/// transaction is in flight at it — when the record's digest names nobody.
+fn commits_the_marker_protocol_would_mark(db: &Database) -> usize {
+    db.wal()
+        .read_from(0)
+        .iter()
+        .filter(
+            |r| matches!(r, WalRecord::Commit { meta: (_, d), .. } if d.concurrent_rw.is_empty()),
+        )
+        .count()
+}
 
-    let meta_replica = Replica::connect(&meta_db); // attach before seeding
-    let marker_replica = Replica::connect(&marker_db);
-    for db in [&meta_db, &marker_db] {
-        let mut t = db.begin(IsolationLevel::ReadCommitted);
-        for k in 0..8i64 {
-            t.insert("kv", row![k, 0]).unwrap();
-        }
-        t.commit().unwrap();
+/// An interleaved chain of serializable writers keeps at least one r/w
+/// transaction in flight at every commit: the §7.2 marker protocol would mark
+/// no snapshot at all, while the §8.4 follower derives a safe snapshot from
+/// almost every commit.
+#[test]
+fn follower_derives_safe_snapshots_where_markers_would_starve() {
+    let db = kv_db();
+    let replica = Replica::connect(&db); // attach before seeding
+    let mut t = db.begin(IsolationLevel::ReadCommitted);
+    for k in 0..8i64 {
+        t.insert("kv", row![k, 0]).unwrap();
     }
-    meta_replica.catch_up();
-    marker_replica.catch_up();
-    let markers_before = marker_db.stats_report().repl_markers_shipped;
-    let marker_baseline = marker_replica.latest_safe_csn();
+    t.commit().unwrap();
+    replica.catch_up();
+    let marked_before = commits_the_marker_protocol_would_mark(&db);
+    assert_eq!(marked_before, 1, "the idle seeding commit is a §7.2 marker");
+    // What a §7.2 replica would be stuck on for the whole chain.
+    let marker_baseline = replica
+        .latest_safe_csn()
+        .expect("idle commit is safe on arrival");
 
     // Chain: t_{i+1} begins before t_i commits, so every commit observes a
     // concurrent serializable read/write transaction. The chain's *last* link
     // stays open until after the assertions — committing it with nothing else
-    // in flight would (correctly) ship a marker.
-    let mut open_links = Vec::new();
-    for db in [&meta_db, &marker_db] {
-        let mut prev = db.begin(IsolationLevel::Serializable);
-        prev.update("kv", &row![0], row![0, 0]).unwrap();
-        for i in 1..20i64 {
-            let mut next = db.begin(IsolationLevel::Serializable);
-            let k = i % 8;
-            next.update("kv", &row![k], row![k, i]).unwrap();
-            prev.commit().unwrap();
-            prev = next;
-        }
-        open_links.push(prev);
+    // in flight is (correctly) a commit §7.2 would mark.
+    let mut prev = db.begin(IsolationLevel::Serializable);
+    prev.update("kv", &row![0], row![0, 0]).unwrap();
+    for i in 1..20i64 {
+        let mut next = db.begin(IsolationLevel::Serializable);
+        let k = i % 8;
+        next.update("kv", &row![k], row![k, i]).unwrap();
+        prev.commit().unwrap();
+        prev = next;
     }
-    meta_replica.catch_up();
-    marker_replica.catch_up();
+    replica.catch_up();
 
-    let meta = meta_db.stats_report();
-    let marker = marker_db.stats_report();
+    let report = db.stats_report();
     assert_eq!(
-        marker.repl_markers_shipped, markers_before,
+        commits_the_marker_protocol_would_mark(&db),
+        marked_before,
         "the chain must starve the marker protocol completely"
     );
-    assert_eq!(
-        marker_replica.latest_safe_csn(),
-        marker_baseline,
-        "marker replica is stuck on the pre-chain snapshot"
+    assert!(
+        report.repl_safe_local >= 15,
+        "the follower keeps deriving safe snapshots mid-chain (got {})",
+        report.repl_safe_local
     );
     assert!(
-        meta.repl_safe_local >= 15,
-        "metadata follower keeps deriving safe snapshots mid-chain (got {})",
-        meta.repl_safe_local
-    );
-    assert!(
-        meta.repl_marker_waits_avoided >= 15,
+        report.repl_marker_waits_avoided >= 15,
         "each mid-chain derivation is a marker wait avoided (got {})",
-        meta.repl_marker_waits_avoided
+        report.repl_marker_waits_avoided
     );
-    let meta_safe = meta_replica.latest_safe_csn().expect("derived");
+    let safe = replica.latest_safe_csn().expect("derived");
     assert!(
-        meta_safe > marker_baseline.expect("setup marker"),
-        "metadata follower advanced past the marker replica"
+        safe > marker_baseline,
+        "the follower advanced past where a marker replica would be stuck"
     );
     // And the derived snapshot serves fresh data: the chain's updates are
-    // visible well past the marker replica's stuck snapshot.
-    let mut q = meta_replica.begin_safe_query().unwrap();
+    // visible well past the pre-chain snapshot.
+    let mut q = replica.begin_safe_query().unwrap();
     let sum: i64 = q
         .scan("kv")
         .unwrap()
@@ -373,16 +364,22 @@ fn metadata_mode_derives_safe_snapshots_where_markers_starve() {
     );
     q.commit().unwrap();
 
-    // Closing the chain with nothing else in flight finally lets the marker
-    // protocol mark a safe snapshot again — both modes converge.
-    for link in open_links {
-        link.commit().unwrap();
-    }
-    marker_replica.catch_up();
+    // Closing the chain with nothing else in flight is the one commit §7.2
+    // would finally have marked. It resolves the last mid-chain candidate
+    // (one more wait avoided) and its own candidate is safe on arrival —
+    // derived, but not a wait avoided: there the two rules converge.
+    prev.commit().unwrap();
+    replica.catch_up();
     assert_eq!(
-        marker_db.stats_report().repl_markers_shipped,
-        markers_before + 1,
-        "the quiescent final commit ships exactly one marker"
+        commits_the_marker_protocol_would_mark(&db),
+        marked_before + 1,
+        "the quiescent final commit is exactly one §7.2 marker"
     );
-    assert!(marker_replica.latest_safe_csn() > marker_baseline);
+    let closed = db.stats_report();
+    assert_eq!(closed.repl_safe_local, report.repl_safe_local + 2);
+    assert_eq!(
+        closed.repl_marker_waits_avoided,
+        report.repl_marker_waits_avoided + 1
+    );
+    assert!(replica.latest_safe_csn().expect("derived") > safe);
 }

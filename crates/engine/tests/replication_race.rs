@@ -1,23 +1,22 @@
 //! Regression tests for the replication layer's concurrency bugs:
 //!
-//! 1. the marker check-then-snapshot race — the old `append_commit` checked
+//! 1. the check-then-snapshot capture race — the first marker emitter checked
 //!    `active_count() == 0` and then took `tm.snapshot()` as two separate
 //!    steps, so a serializable read/write transaction beginning in between
-//!    was shipped *inside* a marker the replica would trust as safe;
+//!    was shipped *inside* a snapshot the replica would trust as safe. The
+//!    §8.4 form of the same bug is a commit record whose digest does not
+//!    name a transaction that its snapshot is concurrent with;
 //! 2. replica queries pinning the vacuum/SSI horizon past their lifetime
 //!    (including when the querying thread panics).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use pgssi_common::{row, EngineConfig, ReplicationConfig};
+use pgssi_common::row;
 use pgssi_engine::{Database, IsolationLevel, Replica, TableDef, WalRecord};
 
-fn marker_db() -> Database {
-    let db = Database::new(EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..EngineConfig::default()
-    });
+fn kv_db() -> Database {
+    let db = Database::open();
     db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
         .unwrap();
     db
@@ -32,24 +31,29 @@ struct RacerObs {
 }
 
 /// Hammer racing serializable begins against committing writers and assert
-/// the positional invariant the atomic capture guarantees: no safe-snapshot
-/// marker may sit in the stream *between* a racer's begin and that racer's
-/// own commit record.
+/// the positional invariant the atomic capture guarantees: every commit
+/// record that sits in the stream *between* a racer's begin and that racer's
+/// own commit record names the racer in its `concurrent_rw`, and ships a
+/// snapshot that sees the racer as in progress.
 ///
-/// Why that is exactly the §7.2 soundness condition: every WAL append now
+/// Why that is exactly the follower's soundness condition: every WAL append
 /// runs inside the SSI commit-order critical section, so stream positions
-/// totally order those sections. `wal_len_after_begin <= marker_pos` proves
-/// the marker's capture section ran after the racer's begin section, and
-/// `marker_pos < commit_pos` proves it ran before the racer's commit section
-/// — i.e. the racer was an in-flight serializable read/write transaction at
-/// the instant the marker's snapshot was captured, which is precisely the
-/// state a safe-snapshot marker asserts cannot exist. On the pre-fix code
-/// the check and the snapshot straddled racing begins and this invariant is
-/// violated; with the capture inside the commit-order mutex it cannot be.
+/// totally order those sections. `wal_len_after_begin <= pos` proves the
+/// record's capture section ran after the racer's begin section, and
+/// `pos < commit_pos` proves it ran before the racer's commit section — i.e.
+/// the racer was an in-flight serializable read/write transaction at the
+/// instant the record's digest and snapshot were captured. A follower opens
+/// that snapshot as a candidate whose pending set is the shipped
+/// `concurrent_rw`; a racer missing from it lets the candidate be promoted
+/// (with an empty set: at once, the §7.2 marker) while the racer can still
+/// make it unsafe. With the digest read, the snapshot and the append in one
+/// commit-order section this cannot happen; with any of the three outside
+/// it, racing begins straddle them and this test fails.
 #[test]
-fn marker_snapshot_is_never_concurrent_with_inflight_serializable_rw() {
+fn commit_metadata_names_every_inflight_serializable_rw() {
+    let mut windows_checked = 0usize;
     for round in 0..3 {
-        let db = marker_db();
+        let db = kv_db();
         // Shipping is gated on an attached consumer; the assertions below
         // read the stream this replica enables.
         let _replica = Replica::connect(&db);
@@ -57,7 +61,7 @@ fn marker_snapshot_is_never_concurrent_with_inflight_serializable_rw() {
         let observations: Mutex<Vec<RacerObs>> = Mutex::new(Vec::new());
 
         std::thread::scope(|s| {
-            // Committers: READ COMMITTED inserts, each commit a marker chance.
+            // Committers: READ COMMITTED inserts, each commit a candidate.
             for c in 0..2 {
                 let db = db.clone();
                 let stop = &stop;
@@ -97,19 +101,16 @@ fn marker_snapshot_is_never_concurrent_with_inflight_serializable_rw() {
             stop.store(true, Ordering::Relaxed);
         });
 
-        // Recover stream positions: markers, and each racer commit record.
+        // Recover each commit record's stream position.
         let records = db.wal().read_from(0);
-        let mut marker_positions = Vec::new();
-        let mut commit_pos = std::collections::HashMap::new();
-        for (pos, rec) in records.iter().enumerate() {
-            match rec {
-                WalRecord::SafeSnapshot { .. } => marker_positions.push(pos),
-                WalRecord::Commit { txid, .. } => {
-                    commit_pos.insert(*txid, pos);
-                }
-                WalRecord::Resolve { .. } => {}
-            }
-        }
+        let commit_pos: std::collections::HashMap<_, _> = records
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, rec)| match rec {
+                WalRecord::Commit { txid, .. } => Some((*txid, pos)),
+                WalRecord::Resolve { .. } => None,
+            })
+            .collect();
         let observations = observations.into_inner().unwrap();
         assert!(
             !observations.is_empty(),
@@ -119,19 +120,42 @@ fn marker_snapshot_is_never_concurrent_with_inflight_serializable_rw() {
             let Some(&cpos) = commit_pos.get(&obs.txid) else {
                 panic!("committed racer {:?} has no WAL commit record", obs.txid);
             };
-            for &mpos in &marker_positions {
+            for (pos, rec) in records
+                .iter()
+                .enumerate()
+                .take(cpos)
+                .skip(obs.wal_len_after_begin)
+            {
+                let WalRecord::Commit {
+                    meta: (snapshot, digest),
+                    ..
+                } = rec
+                else {
+                    continue;
+                };
+                windows_checked += 1;
                 assert!(
-                    !(obs.wal_len_after_begin <= mpos && mpos < cpos),
-                    "round {round}: marker at stream position {mpos} was captured while \
-                     serializable r/w {:?} was in flight (begin at WAL length {}, commit \
-                     record at {}): the marker race",
+                    digest.concurrent_rw.contains(&obs.txid),
+                    "round {round}: the commit record at stream position {pos} was captured \
+                     while serializable r/w {:?} was in flight (begin at WAL length {}, commit \
+                     record at {cpos}) but does not name it as concurrent: the capture race",
                     obs.txid,
                     obs.wal_len_after_begin,
-                    cpos
+                );
+                assert!(
+                    snapshot.is_in_progress(obs.txid),
+                    "round {round}: the snapshot shipped at stream position {pos} already sees \
+                     serializable r/w {:?}, in flight over [{}, {cpos})",
+                    obs.txid,
+                    obs.wal_len_after_begin,
                 );
             }
         }
     }
+    assert!(
+        windows_checked > 0,
+        "no commit record landed inside any racer's window: nothing was checked"
+    );
 }
 
 /// Replica queries allocate a real master txid and register the (old) safe

@@ -1510,8 +1510,11 @@ mod tests {
     }
 
     #[test]
-    fn single_partition_config_still_works() {
-        let m = SireadLockManager::new(SsiConfig::single_partition());
+    fn one_partition_still_works() {
+        let m = SireadLockManager::new(SsiConfig {
+            lock_partitions: 1,
+            ..SsiConfig::default()
+        });
         assert_eq!(m.partition_count(), 1);
         m.register_owner(1);
         m.acquire(1, LockTarget::Tuple(R, 0, 5));
@@ -1533,7 +1536,10 @@ mod tests {
     #[test]
     fn partition_stats_count_taken_mutexes() {
         // Eager mode: each acquisition takes its partition mutex immediately.
-        let m = SireadLockManager::new(SsiConfig::eager_reads());
+        let m = SireadLockManager::new(SsiConfig {
+            read_batch: 1,
+            ..SsiConfig::default()
+        });
         m.register_owner(1);
         m.acquire(1, LockTarget::Tuple(R, 0, 0));
         let stats = m.partition_stats();
@@ -1614,7 +1620,10 @@ mod tests {
 
     #[test]
     fn eager_mode_skips_filter_machinery() {
-        let m = SireadLockManager::new(SsiConfig::eager_reads());
+        let m = SireadLockManager::new(SsiConfig {
+            read_batch: 1,
+            ..SsiConfig::default()
+        });
         m.register_owner(1);
         m.acquire(1, LockTarget::Tuple(R, 0, 0));
         assert_eq!(m.total_lock_count(), 1, "published immediately");

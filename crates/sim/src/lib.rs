@@ -17,16 +17,16 @@
 //!   record every committed transaction, then check the TLA+-style SSI
 //!   properties (snapshot reads, first-committer-wins, serialization-graph
 //!   acyclicity) plus engine oracles (recovery ≡ independent prefix replay,
-//!   maintained snapshot ≡ rebuilt snapshot, marker placement).
+//!   maintained snapshot ≡ rebuilt snapshot, atomic capture of shipped
+//!   replication metadata).
 //! - [`runner`] — dispatch and reporting; the `sim_ssi` binary drives seed
 //!   sweeps from the command line and prints a replay line for any failure.
 //!
-//! Two scenarios double as regression fixtures: `pivot` and `repl` accept an
-//! `emulate` flag that re-enables a historical race behind its original gate
-//! (the pivot-precommit check race from the SSI core; the safe-snapshot
-//! marker race from marker-mode replication). Tests assert the harness finds
-//! each bug with the flag on and stays silent with it off — evidence the
-//! checker detects real violations, not just that the engine passes.
+//! One scenario doubles as a regression fixture: `pivot` accepts an `emulate`
+//! flag that re-enables a historical race behind its original gate (the
+//! pivot-precommit check race from the SSI core). Tests assert the harness
+//! finds the bug with the flag on and stays silent with it off — evidence
+//! the checker detects real violations, not just that the engine passes.
 
 pub mod fault;
 pub mod history;

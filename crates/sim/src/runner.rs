@@ -90,13 +90,13 @@ fn flatten(scenario: &'static str, seed: u64, outcome: Outcome) -> SeedOutcome {
 }
 
 /// Run one scenario under one seed. `emulate` re-enables the gated historical
-/// race in the scenarios that have one (`pivot`, `repl`); others ignore it.
+/// race in `pivot`; the other scenarios ignore it.
 pub fn run_scenario(name: &str, seed: u64, scale: u32, emulate: bool) -> SeedOutcome {
     quiet_sim_panics();
     match name {
         "mix" => flatten("mix", seed, scenario::mix(seed, scale)),
         "crash" => flatten("crash", seed, scenario::crash(seed, scale)),
-        "repl" => flatten("repl", seed, scenario::repl(seed, scale, emulate)),
+        "repl" => flatten("repl", seed, scenario::repl(seed, scale)),
         "pool" => flatten("pool", seed, scenario::pool(seed, scale)),
         "cluster" => flatten("cluster", seed, scenario::cluster(seed, scale)),
         "pivot" => flatten("pivot", seed, scenario::pivot(seed, scale, emulate)),

@@ -7,27 +7,32 @@
 //! |-----------|------------------------------------------|--------|
 //! | `mix`     | serializable OLTP mix with vacuum steps, retries, wakeup faults, a DEFERRABLE reader parking on safe-snapshot waits | history (snapshot reads, FCW, SG acyclicity), snapshot oracle, no lost safety wake-up |
 //! | `crash`   | durable WAL + injected crash/torn-write/fsync faults | acked ⊆ recovered, recovery ≡ independent prefix replay |
-//! | `repl`    | §7.2 marker shipping + replica catch-up/reconnect | marker position invariant, no panics |
+//! | `repl`    | §8.4 metadata shipping + replica catch-up/reconnect | atomic-capture invariant (every in-flight serializable r/w is named in the record's `concurrent_rw`), no panics |
 //! | `pool`    | session pool + wire protocol under sim   | protocol responses, final row values, clean shutdown |
 //! | `cluster` | sharded engine, cross-shard 2PC yield edges | per-shard projected histories, merged cross-shard SG acyclicity, 2PC hygiene, fast-path invariant |
 //! | `pivot`   | write-skew battering (optionally with the historical pivot-precommit race re-enabled) | history SG acyclicity |
 //!
-//! `pivot` and `repl` take an `emulate` flag that re-introduces a historical
-//! race behind its gate; the regression tests assert the harness *finds* the
-//! bug on some seed with the flag on and stays clean with it off.
+//! `pivot` takes an `emulate` flag that re-introduces a historical race
+//! behind its gate; the regression tests assert the harness *finds* the bug
+//! on some seed with the flag on and stays clean with it off.
+//!
+//! An in-memory database keeps no log, so the scenarios that are not about
+//! durability ask for one explicitly ([`logged_db`]): the log's
+//! `durable-append` / `wal-append` yield points sit inside the commit path,
+//! and the interleavings they allow are coverage.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pgssi_common::sim::{self, Scheduler, SimConfig, SimRun, Site};
-use pgssi_common::{row, EngineConfig, ReplicationConfig, ServerConfig, TxnId, Value};
+use pgssi_common::{row, EngineConfig, ServerConfig, TxnId, Value};
 use pgssi_engine::{
     decode_commit, with_retries, BeginOptions, Database, IsolationLevel, RedoOp, Replica,
     ShardedDatabase, TableDef, Transaction, WalRecord,
 };
 use pgssi_server::{Server, Transport};
-use pgssi_storage::TxnStatus;
+use pgssi_storage::{MemWalStore, TxnStatus};
 
 use crate::fault::{FaultPlan, SimWalStore};
 use crate::history::{self, CommittedTxn, History};
@@ -64,6 +69,13 @@ fn sim_config(seed: u64, plan: &FaultPlan) -> SimConfig {
         drop_wakeup_permille: plan.drop_wakeup_permille,
         ..SimConfig::new(seed)
     }
+}
+
+/// A default-configuration database over an in-memory log (see the module
+/// docs for why the sim wants the log).
+fn logged_db() -> Database {
+    Database::open_with_store(EngineConfig::default(), Box::new(MemWalStore::new()))
+        .expect("an empty log replays clean")
 }
 
 fn int(v: &Value) -> i64 {
@@ -313,7 +325,7 @@ pub fn mix(seed: u64, scale: u32) -> Outcome {
     let txns = 6 * scale as usize;
     let keys = 8i64;
 
-    let db = Database::open();
+    let db = logged_db();
     db.create_table(TableDef::new("acct", &["k", "v"], vec![0]))
         .unwrap();
     let hist = Arc::new(History::new());
@@ -394,8 +406,7 @@ pub fn crash(seed: u64, scale: u32) -> Outcome {
         plan.crash_at_byte = Some(1024 + splitmix64(seed ^ 0xc4a5) % 6_000);
     }
     let store = SimWalStore::new(&plan, seed);
-    let mut cfg = EngineConfig::default();
-    cfg.wal.group_commit = splitmix64(seed ^ 0x9c) & 1 == 0;
+    let cfg = EngineConfig::default();
 
     // Setup must always survive: the crash floor keeps byte faults clear of
     // it, and disarming keeps a small `fail_sync_at` from hitting a setup
@@ -559,19 +570,20 @@ pub fn crash(seed: u64, scale: u32) -> Outcome {
 // repl
 // ---------------------------------------------------------------------------
 
-/// §7.2 marker-mode replication under sim: committers drive safe-snapshot
-/// markers, serializable racers try to slip into the marker window, a replica
-/// applies/reconnects concurrently. The invariant is positional: no
-/// safe-snapshot marker may sit in the stream between a committed racer's
-/// begin and that racer's commit record (such a marker would ship a
-/// "safe" snapshot with the racer's serializable r/w txn in flight).
-pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
+/// §8.4 replication under sim: read-committed committers ship commit records,
+/// serializable racers try to slip between a record's digest and its
+/// snapshot, a replica applies/reconnects concurrently. The invariant is the
+/// atomic capture of {digest, snapshot, stream position}, checked
+/// positionally: every WAL append runs inside the commit-order section, so
+/// stream positions totally order those sections. A committed racer whose
+/// begin completed at stream length `b` and whose own record sits at `c` was
+/// an in-flight serializable read/write transaction when the record at any
+/// position `p` with `b <= p < c` was captured — that record must name it in
+/// `concurrent_rw` and its snapshot must see it as in progress, or a
+/// follower would promote the candidate without waiting for the racer.
+pub fn repl(seed: u64, scale: u32) -> Outcome {
     let plan = FaultPlan::none();
-    let cfg = EngineConfig {
-        replication: ReplicationConfig::markers(),
-        ..Default::default()
-    };
-    let db = Database::new(cfg);
+    let db = logged_db();
     db.create_table(TableDef::new("acct", &["k", "v"], vec![0]))
         .unwrap();
     {
@@ -582,9 +594,6 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
             txn.insert("acct", row![k, 1_000 + k]).unwrap();
         }
         txn.commit().unwrap();
-    }
-    if emulate {
-        db.wal().set_emulate_marker_race(true);
     }
     let replica = Replica::connect(&db); // attach first: shipping starts here
 
@@ -598,8 +607,8 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
         roots.push((
             format!("committer-{t}"),
             Box::new(move || {
-                // Read-committed single-row bumps: every commit is a marker
-                // candidate (no serializable r/w in flight => marker).
+                // Read-committed single-row bumps: every commit ships a
+                // record whose digest must name the racers in flight.
                 for j in 0..rounds {
                     let Ok(mut txn) =
                         db.begin_with(BeginOptions::new(IsolationLevel::ReadCommitted))
@@ -654,8 +663,8 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
                 for round in 0..rounds * 2 {
                     sim::yield_point(Site::DriverStep);
                     replica.catch_up();
-                    // Safe queries only ever run on marked snapshots; a scan
-                    // through one must not error.
+                    // Safe queries only ever run on derived snapshots; a
+                    // scan through one must not error.
                     if let Some(mut q) = replica.begin_safe_query() {
                         let _ = q.scan("acct");
                     }
@@ -678,7 +687,7 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
         violations.push(format!("unexpected panic: {p}"));
     }
 
-    // Positional marker invariant over the shipped stream.
+    // Positional atomic-capture invariant over the shipped stream.
     let records = db.wal().read_from(0);
     for &(txid, begin_len) in racers.lock().iter() {
         let Some(cpos) = records
@@ -690,11 +699,24 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
             ));
             continue;
         };
-        for (mpos, r) in records.iter().enumerate() {
-            if matches!(r, WalRecord::SafeSnapshot { .. }) && begin_len <= mpos && mpos < cpos {
+        for (pos, r) in records.iter().enumerate().take(cpos).skip(begin_len) {
+            let WalRecord::Commit {
+                meta: (snapshot, digest),
+                ..
+            } = r
+            else {
+                continue;
+            };
+            if !digest.concurrent_rw.contains(&TxnId(txid)) {
                 violations.push(format!(
-                    "marker race: safe-snapshot marker at stream position {mpos} \
-                     inside racer txid {txid}'s window [{begin_len}, {cpos})"
+                    "capture race: commit record at stream position {pos} does not name \
+                     racer txid {txid} (in flight over [{begin_len}, {cpos})) as concurrent"
+                ));
+            }
+            if !snapshot.is_in_progress(TxnId(txid)) {
+                violations.push(format!(
+                    "capture race: the snapshot shipped at stream position {pos} already \
+                     sees racer txid {txid}, in flight over [{begin_len}, {cpos})"
                 ));
             }
         }
@@ -729,7 +751,7 @@ pub fn repl(seed: u64, scale: u32, emulate: bool) -> Outcome {
 /// commit, which the history checker reports as a serialization-graph cycle.
 pub fn pivot(seed: u64, scale: u32, emulate: bool) -> Outcome {
     let plan = FaultPlan::none();
-    let db = Database::open();
+    let db = logged_db();
     db.create_table(TableDef::new("acct", &["k", "v"], vec![0]))
         .unwrap();
     let hist = Arc::new(History::new());
@@ -1016,7 +1038,7 @@ pub fn cluster(seed: u64, scale: u32) -> Outcome {
     let txns = 6 * scale as usize;
     let keys = 8i64;
 
-    let c = ShardedDatabase::new(shards, EngineConfig::default());
+    let c = ShardedDatabase::from_shards((0..shards).map(|_| logged_db()).collect());
     c.create_table(TableDef::new("acct", &["k", "v"], vec![0]))
         .unwrap();
     let hists: Arc<Vec<History>> = Arc::new((0..shards).map(|_| History::new()).collect());
@@ -1191,7 +1213,7 @@ fn run_recorded_sharded(
 /// state, and that shutdown joins cleanly inside the simulation.
 pub fn pool(seed: u64, scale: u32) -> Outcome {
     let plan = FaultPlan::from_seed(seed);
-    let db = Database::open();
+    let db = logged_db();
     db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
         .unwrap();
     let clients = 4usize;

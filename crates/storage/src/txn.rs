@@ -3,7 +3,7 @@
 //!
 //! The seed implementation ordered transaction starts, snapshot acquisition,
 //! and commits through **one mutex**; under the session front-end's workloads
-//! (`fig_scaling --stats`, then `fig_sessions`) that mutex is the dominant
+//! (the SIBENCH read-mostly mix, then `fig_sessions`) that mutex is the dominant
 //! begin/snapshot serialization point. This version splits the manager into
 //! independently locked pieces while preserving the paper-§4.1 invariant the
 //! SSI core's "committed before snapshot" tests rely on: a [`Snapshot`]'s
@@ -852,8 +852,11 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_config_still_works() {
-        let tm = TxnManager::with_config(&TxnConfig::single_shard());
+    fn one_id_shard_still_works() {
+        let tm = TxnManager::with_config(&TxnConfig {
+            id_shards: 1,
+            ..TxnConfig::default()
+        });
         assert_eq!(tm.shard_count(), 1);
         let a = tm.begin_on_shard(7); // modulo: lands on shard 0
         let csn = tm.commit(&[a]);

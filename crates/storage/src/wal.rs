@@ -21,8 +21,9 @@
 //! header, so LSNs stay stable across trims (`lsn = base + offset past the
 //! header`); a never-trimmed log has no header and reads exactly as before.
 //!
-//! [`MemWalStore`] keeps frames in a `Vec` with a no-op `sync`, preserving the
-//! pre-durability in-memory behavior (and its performance) behind the same trait.
+//! [`MemWalStore`] keeps frames in a `Vec` with a no-op `sync`. It is what
+//! tests and the deterministic simulator hand to
+//! `Database::open_with_store`; an in-memory database itself has no store.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
