@@ -127,6 +127,11 @@ pub struct SessionStats {
     /// Emergency reserve workers spawned because every pool worker was
     /// blocked in a row-lock wait while a lock-holding session sat runnable.
     pub reserve_workers: Counter,
+    /// `read` calls that returned bytes on TCP connections (server side).
+    pub socket_reads: Counter,
+    /// `write` calls made on TCP connections (server side). Against
+    /// `requests_enqueued`: system calls per request line.
+    pub socket_writes: Counter,
 }
 
 /// Aggregated counter snapshot across every layer: engine commit/abort totals,
@@ -214,6 +219,11 @@ pub struct StatsReport {
     pub session_lock_wakeups: u64,
     /// Emergency reserve workers spawned for an all-workers-blocked pool.
     pub session_reserve_workers: u64,
+    /// `read` calls that returned bytes on the server's TCP connections.
+    pub session_socket_reads: u64,
+    /// `write` calls made on the server's TCP connections (one per drained
+    /// batch of pipelined requests, not one per response line).
+    pub session_socket_writes: u64,
     /// WAL records shipped (all kinds).
     pub repl_records: u64,
     /// Resolution records shipped.
@@ -421,6 +431,8 @@ impl StatsReport {
             session_worker_parks,
             session_lock_wakeups,
             session_reserve_workers,
+            session_socket_reads,
+            session_socket_writes,
             repl_records,
             repl_resolves_shipped,
             repl_safe_local,
@@ -487,6 +499,8 @@ impl StatsReport {
             session_worker_parks,
             session_lock_wakeups,
             session_reserve_workers,
+            session_socket_reads,
+            session_socket_writes,
             repl_records,
             repl_resolves_shipped,
             repl_safe_local,
@@ -591,13 +605,15 @@ impl std::fmt::Display for StatsReport {
         writeln!(
             f,
             "server : sessions {}  requests {}  executed {}  worker-parks {}  lock-wakeups {}  \
-             reserve-workers {}",
+             reserve-workers {}  socket-reads {}  socket-writes {}",
             self.sessions_opened,
             self.session_requests,
             self.session_executed,
             self.session_worker_parks,
             self.session_lock_wakeups,
-            self.session_reserve_workers
+            self.session_reserve_workers,
+            self.session_socket_reads,
+            self.session_socket_writes
         )?;
         writeln!(
             f,
@@ -1349,6 +1365,8 @@ impl Database {
             session_worker_parks: self.inner.session_stats.worker_parks.get(),
             session_lock_wakeups: self.inner.session_stats.lock_holder_wakeups.get(),
             session_reserve_workers: self.inner.session_stats.reserve_workers.get(),
+            session_socket_reads: self.inner.session_stats.socket_reads.get(),
+            session_socket_writes: self.inner.session_stats.socket_writes.get(),
             repl_records: self.inner.repl_stats.records.get(),
             repl_resolves_shipped: self.inner.repl_stats.resolves_shipped.get(),
             repl_safe_local: self.inner.repl_stats.safe_local.get(),

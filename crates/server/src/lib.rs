@@ -9,7 +9,9 @@
 //! * [`SessionPool`] — the scheduling core: a fixed set of worker threads
 //!   executing activations of many logical [`SessionTask`]s, with a ready
 //!   queue, a think-time deadline heap, and lost-wakeup-free external wakes.
-//!   Benchmark harnesses drive it directly (DBT-2++ think-time sessions).
+//!   Benchmark harnesses drive it directly (DBT-2++ think-time sessions). A
+//!   session that has a thread of its own — a TCP connection — runs its
+//!   activations there instead ([`SessionPool::run_or_wake`]).
 //! * [`Server`] / [`SessionHandle`] — the wire layer: logical client
 //!   sessions speaking a tiny line protocol (`BEGIN`/`GET`/`PUT`/`DEL`/
 //!   `SCAN`/`COMMIT`/`ABORT`, see [`proto`]) over in-process duplex
@@ -30,6 +32,7 @@
 //! [`Database`]: pgssi_engine::Database
 //! [`Database::begin_with_on_shard`]: pgssi_engine::Database::begin_with_on_shard
 
+mod lines;
 pub mod pool;
 pub mod proto;
 pub mod tcp;

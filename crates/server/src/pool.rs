@@ -2,9 +2,9 @@
 //!
 //! PostgreSQL gives every connection an OS process; the paper's evaluation
 //! (§8.2) leans on that to run hundreds of mostly-idle DBT-2 terminals. An
-//! embedded engine cannot afford a thread per session, so this pool runs a
-//! fixed set of worker threads ([`ServerConfig::workers`]) and schedules
-//! *session activations* onto them:
+//! embedded engine cannot afford a thread per *in-process* session, so this
+//! pool runs a fixed set of worker threads ([`ServerConfig::workers`]) and
+//! schedules *session activations* onto them:
 //!
 //! * a session is a [`SessionTask`]; each activation calls
 //!   [`SessionTask::run`] once and the returned [`Next`] decides what happens
@@ -12,37 +12,57 @@
 //!   external [`SessionPool::wake`], or stop;
 //! * sessions with pending work sit in a FIFO ready queue; sessions sleeping
 //!   a think/keying time sit in a deadline heap and are promoted when due;
-//! * at most one worker ever runs a given session (the slot's task is taken
+//! * at most one thread ever runs a given session (the slot's task is taken
 //!   out while running), so session state needs no internal synchronization
 //!   beyond `Send`.
 //!
-//! A wake that races an activation is never lost: [`SessionPool::wake`] marks
-//! `wake_pending` under the pool mutex, and a task returning [`Next::Idle`]
+//! **Who may run an activation.** A pool worker that popped the session off
+//! the ready queue, or — for a session that has a thread of its own, which is
+//! every TCP connection — that thread, through [`SessionPool::run_or_wake`]:
+//! it claims the task out of the slot exactly as a worker does and runs the
+//! activation on the spot, with no hand-off. Both go through one routine
+//! (`PoolInner::activate`), so the claim, the panic containment and the
+//! settling of the slot by [`Next`] exist once. A TCP session is thereby what
+//! the paper's PostgreSQL has, a backend per connection; the worker set is
+//! for the sessions that have no thread (`SessionHandle`s, benchmark
+//! terminals).
+//!
+//! A wake that races an activation is never lost: [`SessionPool::wake`] and
+//! [`SessionPool::run_or_wake`] mark `wake_pending` under the pool mutex when
+//! the task is claimed or queued, and a task returning [`Next::Idle`]
 //! re-enters the ready queue if the mark is set.
 //!
 //! Blocking inside an activation (row-lock waits, DEFERRABLE safe-snapshot
-//! waits) blocks one worker, exactly like a PostgreSQL backend. Clients that
-//! *pipeline* whole transactions (the `fig_sessions` driver does) never hold
-//! row locks across a scheduling boundary, because one activation drains the
-//! whole pipelined batch; interactive clients can hold locks across
-//! activations, and the engine's deadlock detector plus lock-wait timeout
-//! bound the damage — see `crates/server/tests` for the 1024-sessions-on-4-
-//! workers case.
+//! waits) blocks the thread running it: a worker, exactly like a PostgreSQL
+//! backend, or the connection's own thread, which costs nobody else
+//! anything. Clients that *pipeline* whole transactions (the `fig_sessions`
+//! driver does) never hold row locks across a scheduling boundary, because
+//! one activation drains the whole pipelined batch; interactive clients can
+//! hold locks across activations, and the engine's deadlock detector plus
+//! lock-wait timeout bound the damage — see `crates/server/tests` for the
+//! 1024-sessions-on-4-workers case.
 //!
-//! One pathology needs more than a timeout: every worker blocked on row locks
-//! held by a *descheduled* session. Priority-waking the holder queues it, but
-//! with no free worker the queue is frozen and everything stalls until the
-//! lock-wait timeout. When the pool detects this shape — all workers inside
-//! reported lock waits and a runnable lock-owning session in the ready queue —
-//! it spawns a bounded **emergency reserve worker** that drains the ready
-//! queue (the holder first; it sits at the front) and exits.
+//! Two mechanisms exist for multiplexed sessions whose lock *holder* is
+//! descheduled behind other work, and both stay for them:
+//!
+//! * the **priority wake** — a thread about to park on a row lock reports the
+//!   holder's txid and the holder's session jumps the ready queue. Without
+//!   it `blocked_worker_priority_wakes_the_lock_holder_session`
+//!   (`tests/server_basic.rs`) never sees `session_lock_wakeups` move.
+//! * the **emergency reserve worker** — with every worker inside a reported
+//!   lock wait the queue is frozen, so the pool spawns a bounded extra thread
+//!   that drains the ready queue (the holder first) and exits. Without it
+//!   `all_workers_blocked_on_one_holder_resolves_via_reserve_worker` stalls
+//!   to the lock-wait timeout and its waiter gets `ERR`. Only pool workers
+//!   count as blocked: a connection thread parked on a row lock starves no
+//!   queue (`tcp_waiter_is_not_counted_as_a_blocked_worker`).
 
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use pgssi_common::sim::{self, Site};
 use pgssi_common::{Error, Result, ServerConfig, TxnId};
 use pgssi_engine::{Database, ShardedDatabase};
@@ -81,6 +101,11 @@ thread_local! {
     /// that activation; backs `PoolState::waiting_workers`. Thread-local so
     /// one activation reporting several waits counts as one blocked worker.
     static IN_WAIT_REPORT: Cell<bool> = const { Cell::new(false) };
+    /// True on the pool's own threads (regular and reserve workers). A
+    /// connection thread that lent itself to its session is not one: when it
+    /// parks on a row lock no runnable session loses a worker, so it must
+    /// never count into `waiting_workers`.
+    static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// What a session does after an activation returns.
@@ -278,30 +303,58 @@ impl SessionPool {
     /// session's* locks (a COMMIT arriving for a descheduled holder is the
     /// canonical case) — and no worker is left to run it, so the pool spawns
     /// an emergency reserve worker rather than stalling to the lock timeout.
+    /// The ownership map is consulted only in that all-blocked state; an
+    /// ordinary wake takes the state lock and nothing else.
     pub fn wake(&self, sid: SessionId) {
-        // Probed before taking the state lock (txn_owners nests outside it).
-        let owns_txn = self
-            .inner
-            .txn_owners
-            .lock()
-            .values()
-            .any(|owner| *owner == sid);
         let mut st = self.inner.state.lock();
         let Some(Some(slot)) = st.slots.get_mut(sid) else {
             return;
         };
-        if slot.task.is_some() && !slot.queued {
-            slot.queued = true;
-            st.ready.push_back(sid);
-            let reserve = owns_txn && self.inner.reserve_needed(&mut st);
-            drop(st);
-            self.inner.notify_work_one();
+        if slot.task.is_none() || slot.queued {
+            slot.wake_pending = true;
+            return;
+        }
+        slot.queued = true;
+        st.ready.push_back(sid);
+        let stalled = self.inner.all_workers_waiting(&st);
+        drop(st);
+        self.inner.notify_work_one();
+        // `txn_owners` nests outside the state lock, hence the re-check.
+        if stalled && self.inner.owns_txn(sid) {
+            let reserve = self.inner.reserve_needed(&mut self.inner.state.lock());
             if reserve {
                 self.inner.spawn_reserve();
             }
-        } else {
-            slot.wake_pending = true;
         }
+    }
+
+    /// [`SessionPool::wake`] for a caller that can spare its own thread: a
+    /// TCP connection thread that has just queued input for `sid`. If the
+    /// session's task is parked in its slot, the caller claims it exactly as
+    /// a worker would (the task leaves the slot, so there is still at most
+    /// one runner per session), runs the activation on the spot and settles
+    /// the slot by the returned [`Next`]; returns `true`. If a worker already
+    /// holds or is about to pick up the task — the first activation after
+    /// [`SessionPool::spawn`], or a priority wake that raced this call — the
+    /// wake is latched like any other and that worker finishes the job;
+    /// returns `false`.
+    ///
+    /// A lent thread is not a pool worker: what it blocks on (a row lock, a
+    /// slow client's socket) stalls its own session only, and it never counts
+    /// towards the all-workers-blocked test that spawns reserve workers.
+    pub fn run_or_wake(&self, sid: SessionId) -> bool {
+        let mut st = self.inner.state.lock();
+        let Some(Some(slot)) = st.slots.get_mut(sid) else {
+            return false;
+        };
+        let task = if slot.queued { None } else { slot.task.take() };
+        let Some(task) = task else {
+            slot.wake_pending = true;
+            return false;
+        };
+        drop(st);
+        drop(self.inner.activate(sid, task, true));
+        true
     }
 
     /// Record that `sid`'s open transaction has branch `txid` on `shard`
@@ -329,23 +382,26 @@ impl SessionPool {
         self.inner.txn_owners.lock().remove(&(shard, txid));
     }
 
-    /// Refresh `sid`'s `ACTIVITY` row after a request completes: the open
-    /// transaction (if any), its isolation label, and the shards it has
-    /// enlisted so far. Clears any recorded wait target — if the session
-    /// *was* blocked, the request that blocked it has finished by the time
-    /// this runs.
+    /// Refresh `sid`'s `ACTIVITY` row: the open transaction (if any), its
+    /// isolation label, and the shards it has enlisted so far. Wire tasks
+    /// call it when the transaction slot opens or empties and once at the end
+    /// of a drain (branches appear through [`SessionPool::note_txn`] as they
+    /// enlist). Clears any recorded wait target — if the session *was*
+    /// blocked, the request that blocked it has finished by the time this
+    /// runs.
     pub fn note_activity(
         &self,
         sid: SessionId,
         txid: Option<TxnId>,
         isolation: Option<&'static str>,
-        shards: Vec<usize>,
+        shards: impl IntoIterator<Item = usize>,
     ) {
         if let Some(a) = self.inner.activity.lock().get_mut(&sid) {
             a.txid = txid.map(|t| t.0);
             a.isolation = isolation;
             a.waiting_on = None;
-            a.shards = shards;
+            a.shards.clear();
+            a.shards.extend(shards);
         }
     }
 
@@ -458,14 +514,15 @@ impl PoolInner {
         }
     }
 
-    /// Wait-observer entry point: the calling worker (running `waiter`'s
+    /// Wait-observer entry point: the calling thread (running `waiter`'s
     /// session) is about to park on a row lock held by `holder`, both txids
-    /// scoped to `shard`. Marks this worker blocked (cleared when its
+    /// scoped to `shard`. Marks a pool worker blocked (cleared when its
     /// activation returns), records the wait target for `ACTIVITY`, and
     /// priority-wakes the holder's session.
     fn report_wait(self: &Arc<Self>, shard: usize, waiter: TxnId, holder: TxnId) {
-        // First report of this activation: count the worker as blocked.
-        if IN_WAIT_REPORT.with(|f| !f.replace(true)) {
+        // First report of this activation: count the worker as blocked. A
+        // lent connection thread is no worker and is not counted.
+        if ON_POOL_WORKER.with(Cell::get) && IN_WAIT_REPORT.with(|f| !f.replace(true)) {
             self.state.lock().waiting_workers += 1;
         }
         if let Some(sid) = self.txn_owners.lock().get(&(shard, waiter)).copied() {
@@ -532,18 +589,27 @@ impl PoolInner {
         }
     }
 
-    /// With the state lock held: true (and a reserve slot claimed) when every
-    /// worker — regular and reserve alike — is blocked inside a reported lock
-    /// wait, so a just-queued session has no thread left to run it.
+    /// True when every worker — regular and reserve alike — is blocked inside
+    /// a reported lock wait, so a just-queued session has no thread left to
+    /// run it.
+    fn all_workers_waiting(&self, st: &PoolState) -> bool {
+        !st.shutdown && st.waiting_workers >= self.cfg.workers + st.reserve_workers
+    }
+
+    /// With the state lock held: true (and a reserve slot claimed) when
+    /// [`PoolInner::all_workers_waiting`] and the reserve cap has room.
     fn reserve_needed(&self, st: &mut PoolState) -> bool {
-        if st.shutdown
-            || st.waiting_workers < self.cfg.workers + st.reserve_workers
-            || st.reserve_workers >= MAX_RESERVE_WORKERS
-        {
+        if !self.all_workers_waiting(st) || st.reserve_workers >= MAX_RESERVE_WORKERS {
             return false;
         }
         st.reserve_workers += 1;
         true
+    }
+
+    /// Does `sid` own an open transaction branch? A scan of the ownership
+    /// map: callers ask only once the pool is already stalled.
+    fn owns_txn(&self, sid: SessionId) -> bool {
+        self.txn_owners.lock().values().any(|owner| *owner == sid)
     }
 
     /// Start a reserve worker (its `reserve_workers` slot is already claimed
@@ -555,6 +621,98 @@ impl PoolInner {
             worker_loop(&inner, true)
         });
     }
+
+    /// Run one activation of the claimed `task` on the calling thread and
+    /// settle the session's slot by what it returned. The one routine behind
+    /// both runners: a pool worker (`lent == false`), and a connection thread
+    /// that lent itself through [`SessionPool::run_or_wake`]. Called without
+    /// the state lock; returns it held.
+    fn activate(
+        &self,
+        sid: SessionId,
+        mut task: Box<dyn SessionTask>,
+        lent: bool,
+    ) -> MutexGuard<'_, PoolState> {
+        // Contain panics: one misbehaving session must not kill a worker
+        // (the pool is fixed-size; a dead worker is capacity lost forever)
+        // or strand its client.
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run(&self.db, sid)));
+        // The activation is over; if it reported a row-lock wait, this
+        // thread is no longer blocked in it.
+        let waited = IN_WAIT_REPORT.with(|f| f.replace(false));
+        // A session that panicked is closed on the spot and then retired
+        // like one that asked to stop.
+        let (next, closed) = match outcome {
+            Ok(next) => (next, false),
+            Err(_) => {
+                eprintln!("pgssi-server: session {sid} panicked; closing it");
+                task.close();
+                (Next::Stop, true)
+            }
+        };
+        let mut st = self.state.lock();
+        if waited {
+            st.waiting_workers -= 1;
+        }
+        let Some(Some(slot)) = st.slots.get_mut(sid) else {
+            // Slot retired while this activation ran (pool-wide session
+            // close): run the close hook so the task's client unblocks.
+            // Closed and dropped outside the state lock — the task may own
+            // a transaction whose `Drop` rolls back through the engine.
+            drop(st);
+            if !closed {
+                task.close();
+            }
+            drop(task);
+            return self.state.lock();
+        };
+        // A worker goes back to the ready queue by itself; work that a lent
+        // thread leaves there needs a worker told.
+        match next {
+            Next::Stop => {
+                st.slots[sid] = None;
+                st.free.push(sid);
+                st.live -= 1;
+                self.activity.lock().remove(&sid);
+                // Drop the task outside the state lock (see above).
+                drop(st);
+                drop(task);
+                st = self.state.lock();
+            }
+            Next::Again => {
+                slot.task = Some(task);
+                slot.queued = true;
+                st.ready.push_back(sid);
+                if lent || st.ready.len() > 1 {
+                    self.notify_work_one();
+                }
+            }
+            Next::After(d) => {
+                slot.task = Some(task);
+                slot.queued = true;
+                st.timed.push(Reverse((sim::now() + d, sid)));
+                // A parked worker may be in an untimed wait (heap was
+                // empty) or waiting on a later deadline; wake one so it
+                // re-reads the heap and re-parks against this deadline —
+                // otherwise the reactivation stalls until some unrelated
+                // activation completes.
+                self.notify_work_one();
+            }
+            Next::Idle => {
+                slot.task = Some(task);
+                if slot.wake_pending {
+                    slot.wake_pending = false;
+                    slot.queued = true;
+                    st.ready.push_back(sid);
+                    if lent {
+                        self.notify_work_one();
+                    }
+                }
+            }
+        }
+        st
+    }
 }
 
 /// The scheduling loop run by every pool thread. Regular workers
@@ -562,6 +720,7 @@ impl PoolInner {
 /// shutdown; emergency reserve workers exit as soon as the ready queue is
 /// empty — they exist only to unfreeze an all-workers-blocked pool.
 fn worker_loop(inner: &PoolInner, reserve: bool) {
+    ON_POOL_WORKER.with(|f| f.set(true));
     let mut st = inner.state.lock();
     loop {
         // Shutdown preempts queued work: a task that keeps returning
@@ -586,91 +745,11 @@ fn worker_loop(inner: &PoolInner, reserve: bool) {
                 continue;
             };
             slot.queued = false;
-            let Some(mut task) = slot.task.take() else {
+            let Some(task) = slot.task.take() else {
                 continue;
             };
             drop(st);
-            // Contain panics: one misbehaving session must not kill a worker
-            // (the pool is fixed-size; a dead worker is capacity lost forever)
-            // or strand its client.
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run(&inner.db, sid)));
-            // The activation is over; if it reported a row-lock wait, this
-            // thread is no longer blocked in it.
-            let waited = IN_WAIT_REPORT.with(|f| f.replace(false));
-            let next = match outcome {
-                Ok(next) => next,
-                Err(_) => {
-                    eprintln!("pgssi-server: session {sid} panicked; closing it");
-                    task.close();
-                    drop(task);
-                    st = inner.state.lock();
-                    if waited {
-                        st.waiting_workers -= 1;
-                    }
-                    if let Some(slot @ Some(_)) = st.slots.get_mut(sid) {
-                        *slot = None;
-                        st.free.push(sid);
-                        st.live -= 1;
-                        inner.activity.lock().remove(&sid);
-                    }
-                    continue;
-                }
-            };
-            st = inner.state.lock();
-            if waited {
-                st.waiting_workers -= 1;
-            }
-            let Some(Some(slot)) = st.slots.get_mut(sid) else {
-                // Slot retired while this activation ran (pool-wide session
-                // close): run the close hook so the task's client unblocks.
-                // Closed and dropped outside the state lock — the task may own
-                // a transaction whose `Drop` rolls back through the engine.
-                drop(st);
-                task.close();
-                drop(task);
-                st = inner.state.lock();
-                continue;
-            };
-            match next {
-                Next::Stop => {
-                    st.slots[sid] = None;
-                    st.free.push(sid);
-                    st.live -= 1;
-                    inner.activity.lock().remove(&sid);
-                    // Drop the task outside the state lock (see above).
-                    drop(st);
-                    drop(task);
-                    st = inner.state.lock();
-                }
-                Next::Again => {
-                    slot.task = Some(task);
-                    slot.queued = true;
-                    st.ready.push_back(sid);
-                    if st.ready.len() > 1 {
-                        inner.notify_work_one();
-                    }
-                }
-                Next::After(d) => {
-                    slot.task = Some(task);
-                    slot.queued = true;
-                    st.timed.push(Reverse((sim::now() + d, sid)));
-                    // A parked worker may be in an untimed wait (heap was
-                    // empty) or waiting on a later deadline; wake one so it
-                    // re-reads the heap and re-parks against this deadline —
-                    // otherwise the reactivation stalls until some unrelated
-                    // activation completes.
-                    inner.notify_work_one();
-                }
-                Next::Idle => {
-                    slot.task = Some(task);
-                    if slot.wake_pending {
-                        slot.wake_pending = false;
-                        slot.queued = true;
-                        st.ready.push_back(sid);
-                    }
-                }
-            }
+            st = inner.activate(sid, task, false);
             continue;
         }
 
@@ -881,6 +960,114 @@ mod tests {
         pool.wake(sid);
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(runs.load(Ordering::SeqCst), 2);
+        pool.shutdown();
+    }
+    /// A connection thread lending itself (`run_or_wake`) races lock-holder
+    /// priority wakes for the same session: the task is never entered by two
+    /// threads at once, and every input queued before a `run_or_wake` is
+    /// consumed exactly once — inline, or by the worker the wake was latched
+    /// for.
+    #[test]
+    fn lent_thread_and_priority_wakes_never_share_a_task() {
+        use std::sync::atomic::AtomicBool;
+
+        struct Inbox {
+            queue: Arc<Mutex<VecDeque<u64>>>,
+            inside: Arc<AtomicBool>,
+            taken: Arc<AtomicU64>,
+            sum: Arc<AtomicU64>,
+        }
+        impl SessionTask for Inbox {
+            fn run(&mut self, _db: &ShardedDatabase, _sid: SessionId) -> Next {
+                assert!(
+                    !self.inside.swap(true, Ordering::SeqCst),
+                    "two threads inside one session"
+                );
+                loop {
+                    let Some(x) = self.queue.lock().pop_front() else {
+                        break;
+                    };
+                    self.sum.fetch_add(x, Ordering::SeqCst);
+                    self.taken.fetch_add(1, Ordering::SeqCst);
+                }
+                self.inside.store(false, Ordering::SeqCst);
+                Next::Idle
+            }
+        }
+
+        /// Keeps the pool's only worker busy in short activations, so that a
+        /// priority-woken session stays queued long enough to be met there
+        /// (an idle worker can be switched to, run the session and park
+        /// again inside the waker's own `notify` call).
+        struct Busy;
+        impl SessionTask for Busy {
+            fn run(&mut self, _db: &ShardedDatabase, _sid: SessionId) -> Next {
+                let until = Instant::now() + Duration::from_micros(20);
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                Next::Again
+            }
+        }
+
+        const INPUTS: u64 = 20_000;
+        let db = Database::new(EngineConfig::default());
+        let pool = SessionPool::new(db, ServerConfig::with_workers(1));
+        pool.spawn(Box::new(Busy)).unwrap();
+        let queue = Arc::new(Mutex::new(VecDeque::new()));
+        let (taken, sum) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let sid = pool
+            .spawn(Box::new(Inbox {
+                queue: Arc::clone(&queue),
+                inside: Arc::new(AtomicBool::new(false)),
+                taken: Arc::clone(&taken),
+                sum: Arc::clone(&sum),
+            }))
+            .unwrap();
+        pool.note_txn(0, TxnId(7), sid);
+
+        let feeding = AtomicBool::new(true);
+        let (mut inline, mut latched) = (0u64, 0u64);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Paced: back-to-back priority wakes keep the session queued
+                // for a worker around the clock and nothing would run inline.
+                while feeding.load(Ordering::SeqCst) {
+                    pool.inner.wake_txn_owner(0, TxnId(7));
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            for x in 1..=INPUTS {
+                queue.lock().push_back(x);
+                // The other thread's wakes land wherever the scheduler puts
+                // them; these land on the idle task just before a claim, so
+                // the worker path is taken hundreds of times whatever the box.
+                if x % 64 == 0 {
+                    pool.inner.wake_txn_owner(0, TxnId(7));
+                }
+                if pool.run_or_wake(sid) {
+                    inline += 1;
+                    continue;
+                }
+                // Latched: a worker owes this input a run. Waiting for it
+                // keeps the feeder in step with the pool, so the two kinds
+                // of claim go on alternating for the whole run.
+                latched += 1;
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while taken.load(Ordering::SeqCst) < x {
+                    assert!(Instant::now() < deadline, "input {x} was lost");
+                    std::thread::yield_now();
+                }
+            }
+            feeding.store(false, Ordering::SeqCst);
+        });
+        assert_eq!(taken.load(Ordering::SeqCst), INPUTS);
+        assert_eq!(sum.load(Ordering::SeqCst), INPUTS * (INPUTS + 1) / 2);
+        assert!(
+            inline > INPUTS / 128 && latched > INPUTS / 128,
+            "both outcomes must occur often for the race to have been run \
+             (inline {inline}, latched {latched})"
+        );
         pool.shutdown();
     }
 }

@@ -39,6 +39,8 @@
 //! engine API and then read over the wire. The load generators use
 //! integers exclusively.
 
+use std::io::Write;
+
 use pgssi_common::{Key, Row, Value};
 use pgssi_engine::{BeginOptions, IsolationLevel};
 
@@ -111,20 +113,27 @@ pub fn parse_value(tok: &str) -> Value {
     }
 }
 
-/// Render one value as a protocol token (inverse of [`parse_value`] for the
+/// Append one value as a protocol token (inverse of [`parse_value`] for the
 /// token set the protocol produces).
-pub fn format_value(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Text(s) => s.clone(),
-    }
+pub fn write_value(out: &mut Vec<u8>, v: &Value) {
+    // Writing into a `Vec` cannot fail.
+    let _ = match v {
+        Value::Null => out.write_all(b"NULL"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Text(s) => out.write_all(s.as_bytes()),
+    };
 }
 
-/// Render a row as space-separated tokens.
-pub fn format_row(row: &Row) -> String {
-    row.iter().map(format_value).collect::<Vec<_>>().join(" ")
+/// Append a row's tokens, `sep` between them (a space in `ROW`, a comma
+/// inside `ROWS`).
+pub fn write_row(out: &mut Vec<u8>, row: &Row, sep: u8) {
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        write_value(out, v);
+    }
 }
 
 fn parse_begin(tokens: &[&str]) -> Result<Command, String> {
@@ -356,8 +365,12 @@ mod tests {
     #[test]
     fn value_round_trip() {
         for tok in ["5", "-3", "true", "false", "NULL", "abc"] {
-            assert_eq!(format_value(&parse_value(tok)), tok);
+            let mut out = Vec::new();
+            write_value(&mut out, &parse_value(tok));
+            assert_eq!(out, tok.as_bytes());
         }
-        assert_eq!(format_row(&row![1, 2]), "1 2");
+        let mut out = Vec::new();
+        write_row(&mut out, &row![1, 2], b' ');
+        assert_eq!(out, b"1 2");
     }
 }

@@ -12,6 +12,15 @@ use pgssi_common::Result;
 /// response lines, one response per request, in order.
 pub trait Transport: Send + Sync {
     /// Enqueue one request line without waiting for its response.
+    ///
+    /// When the line reaches the server: it is on the wire (or in the
+    /// session's inbox) when `send` returns if no earlier request on this
+    /// handle still awaits its response — so "send, then watch the effect
+    /// from another session" works — and otherwise no later than the next
+    /// receive call (`recv`, `try_recv`, `roundtrip`, `pipeline`) or the
+    /// drop of this handle. A [`TcpClient`](crate::TcpClient) uses the
+    /// latitude to put the lines queued behind an in-flight request into one
+    /// `write`; a [`SessionHandle`](crate::SessionHandle) delivers at once.
     fn send(&self, line: &str) -> Result<()>;
 
     /// Blocking receive of the next response line.
@@ -30,8 +39,9 @@ pub trait Transport: Send + Sync {
     }
 
     /// Send a batch (e.g. a whole transaction) and collect every response.
-    /// Implementations may override this to enqueue the batch atomically so
-    /// one server activation executes it back-to-back.
+    /// Both implementations override this to hand the batch over in one step
+    /// (one inbox append; one socket `write`) so one server activation
+    /// executes it back-to-back.
     fn pipeline(&self, lines: &[&str]) -> Result<Vec<String>> {
         for line in lines {
             self.send(line)?;

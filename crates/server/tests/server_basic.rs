@@ -790,6 +790,211 @@ fn idle_connection_times_out_and_rolls_back() {
     server.shutdown();
 }
 
+/// A TCP session runs on its connection's own thread, so when it parks on a
+/// row lock no pool worker is lost: it must not count towards the
+/// all-workers-blocked test. With one worker, a TCP waiter behind a TCP
+/// holder resolves without any reserve worker, the count does not leak, and
+/// the same shape over in-process sessions (which do occupy the worker)
+/// still gets its reserve afterwards.
+#[test]
+fn tcp_waiter_is_not_counted_as_a_blocked_worker() {
+    let mut config = EngineConfig::default();
+    config.ssi.lock_wait_timeout = std::time::Duration::from_secs(5);
+    let db = Database::new(config);
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    let server = Server::new(
+        db,
+        ServerConfig {
+            workers: 1,
+            max_sessions: 8,
+            ..ServerConfig::default()
+        },
+    );
+    let front = server.listen("127.0.0.1:0").unwrap();
+    let wait_reports = || server.db().stats_report().txn_wait_reports;
+    let blocked_since = |reports: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while wait_reports() == reports {
+            assert!(std::time::Instant::now() < deadline, "waiter never blocked");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    };
+
+    let holder = TcpClient::connect(front.local_addr()).unwrap();
+    assert_eq!(
+        holder
+            .pipeline(&["BEGIN", "PUT kv 9 90", "COMMIT"])
+            .unwrap(),
+        ["OK", "OK", "OK"]
+    );
+    assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
+    assert_eq!(holder.roundtrip("PUT kv 9 91").unwrap(), "OK");
+    let waiter = TcpClient::connect(front.local_addr()).unwrap();
+    assert_eq!(waiter.roundtrip("BEGIN READ COMMITTED").unwrap(), "OK");
+    let reports = wait_reports();
+    waiter.send("PUT kv 9 92").unwrap(); // parks its connection thread
+    blocked_since(reports);
+    // The holder's COMMIT arrives on its own connection, which runs it.
+    assert_eq!(holder.roundtrip("COMMIT").unwrap(), "OK");
+    assert_eq!(waiter.recv().unwrap(), "OK");
+    assert_eq!(waiter.roundtrip("COMMIT").unwrap(), "OK");
+    assert_eq!(
+        server.db().stats_report().session_reserve_workers,
+        0,
+        "the only worker was free all along: no reserve is due"
+    );
+
+    // Nothing leaked: were the parked connection thread still counted, the
+    // pool would look all-blocked from here on, and waking a session that
+    // owns a transaction (the COMMIT below) would spawn a reserve for nothing.
+    let idle = server.connect().unwrap();
+    for line in ["BEGIN", "PUT kv 8 80", "COMMIT"] {
+        assert_eq!(idle.roundtrip(line).unwrap(), "OK");
+    }
+    assert_eq!(server.db().stats_report().session_reserve_workers, 0);
+
+    // Same shape in-process: the waiter now does block the pool's only
+    // worker, and the stall still resolves through the reserve (one for the
+    // priority wake; a second if that one has retired before the COMMIT).
+    let holder = server.connect().unwrap();
+    assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
+    assert_eq!(holder.roundtrip("PUT kv 9 93").unwrap(), "OK");
+    let waiter = server.connect().unwrap();
+    assert_eq!(waiter.roundtrip("BEGIN READ COMMITTED").unwrap(), "OK");
+    let reports = wait_reports();
+    waiter.send("PUT kv 9 94").unwrap();
+    blocked_since(reports);
+    assert_eq!(holder.roundtrip("COMMIT").unwrap(), "OK");
+    assert_eq!(waiter.recv().unwrap(), "OK");
+    assert_eq!(waiter.roundtrip("COMMIT").unwrap(), "OK");
+    let reserves = server.db().stats_report().session_reserve_workers;
+    assert!((1..=2).contains(&reserves), "got {reserves}");
+
+    drop((holder, waiter, idle));
+    front.shutdown();
+    server.shutdown();
+}
+
+/// `Server::shutdown` reaches a TCP session wherever its task is: parked in
+/// its slot (the holder, idle between statements) or claimed by its own
+/// connection thread (the waiter, inside a row-lock wait). Both clients end
+/// up `Disconnected` and both open transactions roll back.
+#[test]
+fn shutdown_closes_tcp_sessions_parked_or_claimed() {
+    let mut config = EngineConfig::default();
+    config.ssi.lock_wait_timeout = std::time::Duration::from_millis(200);
+    let db = Database::new(config);
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    let server = Server::new(db.clone(), ServerConfig::with_workers(1));
+    let front = server.listen("127.0.0.1:0").unwrap();
+
+    let holder = TcpClient::connect(front.local_addr()).unwrap();
+    assert_eq!(
+        holder
+            .pipeline(&["BEGIN", "PUT kv 7 70", "COMMIT"])
+            .unwrap(),
+        ["OK", "OK", "OK"]
+    );
+    assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
+    assert_eq!(holder.roundtrip("PUT kv 7 71").unwrap(), "OK");
+    let waiter = TcpClient::connect(front.local_addr()).unwrap();
+    assert_eq!(waiter.roundtrip("BEGIN READ COMMITTED").unwrap(), "OK");
+    assert_eq!(waiter.roundtrip("PUT kv 8 80").unwrap(), "OK");
+    waiter.send("PUT kv 7 72").unwrap(); // parks the waiter's connection thread
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while db.stats_report().txn_wait_reports < 1 {
+        assert!(std::time::Instant::now() < deadline, "waiter never blocked");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    front.shutdown();
+    server.shutdown();
+    for client in [&holder, &waiter] {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        // The waiter may first be told its lock wait timed out.
+        while !matches!(client.recv(), Err(Error::Disconnected(_))) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "client never observed shutdown"
+            );
+        }
+    }
+    let mut check = db.begin(pgssi_engine::IsolationLevel::ReadCommitted);
+    let seven = check.get("kv", &vec![7.into()]).unwrap();
+    assert_eq!(seven.map(|r| r[1].clone()), Some(70.into()));
+    assert_eq!(check.get("kv", &vec![8.into()]).unwrap(), None);
+    check.commit().unwrap();
+}
+
+/// Session-pool overload as behaviour: a client that pipelines requests and
+/// never reads a response jams its own connection — the responses overrun
+/// both socket buffers and the session blocks in `write` — and nothing else.
+/// With a single pool worker, a second TCP client and an in-process session
+/// still commit promptly, and when the slow client hangs up its session goes
+/// away.
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    use std::io::Write;
+
+    let server = kv_server(1, 8);
+    let front = server.listen("127.0.0.1:0").unwrap();
+    let sessions_before = server.live_sessions();
+
+    // A raw socket: `TcpClient` would hold lines back behind the first.
+    let mut slow = std::net::TcpStream::connect(front.local_addr()).unwrap();
+    slow.set_write_timeout(Some(std::time::Duration::from_millis(500)))
+        .unwrap();
+    let flood = std::thread::spawn(move || {
+        // Each 9-byte request earns a 24-byte `ERR no transaction open`.
+        let chunk = b"GET kv 1\n".repeat(4096);
+        let mut sent = 0usize;
+        while sent < 64 << 20 {
+            match slow.write(&chunk) {
+                Ok(n) => sent += n,
+                // Timed out: the server has stopped reading this socket.
+                Err(_) => break,
+            }
+        }
+        (slow, sent)
+    });
+    let (slow, sent) = flood.join().unwrap();
+    assert!(sent > 0);
+
+    // Each commits on its own thread so that a wedged server fails the test
+    // instead of hanging it.
+    let commit = |client: Box<dyn Transport>| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(client.pipeline(&["BEGIN", "PUT kv 1 1", "COMMIT"]));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+    };
+    let over_tcp = commit(Box::new(TcpClient::connect(front.local_addr()).unwrap()));
+    assert_eq!(
+        over_tcp.expect("TCP commit stalled").unwrap(),
+        ["OK", "OK", "OK"]
+    );
+    let in_process = commit(Box::new(server.connect().unwrap()));
+    assert_eq!(
+        in_process.expect("in-process commit stalled").unwrap(),
+        ["OK", "OK", "OK"]
+    );
+
+    drop(slow);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while server.live_sessions() != sessions_before {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the slow client's session must retire once it hangs up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    front.shutdown();
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Sharded cluster behind the wire layer
 // ---------------------------------------------------------------------------
