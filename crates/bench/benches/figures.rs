@@ -76,7 +76,7 @@ fn fig6_mini(c: &mut Criterion) {
                         items: 40,
                         categories: 5,
                         bids: 80,
-                        obs: Default::default(),
+                        trace: false,
                     });
                     let r = bench.run(mode, 2, Duration::from_millis(60), 3);
                     Duration::from_secs_f64(

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use pgssi_bench::harness::Mode;
-use pgssi_common::{row, IoModel, LockTarget, RelId, SsiConfig, TupleId};
+use pgssi_common::{row, LockTarget, RelId, SsiConfig, TupleId};
 use pgssi_engine::{Database, TableDef};
 use pgssi_index::BTreeIndex;
 use pgssi_lockmgr::siread::SireadLockManager;
@@ -86,7 +86,7 @@ fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.measurement_time(Duration::from_secs(3));
     for mode in [Mode::Si, Mode::Ssi, Mode::S2pl] {
-        let db = Database::new(mode.config(IoModel::in_memory()));
+        let db = Database::new(mode.config());
         db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
             .unwrap();
         let mut t = db.begin(pgssi_engine::IsolationLevel::ReadCommitted);

@@ -5,7 +5,6 @@
 use std::time::Duration;
 
 use pgssi_common::stats::fmt_ns;
-use pgssi_common::ObsConfig;
 use pgssi_engine::{Database, LatencyReport};
 
 /// Parsed argv for a figure binary. Construct with [`BenchArgs::parse`] in
@@ -57,7 +56,7 @@ impl BenchArgs {
     }
 
     /// The raw argv, for the occasional binary-specific positional convention
-    /// (e.g. fig5's bare `disk` / `--config disk`).
+    /// (e.g. fig5's bare `disk` / `--config disk`, which it refuses).
     pub fn raw(&self) -> &[String] {
         &self.argv
     }
@@ -97,18 +96,10 @@ impl BenchArgs {
         }
     }
 
-    /// True if `--trace` was passed (per-transaction event ring).
+    /// True if `--trace` was passed: the value of [`pgssi_common::EngineConfig::trace`]
+    /// (per-transaction event ring).
     pub fn trace(&self) -> bool {
         self.flag("--trace")
-    }
-
-    /// Observability config implied by the flags: `--trace` enables the
-    /// per-transaction event ring.
-    pub fn obs(&self) -> ObsConfig {
-        ObsConfig {
-            trace: self.trace(),
-            ..ObsConfig::default()
-        }
     }
 
     /// Print a percentile table for the run's latency histograms when
@@ -188,9 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn obs_flags() {
+    fn trace_flag() {
         // Tracing defaults off.
-        assert!(!args(&["x"]).obs().trace);
-        assert!(args(&["x", "--trace"]).obs().trace);
+        assert!(!args(&["x"]).trace());
+        assert!(args(&["x", "--trace"]).trace());
     }
 }

@@ -8,7 +8,7 @@
 use pgssi_bench::args::BenchArgs;
 use pgssi_bench::harness::{print_header, print_normalized_row, Mode};
 use pgssi_bench::sibench::Sibench;
-use pgssi_common::{EngineConfig, IoModel};
+use pgssi_common::EngineConfig;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -28,8 +28,8 @@ fn main() {
         last_dbs.clear();
         for mode in Mode::ALL {
             let db = bench.setup_with(EngineConfig {
-                obs: args.obs(),
-                ..mode.config(IoModel::in_memory())
+                trace: args.trace(),
+                ..mode.config()
             });
             let r = bench.run_on(&db, mode, threads, duration, 42);
             results.push((mode, r));

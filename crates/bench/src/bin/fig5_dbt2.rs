@@ -1,7 +1,10 @@
-//! Figures 5a/5b: DBT-2++ throughput versus fraction of read-only
-//! transactions, normalized to SI — in-memory (5a) and disk-bound (5b)
-//! configurations. Also prints the §8.2 headline row (standard 8% read-only
-//! mix with serialization-failure rates).
+//! Figure 5a: DBT-2++ throughput versus fraction of read-only transactions,
+//! normalized to SI, in memory. Also prints the §8.2 headline row (standard
+//! 8% read-only mix with serialization-failure rates).
+//!
+//! Figure 5b (disk-bound) is not reproduced: every heap page is resident,
+//! so `disk` / `--config disk` is refused. Commit-path I/O is measured by
+//! the observatory's `durable-write` workload instead.
 //!
 //! With `--sessions N` the standard-mix table re-runs in *session mode*: `N`
 //! logical DBT-2 terminals with per-terminal think/keying times
@@ -11,8 +14,7 @@
 //! thread-per-client harness.
 //!
 //! ```sh
-//! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- --config memory
-//! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- --config disk
+//! cargo run --release -p pgssi-bench --bin fig5_dbt2
 //! cargo run --release -p pgssi-bench --bin fig5_dbt2 -- \
 //!     --sessions 256 --workers 8 --think-ms 10 --keying-ms 5
 //! ```
@@ -27,20 +29,19 @@ fn main() {
     let args = BenchArgs::parse();
     let duration = args.duration_or(1200);
     let threads = args.usize_or("--threads", 4); // paper: concurrency 4 in-memory
-    let disk = args.raw().iter().any(|a| a == "disk" || a == "--disk")
-        || args
-            .raw()
-            .windows(2)
-            .any(|w| w[0] == "--config" && w[1] == "disk");
-
-    let (mut base, label, modes): (Dbt2Config, &str, &[Mode]) = if disk {
-        (Dbt2Config::disk_bound(), "5b (disk-bound)", &Mode::MAIN)
-    } else {
-        (Dbt2Config::in_memory(), "5a (in-memory)", &Mode::ALL)
+    if args.raw().iter().any(|a| a == "disk" || a == "--disk") {
+        eprintln!(
+            "fig5_dbt2: Figure 5b (disk-bound) is not reproduced: every heap page is resident"
+        );
+        std::process::exit(2);
+    }
+    let modes = &Mode::ALL;
+    let base = Dbt2Config {
+        trace: args.trace(),
+        ..Dbt2Config::in_memory()
     };
-    base.obs = args.obs();
 
-    println!("Figure {label}: DBT-2++ throughput vs read-only fraction, normalized to SI");
+    println!("Figure 5a (in-memory): DBT-2++ throughput vs read-only fraction, normalized to SI");
     println!(
         "scale: {} warehouses x {} districts x {} customers, {} items; {threads} threads, {duration:?} per cell\n",
         base.warehouses, base.districts, base.customers, base.items
@@ -81,7 +82,7 @@ fn main() {
         dbs.push((mode, db));
     }
     println!("\npaper's shape: SSI within single-digit % of SI; S2PL below, the gap");
-    println!("widening with the read-only fraction; differences compress disk-bound.");
+    println!("widening with the read-only fraction.");
 
     // Optional session-mode rerun: many think-time terminals on few workers.
     if let Some(sessions) = args.value("--sessions") {

@@ -14,7 +14,7 @@ fn main() {
     let duration = args.duration_or(2000);
     let threads = args.usize_or("--threads", 8);
     let config = RubisConfig {
-        obs: args.obs(),
+        trace: args.trace(),
         ..RubisConfig::default()
     };
 

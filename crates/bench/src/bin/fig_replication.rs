@@ -37,7 +37,7 @@ fn main() {
     );
 
     let db = Database::new(EngineConfig {
-        obs: args.obs(),
+        trace: args.trace(),
         ..EngineConfig::default()
     });
     db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))

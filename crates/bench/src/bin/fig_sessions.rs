@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use pgssi_bench::args::BenchArgs;
 use pgssi_bench::harness::{seed_for, Mode};
 use pgssi_bench::sibench::Sibench;
-use pgssi_common::{IoModel, ServerConfig};
+use pgssi_common::{EngineConfig, ServerConfig};
 use pgssi_server::{Server, TcpClient, Transport};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -176,8 +176,10 @@ fn main() {
     }
 
     let bench = Sibench { table_size: rows };
-    let mut config = Mode::Ssi.config(IoModel::in_memory());
-    config.obs = args.obs();
+    let config = EngineConfig {
+        trace: args.trace(),
+        ..Mode::Ssi.config()
+    };
     let shards = config.txn.id_shards;
     let db = bench.setup_with(config);
     let server = Arc::new(Server::new(

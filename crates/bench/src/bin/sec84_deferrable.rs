@@ -27,7 +27,7 @@ fn main() {
     );
     let bench = Dbt2 {
         config: Dbt2Config {
-            obs: args.obs(),
+            trace: args.trace(),
             ..Dbt2Config::in_memory()
         },
     };

@@ -1,4 +1,4 @@
-//! DBT-2++ (paper §8.2, Figures 5a/5b): a TPC-C-like transaction-processing
+//! DBT-2++ (paper §8.2, Figure 5a): a TPC-C-like transaction-processing
 //! workload extended with Cahill's "credit check" transaction, which can form
 //! dependency cycles with New-Order and Payment — plain TPC-C is serializable
 //! under SI, so without it SSI would have nothing to catch.
@@ -13,7 +13,7 @@
 use std::ops::Bound;
 use std::time::Duration;
 
-use pgssi_common::{row, IoModel, Key, Result, Row, Value};
+use pgssi_common::{row, Key, Result, Row, Value};
 use pgssi_engine::{BeginOptions, Database, IndexDef, IndexKind, TableDef, Transaction};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -44,11 +44,9 @@ pub struct Dbt2Config {
     /// Scheduling-wise it merges with `think_time` into one inter-transaction
     /// pause; it is kept separate so configs can mirror TPC-C clause 5.2.5.7.
     pub keying_time: Duration,
-    /// I/O model: in-memory (Figure 5a) or disk-bound (Figure 5b).
-    pub io: IoModel,
-    /// Observability knobs (latency histograms / tracing) for the database
-    /// this config builds.
-    pub obs: pgssi_common::ObsConfig,
+    /// Lifecycle tracing ([`pgssi_common::EngineConfig::trace`]) for the
+    /// database this config builds.
+    pub trace: bool,
 }
 
 impl Dbt2Config {
@@ -64,29 +62,13 @@ impl Dbt2Config {
             read_only_fraction: 0.08,
             think_time: Duration::ZERO,
             keying_time: Duration::ZERO,
-            io: IoModel::in_memory(),
-            obs: pgssi_common::ObsConfig::default(),
+            trace: false,
         }
     }
 
     /// Total inter-transaction pause a session observes.
     pub fn pause(&self) -> Duration {
         self.think_time + self.keying_time
-    }
-
-    /// Figure 5b's disk-bound configuration: larger working set + miss latency.
-    pub fn disk_bound() -> Dbt2Config {
-        Dbt2Config {
-            warehouses: 6,
-            districts: 10,
-            customers: 60,
-            items: 400,
-            read_only_fraction: 0.08,
-            think_time: Duration::ZERO,
-            keying_time: Duration::ZERO,
-            io: IoModel::disk_bound(Duration::from_micros(40), 256),
-            obs: pgssi_common::ObsConfig::default(),
-        }
     }
 }
 
@@ -101,8 +83,8 @@ impl Dbt2 {
     pub fn setup(&self, mode: Mode) -> Database {
         let c = &self.config;
         let db = Database::new(pgssi_common::EngineConfig {
-            obs: c.obs,
-            ..mode.config(c.io.clone())
+            trace: c.trace,
+            ..mode.config()
         });
         db.create_table(TableDef::new("warehouse", &["w_id", "name"], vec![0]))
             .unwrap();
@@ -578,8 +560,7 @@ mod tests {
                 read_only_fraction: 0.2,
                 think_time: Duration::ZERO,
                 keying_time: Duration::ZERO,
-                io: IoModel::in_memory(),
-                obs: Default::default(),
+                trace: false,
             },
         }
     }

@@ -133,7 +133,6 @@ pub fn run_probe_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgssi_common::IoModel;
 
     #[test]
     fn probe_always_obtains_safe_snapshots() {
@@ -145,8 +144,7 @@ mod tests {
             read_only_fraction: 0.1,
             think_time: Duration::ZERO,
             keying_time: Duration::ZERO,
-            io: IoModel::in_memory(),
-            obs: Default::default(),
+            trace: false,
         };
         let report = run_probe(config, 2, 5, Duration::from_millis(5));
         assert_eq!(report.waits.len(), 5, "no probe may starve");

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use pgssi_common::{EngineConfig, IoModel, SsiConfig};
+use pgssi_common::{EngineConfig, SsiConfig};
 use pgssi_engine::IsolationLevel;
 
 /// The isolation modes compared in the paper's evaluation.
@@ -26,7 +26,7 @@ impl Mode {
     /// All four series, in the paper's presentation order.
     pub const ALL: [Mode; 4] = [Mode::Si, Mode::Ssi, Mode::SsiNoRoOpt, Mode::S2pl];
 
-    /// The three series used where the paper omits the no-r/o-opt line (5b, 6).
+    /// The three series used where the paper omits the no-r/o-opt line (6).
     pub const MAIN: [Mode; 3] = [Mode::Si, Mode::Ssi, Mode::S2pl];
 
     /// Column label as printed by the harnesses.
@@ -49,15 +49,14 @@ impl Mode {
     }
 
     /// Engine configuration (disables the read-only optimizations for the
-    /// ablation series) with the given I/O model.
-    pub fn config(self, io: IoModel) -> EngineConfig {
+    /// ablation series).
+    pub fn config(self) -> EngineConfig {
         let ssi = match self {
             Mode::SsiNoRoOpt => SsiConfig::without_read_only_opt(),
             _ => SsiConfig::default(),
         };
         EngineConfig {
             ssi,
-            io,
             ..EngineConfig::default()
         }
     }
@@ -193,18 +192,8 @@ mod tests {
         assert_eq!(Mode::Ssi.isolation(), IsolationLevel::Serializable);
         assert_eq!(Mode::SsiNoRoOpt.isolation(), IsolationLevel::Serializable);
         assert_eq!(Mode::S2pl.isolation(), IsolationLevel::Serializable2pl);
-        assert!(
-            !Mode::SsiNoRoOpt
-                .config(IoModel::in_memory())
-                .ssi
-                .enable_read_only_opt
-        );
-        assert!(
-            Mode::Ssi
-                .config(IoModel::in_memory())
-                .ssi
-                .enable_read_only_opt
-        );
+        assert!(!Mode::SsiNoRoOpt.config().ssi.enable_read_only_opt);
+        assert!(Mode::Ssi.config().ssi.enable_read_only_opt);
     }
 
     #[test]
@@ -238,7 +227,7 @@ mod tests {
     #[test]
     fn database_opens_per_mode() {
         for m in Mode::ALL {
-            let db = Database::new(m.config(IoModel::in_memory()));
+            let db = Database::new(m.config());
             let _ = db.begin(m.isolation());
         }
     }

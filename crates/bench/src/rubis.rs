@@ -11,7 +11,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 
-use pgssi_common::{row, IoModel, Key, Result};
+use pgssi_common::{row, Key, Result};
 use pgssi_engine::{BeginOptions, Database, IndexDef, IndexKind, TableDef, Transaction};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +29,8 @@ pub struct RubisConfig {
     pub categories: i64,
     /// Pre-loaded bids.
     pub bids: i64,
-    /// Observability knobs (latency histograms / tracing).
-    pub obs: pgssi_common::ObsConfig,
+    /// Lifecycle tracing ([`pgssi_common::EngineConfig::trace`]).
+    pub trace: bool,
 }
 
 impl Default for RubisConfig {
@@ -40,7 +40,7 @@ impl Default for RubisConfig {
             items: 200,
             categories: 10,
             bids: 400,
-            obs: pgssi_common::ObsConfig::default(),
+            trace: false,
         }
     }
 }
@@ -69,8 +69,8 @@ impl Rubis {
     pub fn setup(&self, mode: Mode) -> Database {
         let c = &self.config;
         let db = Database::new(pgssi_common::EngineConfig {
-            obs: c.obs,
-            ..mode.config(IoModel::in_memory())
+            trace: c.trace,
+            ..mode.config()
         });
         db.create_table(TableDef::new("users", &["u_id", "name", "rating"], vec![0]))
             .unwrap();
@@ -284,7 +284,7 @@ mod tests {
                 items: 20,
                 categories: 4,
                 bids: 40,
-                obs: Default::default(),
+                trace: false,
             });
             let r = bench.run(mode, 2, Duration::from_millis(120), 11);
             assert!(r.committed > 0, "{mode:?} made no progress");
@@ -298,7 +298,7 @@ mod tests {
             items: 5,
             categories: 2,
             bids: 0,
-            obs: Default::default(),
+            trace: false,
         });
         let db = bench.setup(Mode::Ssi);
         let mut rng = SmallRng::seed_from_u64(1);

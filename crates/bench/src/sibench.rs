@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use pgssi_common::{row, EngineConfig, IoModel};
+use pgssi_common::{row, EngineConfig};
 use pgssi_engine::{BeginOptions, Database, TableDef};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,11 +25,11 @@ pub struct Sibench {
 impl Sibench {
     /// Build the database and load `table_size` rows.
     pub fn setup(&self, mode: Mode) -> Database {
-        self.setup_with(mode.config(IoModel::in_memory()))
+        self.setup_with(mode.config())
     }
 
-    /// [`Sibench::setup`] with an explicit engine configuration (the scaling
-    /// figure overrides `lock_partitions` for its ablation series).
+    /// [`Sibench::setup`] with an explicit engine configuration (the figure
+    /// binaries add `--trace` to it).
     pub fn setup_with(&self, config: EngineConfig) -> Database {
         let db = Database::new(config);
         db.create_table(TableDef::new("si", &["k", "v"], vec![0]))

@@ -1,25 +1,32 @@
 //! Runtime configuration.
 //!
-//! [`SsiConfig`] exposes the memory-bounding and optimization knobs the paper
-//! describes: fixed-size predicate-lock and committed-transaction tables (§6),
-//! granularity-promotion thresholds (§5.2.1), and switches for the commit-ordering
-//! (§3.3.1) and read-only (§4) optimizations so the benchmarks can run the
-//! "SSI (no r/o opt.)" series from Figures 4 and 5.
+//! [`EngineConfig`] has thirteen leaf fields. A field stays only while a second
+//! value is needed by more than a test of that value alone — a figure, a
+//! measurement, a reference arm other tests compare against, or a deployment
+//! choice; everything else is a constant where it is used (the SIREAD
+//! partition count, the trace ring's size) or is always on (the §3.3.1
+//! commit-ordering rule). Why each survivor stays:
+//!
+//! - `ssi.graph_shards`: `core/tests/graph_model.rs` runs `1` as the reference
+//!   arm the sharded registry is compared against.
+//! - `ssi.enable_read_only_opt`: the "SSI (no r/o opt.)" series of Figures 4
+//!   and 5a.
+//! - `ssi.read_batch`: `1` is the eager reference of `readset_model.rs` and the
+//!   arm that costs 39 % of `tps` on `readmostly-ssi`.
+//! - `txn.id_shards`, `txn.txid_block`: `1`/`1` measurably loses on
+//!   `scan-update-ssi` latency and `cluster-cross` throughput.
+//! - `ssi.max_predicate_locks_per_txn`, `ssi.promote_tuple_threshold`,
+//!   `ssi.promote_page_threshold`, `ssi.max_committed_sxacts`,
+//!   `ssi.serial_ram_pages`: [`SsiConfig::tiny`] drives the §6 memory-pressure
+//!   tests through them.
+//! - `ssi.lock_wait_timeout`, `wal.mode`, `trace`: deployment and diagnostic
+//!   settings that callers choose.
 
 use std::time::Duration;
 
 /// Tuning knobs for the SSI core and the SIREAD lock manager.
 #[derive(Clone, Debug)]
 pub struct SsiConfig {
-    /// Number of lightweight-lock partitions the SIREAD lock table is hashed
-    /// into (PostgreSQL: `NUM_PREDICATELOCK_PARTITIONS`, fixed at 16). Targets
-    /// hash by relation/page, so operations touching disjoint data take
-    /// disjoint mutexes; `1` degenerates to a single table-wide mutex.
-    /// Kept as a fixed default, not tuned: the observatory A/B of `1` against
-    /// `16` (`readmostly-ssi` 164.0k vs 160.8k txn/s, `scan-update-ssi` 22.9k
-    /// vs 22.4k) sits inside run-to-run spread — 2 vCPU, re-measure on ≥ 8
-    /// cores.
-    pub lock_partitions: usize,
     /// Number of shards the SSI transaction-record registry (`sxacts` /
     /// `by_txid` in the conflict-graph manager) is hashed into. Registry
     /// lookups and insertions on different shards share nothing; the conflict
@@ -59,10 +66,6 @@ pub struct SsiConfig {
     /// pages are spilled to the simulated disk backing store, giving the table
     /// effectively unlimited capacity with bounded RAM (paper §6.2).
     pub serial_ram_pages: usize,
-    /// Apply the commit-ordering optimization (paper §3.3.1): a dangerous structure
-    /// only forces an abort if T3 committed first. Disabling reproduces "plain"
-    /// Cahill-style SSI for ablation.
-    pub enable_commit_ordering_opt: bool,
     /// Apply the read-only snapshot ordering rule (paper §4.1, Theorem 3) and safe
     /// snapshots (§4.2). The Figure 4/5 "SSI (no r/o opt.)" series disables this.
     pub enable_read_only_opt: bool,
@@ -75,7 +78,6 @@ pub struct SsiConfig {
 impl Default for SsiConfig {
     fn default() -> Self {
         SsiConfig {
-            lock_partitions: 16,
             graph_shards: 16,
             max_predicate_locks_per_txn: 4096,
             promote_tuple_threshold: 16,
@@ -87,7 +89,6 @@ impl Default for SsiConfig {
             read_batch: 32,
             max_committed_sxacts: 1024,
             serial_ram_pages: 8,
-            enable_commit_ordering_opt: true,
             enable_read_only_opt: true,
             lock_wait_timeout: Duration::from_secs(10),
         }
@@ -240,84 +241,21 @@ impl WalConfig {
     }
 }
 
-/// Simulated I/O cost model.
-///
-/// The paper's disk-bound configuration (Figure 5b) exists to show that when I/O
-/// dominates, SSI's CPU overhead stops mattering. We reproduce the effect by
-/// charging a synthetic latency for buffer-cache misses against a configurable
-/// cache size (see DESIGN.md §2 for the substitution rationale).
-#[derive(Clone, Debug)]
-pub struct IoModel {
-    /// Latency charged for a heap-page cache miss. `Duration::ZERO` disables the
-    /// model (the "in-memory"/tmpfs configuration).
-    pub miss_latency: Duration,
-    /// Number of heap pages the simulated buffer cache holds.
-    pub cache_pages: usize,
-}
-
-impl IoModel {
-    /// No I/O cost: the in-memory (tmpfs) configuration from §8.1/§8.2.
-    pub fn in_memory() -> IoModel {
-        IoModel {
-            miss_latency: Duration::ZERO,
-            cache_pages: usize::MAX,
-        }
-    }
-
-    /// Disk-bound configuration: cache misses pay `miss_latency`.
-    pub fn disk_bound(miss_latency: Duration, cache_pages: usize) -> IoModel {
-        IoModel {
-            miss_latency,
-            cache_pages,
-        }
-    }
-
-    /// Whether the model ever charges latency.
-    pub fn is_noop(&self) -> bool {
-        self.miss_latency.is_zero()
-    }
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        IoModel::in_memory()
-    }
-}
-
-/// Observability: the per-transaction event tracer. (The latency histograms
-/// are always on — recording is one relaxed atomic add per sample.)
-#[derive(Clone, Copy, Debug)]
-pub struct ObsConfig {
-    /// Retain per-transaction lifecycle events (begin, conflict edges, doom,
-    /// commit/abort …) in a fixed-size ring. Off by default: the disabled
-    /// tracer allocates nothing and its record path is a single branch.
-    pub trace: bool,
-    /// Ring capacity (events) when tracing is enabled.
-    pub trace_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig {
-            trace: false,
-            trace_capacity: 4096,
-        }
-    }
-}
-
 /// Top-level engine configuration.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// SSI / lock-manager tuning.
     pub ssi: SsiConfig,
-    /// Simulated I/O model.
-    pub io: IoModel,
     /// Transaction-manager sharding (txid blocks, snapshot cache).
     pub txn: TxnConfig,
     /// Durable-WAL placement.
     pub wal: WalConfig,
-    /// Observability: tracing.
-    pub obs: ObsConfig,
+    /// Retain per-transaction lifecycle events (begin, conflict edges, doom,
+    /// commit/abort …) in a fixed 4 096-event ring. Off by default: the
+    /// disabled tracer allocates nothing and its record path is a single
+    /// branch. (The latency histograms are always on — recording is one
+    /// relaxed atomic add per sample.)
+    pub trace: bool,
 }
 
 #[cfg(test)]
@@ -325,17 +263,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_enables_both_optimizations() {
-        let c = SsiConfig::default();
-        assert!(c.enable_commit_ordering_opt);
-        assert!(c.enable_read_only_opt);
-    }
-
-    #[test]
-    fn no_ro_opt_config() {
-        let c = SsiConfig::without_read_only_opt();
-        assert!(!c.enable_read_only_opt);
-        assert!(c.enable_commit_ordering_opt);
+    fn read_only_opt_is_on_unless_asked_off() {
+        assert!(SsiConfig::default().enable_read_only_opt);
+        assert!(!SsiConfig::without_read_only_opt().enable_read_only_opt);
     }
 
     #[test]
@@ -349,7 +279,6 @@ mod tests {
     fn sharding_and_batching_defaults() {
         let c = SsiConfig::default();
         assert!(c.read_batch > 1);
-        assert_eq!(c.lock_partitions, 16);
         assert_eq!(c.graph_shards, 16);
         let t = TxnConfig::default();
         assert!(t.id_shards >= 1);
@@ -372,11 +301,5 @@ mod tests {
         let f = WalConfig::file("/tmp/x");
         assert!(matches!(f.mode, WalMode::File { .. }));
         assert_eq!(EngineConfig::default().wal.mode, WalMode::Memory);
-    }
-
-    #[test]
-    fn io_model_noop_detection() {
-        assert!(IoModel::in_memory().is_noop());
-        assert!(!IoModel::disk_bound(Duration::from_micros(50), 100).is_noop());
     }
 }

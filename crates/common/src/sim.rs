@@ -236,10 +236,11 @@ pub struct SimConfig {
     pub drop_wakeup_permille: u16,
     /// Upper bound on injected wakeup delay, in virtual nanoseconds.
     pub max_delay_ns: u64,
-    /// Hard cap on recorded trace events (the run keeps going; the trace
-    /// marks itself truncated).
-    pub trace_capacity: usize,
 }
+
+/// Hard cap on recorded trace events (the run keeps going; the trace marks
+/// itself truncated).
+const TRACE_EVENTS_MAX: usize = 1 << 20;
 
 impl SimConfig {
     /// A schedule-exploring default: moderate perturbation, no wakeup faults.
@@ -250,7 +251,6 @@ impl SimConfig {
             delay_wakeup_permille: 0,
             drop_wakeup_permille: 0,
             max_delay_ns: 2_000_000,
-            trace_capacity: 1 << 20,
         }
     }
 }
@@ -779,7 +779,7 @@ impl Scheduler {
 
     fn record(&self, st: &mut State, thread: u16, site: Site, kind: EventKind, arg: u64) {
         st.seq += 1;
-        if st.trace.len() < self.cfg.trace_capacity {
+        if st.trace.len() < TRACE_EVENTS_MAX {
             let seq = st.seq;
             st.trace.push(SimEvent {
                 seq,

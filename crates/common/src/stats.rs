@@ -551,7 +551,7 @@ struct TraceSlot {
 /// can tear (payload from one event, seq from another) — acceptable for a
 /// diagnostic surface, and impossible before the first wrap.
 ///
-/// A zero-capacity tracer (the default, `EngineConfig.obs.trace = false`)
+/// A zero-capacity tracer (the default, `EngineConfig.trace = false`)
 /// allocates no slots and its `record` is a single branch.
 pub struct Tracer {
     slots: Vec<TraceSlot>,

@@ -17,7 +17,8 @@
 //! * **safe-retry victim selection** (§5.4);
 //! * **aggressive cleanup** and **summarization** under fixed memory (§6), with
 //!   the SLRU-style [`serial::SerialTable`] holding summarized conflict data;
-//! * **two-phase commit** integration (§7.1) with conservative recovery flags.
+//! * **two-phase commit** integration (§7.1): a prepared transaction carries
+//!   conservative conflict flags from PREPARE on, live or recovered.
 //!
 //! Conflicts reach the manager from two directions, exactly as in PostgreSQL
 //! (§5.2): MVCC visibility checks report *write-before-read* conflicts

@@ -693,21 +693,17 @@ impl SsiManager {
         // Conservative conditions (slightly stricter than PostgreSQL's
         // `e < my snapshot`; see DESIGN.md): t3 committed first (e < W's commit)
         // and, if the read-only rule applies to me, e < my snapshot.
-        if e != CommitSeqNo::MAX && e.is_valid() {
-            let commit_order_ok = !self.config.enable_commit_ordering_opt || e < w_commit;
-            let ro_ok =
-                !(self.config.enable_read_only_opt && me.is_read_only()) || e < me.snapshot_csn;
-            if commit_order_ok && ro_ok {
-                // t2 and t3 both committed: the only possible victim is me (§5.4
-                // rule 3 — and retrying is safe, since both are committed).
-                self.stats.dangerous_structures.bump();
-                self.stats.summary_aborts.bump();
-                self.stats.aborts_self.bump();
-                return Err(Error::serialization(
-                    SerializationKind::SummaryConflict,
-                    "conflict out to an old pivot (summarized transaction)",
-                ));
-            }
+        let ro_ok = !(self.config.enable_read_only_opt && me.is_read_only()) || e < me.snapshot_csn;
+        if e.is_valid() && e < w_commit && ro_ok {
+            // t2 and t3 both committed: the only possible victim is me (§5.4
+            // rule 3 — and retrying is safe, since both are committed).
+            self.stats.dangerous_structures.bump();
+            self.stats.summary_aborts.bump();
+            self.stats.aborts_self.bump();
+            return Err(Error::serialization(
+                SerializationKind::SummaryConflict,
+                "conflict out to an old pivot (summarized transaction)",
+            ));
         }
         // Structure B: t2 = me (pivot), t3 = W committed at w_commit.
         self.check_pivot_in_with_t3(me, mg, Some(w_commit), me.id, dooms)
@@ -807,18 +803,10 @@ impl SsiManager {
                 let res = {
                     let mut mg = me.lock();
                     mg.summary_conflict_in = true;
-                    let e = mg.earliest_out_conflict_commit;
-                    let has_out = !mg.out_conflicts.is_empty()
-                        || mg.summary_conflict_out
-                        || e != CommitSeqNo::MAX;
-                    let dangerous = if self.config.enable_commit_ordering_opt {
-                        // t3 must have committed before t1 (bounded above by c)
-                        // and before me (uncommitted → unbounded).
-                        e != CommitSeqNo::MAX && e < c
-                    } else {
-                        has_out
-                    };
-                    if dangerous {
+                    // t3 must have committed before t1 (bounded above by c)
+                    // and before me (uncommitted → unbounded); `e` is MAX
+                    // while I have no committed out-conflict.
+                    if mg.earliest_out_conflict_commit < c {
                         self.stats.dangerous_structures.bump();
                         self.stats.summary_aborts.bump();
                         self.stats.aborts_self.bump();
@@ -909,28 +897,20 @@ impl SsiManager {
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
         let e = t2g.earliest_out_conflict_commit;
-        let dangerous = if self.config.enable_commit_ordering_opt {
-            // T3 must be the first of the three to commit (§3.3.1). The
-            // comparisons are non-strict because T1 and T3 may be the *same*
-            // transaction (2-cycles like write skew): then e == t1's CSN and
-            // the structure is still dangerous. Prepared-but-uncommitted
-            // transactions count as "not committed yet" (bound = ∞): their
-            // prepare CSN is only a lower bound on the eventual commit.
-            let t1_bound = t1.commit_csn().unwrap_or(CommitSeqNo::MAX);
-            let t2_bound = t2.commit_csn().unwrap_or(CommitSeqNo::MAX);
-            e != CommitSeqNo::MAX && e <= t1_bound && e <= t2_bound
-        } else {
-            !t2g.out_conflicts.is_empty() || t2g.summary_conflict_out || e != CommitSeqNo::MAX
-        };
-        if !dangerous {
+        // T3 must be the first of the three to commit (§3.3.1). The
+        // comparisons are non-strict because T1 and T3 may be the *same*
+        // transaction (2-cycles like write skew): then e == t1's CSN and
+        // the structure is still dangerous. Prepared-but-uncommitted
+        // transactions count as "not committed yet" (bound = ∞): their
+        // prepare CSN is only a lower bound on the eventual commit.
+        let t1_bound = t1.commit_csn().unwrap_or(CommitSeqNo::MAX);
+        let t2_bound = t2.commit_csn().unwrap_or(CommitSeqNo::MAX);
+        if e == CommitSeqNo::MAX || e > t1_bound || e > t2_bound {
             return Ok(());
         }
         // Read-only rule (Theorem 3): a read-only T1 is only part of an anomaly
         // if T3 committed before T1's snapshot.
-        if self.config.enable_read_only_opt
-            && t1.is_read_only()
-            && !(e != CommitSeqNo::MAX && e < t1.snapshot_csn)
-        {
+        if self.config.enable_read_only_opt && t1.is_read_only() && e >= t1.snapshot_csn {
             return Ok(());
         }
         self.stats.dangerous_structures.bump();
@@ -952,15 +932,13 @@ impl SsiManager {
         acting: SxactId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
-        if self.config.enable_commit_ordering_opt && t3_csn.is_none() {
+        let Some(c) = t3_csn else {
             // Nothing to do until T3 commits (safe-retry rule 1, §5.4); the
             // pre-commit check on T3 handles it.
             return Ok(());
-        }
-        if let (Some(c), Some(t2_commit)) = (t3_csn, t2.commit_csn()) {
-            if self.config.enable_commit_ordering_opt && c > t2_commit {
-                return Ok(()); // T2 committed before T3: T3 is not first
-            }
+        };
+        if t2.commit_csn().is_some_and(|t2_commit| c > t2_commit) {
+            return Ok(()); // T2 committed before T3: T3 is not first
         }
         // BTreeSet iteration: candidates are visited in ascending id order, so
         // victim choice is deterministic across registry-shard counts.
@@ -984,17 +962,9 @@ impl SsiManager {
                     // Non-strict: T1 may be T3 itself (2-cycles). Prepared
                     // counts as uncommitted (see check_pivot_out).
                     let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                    let commit_order_ok = if self.config.enable_commit_ordering_opt {
-                        t3_csn.map(|c| c <= t1_bound).unwrap_or(false)
-                    } else {
-                        true
-                    };
-                    let ro_ok = if self.config.enable_read_only_opt && t1x.is_read_only() {
-                        t3_csn.map(|c| c < t1x.snapshot_csn).unwrap_or(false)
-                    } else {
-                        true
-                    };
-                    commit_order_ok && ro_ok
+                    let ro_ok = !(self.config.enable_read_only_opt && t1x.is_read_only())
+                        || c < t1x.snapshot_csn;
+                    c <= t1_bound && ro_ok
                 }
                 // Summarized T1: conservatively dangerous (identity and commit
                 // time lost; cannot apply either optimization).
@@ -1213,10 +1183,9 @@ impl SsiManager {
                         }
                         // Non-strict: T1 may be T3 itself (2-cycles).
                         let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                        let co = !self.config.enable_commit_ordering_opt || e <= t1_bound;
                         let ro = !(self.config.enable_read_only_opt && t1x.is_read_only())
                             || e < t1x.snapshot_csn;
-                        co && ro
+                        e <= t1_bound && ro
                     }
                     None => true,
                 };
@@ -1740,7 +1709,8 @@ impl SsiManager {
 
     /// PREPARE TRANSACTION: run the pre-commit check, then persist the SSI state
     /// that must survive a crash (the SIREAD locks; the dependency graph is
-    /// deliberately not persisted — recovery assumes conflicts both ways).
+    /// deliberately not persisted — recovery assumes conflicts both ways, and
+    /// so, from here on, does the live record).
     pub fn prepare(&self, handle: &SxactHandle, frontier: CommitSeqNo) -> Result<PreparedSsi> {
         self.precommit(handle, frontier)?;
         let me = &handle.rec;
@@ -1753,48 +1723,39 @@ impl SsiManager {
             self.siread.publish_pending_for(owner);
             self.siread.flush_tallies(owner);
         }
-        // Prepare-time conflict facts: the same projection a CommitDigest
-        // carries at commit, captured here so a cross-shard coordinator can
-        // judge a distributed dangerous structure from its branches' records
-        // (the local pivot check above only sees this shard's edges).
+        let prepare_csn = me.prepare_csn().unwrap_or(frontier);
+        // Prepare-time conflict facts — the same projection a CommitDigest
+        // carries at commit, so a cross-shard coordinator can judge a
+        // distributed dangerous structure from its branches' records (the
+        // local pivot check above only sees this shard's edges) — and, in the
+        // same critical section, the §7.1 conservatism a recovered prepared
+        // transaction gets: conflicts both ways, out-bound at the prepare CSN.
+        // Facts and marking are one step: an edge flagged after the facts
+        // are read meets the marked record, so it is in one net or the other.
         let (had_in_conflict, had_out_conflict, earliest_out_conflict_commit) = {
-            let g = me.lock();
-            (
+            let mut g = me.lock();
+            let facts = (
                 !g.in_conflicts.is_empty() || g.summary_conflict_in,
                 !g.out_conflicts.is_empty()
                     || g.summary_conflict_out
                     || g.earliest_out_conflict_commit != CommitSeqNo::MAX,
                 g.earliest_out_conflict_commit,
-            )
+            );
+            g.summary_conflict_in = true;
+            g.summary_conflict_out = true;
+            g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(prepare_csn);
+            facts
         };
         Ok(PreparedSsi {
             txid: me.txid,
             snapshot_csn: me.snapshot_csn,
-            prepare_csn: me.prepare_csn().unwrap_or(frontier),
+            prepare_csn,
             siread_locks: self.siread.held_targets(sx.0),
             wrote: me.wrote(),
             had_in_conflict,
             had_out_conflict,
             earliest_out_conflict_commit,
         })
-    }
-
-    /// Treat a live prepared transaction as committed-with-conflicts-both-ways
-    /// (§7.1 conservatism, applied by a cross-shard coordinator): once a branch
-    /// of a distributed transaction has prepared, its sibling branches' edges
-    /// live on other shards where this shard cannot see them, so every edge
-    /// formed against the branch *after* PREPARE must assume the invisible half
-    /// of a dangerous structure exists. Setting the summary flags makes the
-    /// existing prepared-pivot machinery (`precommit_check_t2`, pivot checks)
-    /// fire on any new in- or out-edge, aborting the acting transaction instead
-    /// of the unabortable prepared one.
-    pub fn mark_prepared_conservative(&self, sx: &SxactHandle) {
-        let me = &sx.rec;
-        let bound = me.prepare_csn().unwrap_or(CommitSeqNo::MAX);
-        let mut g = me.lock();
-        g.summary_conflict_in = true;
-        g.summary_conflict_out = true;
-        g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(bound);
     }
 
     /// Rebuild a prepared transaction after a crash. Its dependency edges are

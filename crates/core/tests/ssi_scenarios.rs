@@ -300,57 +300,28 @@ fn read_only_opt_avoids_false_positive() {
 // ---------------------------------------------------------------------------
 
 /// T1 → T2 → T3 where T1 commits before T3: no abort required (T3 is not the
-/// first committer). Disabling the optimization aborts spuriously.
+/// first committer).
 #[test]
 fn commit_ordering_opt_avoids_false_positive() {
-    for (co_opt, expect_abort) in [(true, false), (false, true)] {
-        let config = SsiConfig {
-            enable_commit_ordering_opt: co_opt,
-            enable_read_only_opt: false, // isolate the commit-ordering rule
-            ..SsiConfig::default()
-        };
-        let h = Harness::new(config);
+    let h = Harness::new(SsiConfig {
+        enable_read_only_opt: false, // isolate the commit-ordering rule
+        ..SsiConfig::default()
+    });
 
-        let t1 = h.begin();
-        let t2 = h.begin();
-        let t3 = h.begin();
-        // T1 reads A; T2 writes A (edge T1 → T2).
-        h.read(t1, 0).unwrap();
-        // T2 reads B; T3 writes B (edge T2 → T3).
-        h.read(t2, 1).unwrap();
-        let r = h.write(t2, 0);
-        if r.is_err() {
-            assert!(expect_abort, "unexpected early failure");
-            h.abort(t2);
-            continue;
-        }
-        let r = h.write(t3, 1);
-        match r {
-            Ok(()) => {}
-            Err(_) => {
-                assert!(expect_abort);
-                h.abort(t3);
-                continue;
-            }
-        }
-        // T1 commits first, then T3, then T2: the cycle condition (T3 first)
-        // never holds.
-        let r1 = h.commit(t1);
-        if expect_abort {
-            // Without commit ordering, some participant fails somewhere in this
-            // history; accept failure at any of the commits.
-            let r3 = h.commit(t3);
-            let r2 = h.commit(t2);
-            assert!(
-                r1.is_err() || r3.is_err() || r2.is_err(),
-                "plain SSI should abort this history"
-            );
-        } else {
-            r1.unwrap();
-            h.commit(t3).unwrap();
-            h.commit(t2).unwrap();
-        }
-    }
+    let t1 = h.begin();
+    let t2 = h.begin();
+    let t3 = h.begin();
+    // T1 reads A; T2 writes A (edge T1 → T2).
+    h.read(t1, 0).unwrap();
+    // T2 reads B; T3 writes B (edge T2 → T3).
+    h.read(t2, 1).unwrap();
+    h.write(t2, 0).unwrap();
+    h.write(t3, 1).unwrap();
+    // T1 commits first, then T3, then T2: the cycle condition (T3 first)
+    // never holds.
+    h.commit(t1).unwrap();
+    h.commit(t3).unwrap();
+    h.commit(t2).unwrap();
 }
 
 // ---------------------------------------------------------------------------

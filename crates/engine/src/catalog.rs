@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use pgssi_common::{Error, Key, RelId, Result, Row, TupleId};
 use pgssi_index::{BTreeIndex, HashIndex};
-use pgssi_storage::{BufferCache, Heap};
+use pgssi_storage::Heap;
 
 /// Which access method an index uses (paper §7.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -160,19 +160,19 @@ pub struct Table {
 pub struct Catalog {
     tables: RwLock<HashMap<String, Arc<Table>>>,
     next_rel: AtomicU32,
-    cache: Arc<BufferCache>,
 }
 
-impl Catalog {
-    /// Empty catalog charging heap I/O to `cache`.
-    pub fn new(cache: Arc<BufferCache>) -> Catalog {
+impl Default for Catalog {
+    /// Empty catalog; relation ids start at 1.
+    fn default() -> Catalog {
         Catalog {
             tables: RwLock::new(HashMap::new()),
             next_rel: AtomicU32::new(1),
-            cache,
         }
     }
+}
 
+impl Catalog {
     /// Allocate a fresh relation id.
     pub fn alloc_rel(&self) -> RelId {
         RelId(self.next_rel.fetch_add(1, Ordering::Relaxed))
@@ -227,7 +227,7 @@ impl Catalog {
             name: def.name.clone(),
             heap_rel,
             inner: RwLock::new(TableInner {
-                heap: Arc::new(Heap::new(heap_rel, Arc::clone(&self.cache))),
+                heap: Arc::new(Heap::new(heap_rel)),
                 pk,
                 secondaries,
                 def,
@@ -269,11 +269,6 @@ impl Catalog {
         names.sort();
         names
     }
-
-    /// The shared buffer cache.
-    pub fn cache(&self) -> &Arc<BufferCache> {
-        &self.cache
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +277,7 @@ mod tests {
     use pgssi_common::row;
 
     fn cat() -> Catalog {
-        Catalog::new(Arc::new(BufferCache::new(Default::default())))
+        Catalog::default()
     }
 
     #[test]

@@ -575,13 +575,10 @@ impl ShardedTransaction {
                 stats.cross_shard_aborts.bump();
                 return Err(e);
             }
-            // From here until the global fate lands, this branch must treat
-            // every new edge as if the transaction had committed — the §7.1
-            // prepared conservatism, applied because a cross-shard
-            // transaction becomes unabortable shard-locally once prepared.
-            self.cluster.inner.shards[shard]
-                .mark_prepared_conservative(&gid)
-                .expect("branch prepared above");
+            // PREPARE itself marked the branch conservative (§7.1), in the
+            // step that read the facts unioned below: until the global fate
+            // lands, every new edge on this shard is judged as if the
+            // transaction had committed.
             prepared.push(shard);
         }
 

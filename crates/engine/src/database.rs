@@ -14,7 +14,7 @@ use pgssi_common::{CommitSeqNo, EngineConfig, Error, Key, Result, Row, Snapshot,
 use pgssi_core::{SafetyState, SsiManager};
 use pgssi_lockmgr::s2pl::S2plLockManager;
 use pgssi_storage::wal::{Lsn, WalStore};
-use pgssi_storage::{BufferCache, CommitLog, TxnManager};
+use pgssi_storage::{CommitLog, TxnManager};
 
 use crate::catalog::{Catalog, Table, TableDef};
 use crate::durability::{
@@ -24,6 +24,9 @@ use crate::durability::{
 use crate::replication::{ReplicationStats, WalStream};
 use crate::twophase::PreparedTxn;
 use crate::txn::{SsiTxn, Transaction};
+
+/// Events the lifecycle tracer retains when [`EngineConfig::trace`] is on.
+const TRACE_EVENTS: usize = 4096;
 
 /// Transaction isolation levels (paper §5.1, §8).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,8 +170,6 @@ pub struct StatsReport {
     pub siread_acquisitions: u64,
     /// SIREAD granularity promotions (tuple→page, page→relation).
     pub siread_promotions: u64,
-    /// Number of SIREAD lock-table partitions.
-    pub siread_partitions: usize,
     /// Lock targets currently resident in the SIREAD table.
     pub siread_locks: usize,
     /// Times any partition mutex was taken.
@@ -255,7 +256,7 @@ pub struct StatsReport {
     pub aborts_by: pgssi_common::AbortSnapshot,
     /// Latency histograms for the commit path and its phases.
     pub latency: LatencyReport,
-    /// Lifecycle events recorded by the tracer (0 unless `obs.trace` is on).
+    /// Lifecycle events recorded by the tracer (0 unless `trace` is on).
     pub trace_events: u64,
     /// Cluster: shard count behind the routing layer (0 = not a cluster
     /// report; the `cluster:` display line only appears when nonzero).
@@ -387,7 +388,6 @@ impl StatsReport {
                 StatsReport {
                     $($f: self.$f.saturating_sub(baseline.$f),)*
                     ssi_graph_shards: self.ssi_graph_shards,
-                    siread_partitions: self.siread_partitions,
                     siread_locks: self.siread_locks,
                     txn_id_shards: self.txn_id_shards,
                     cluster_shards: self.cluster_shards,
@@ -564,12 +564,11 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "siread : acquisitions {}  promotions {}  resident {}  partitions {}  \
+            "siread : acquisitions {}  promotions {}  resident {}  \
              mutex-taken {}  contended {} ({:.3}%)",
             self.siread_acquisitions,
             self.siread_promotions,
             self.siread_locks,
-            self.siread_partitions,
             self.siread_partition_taken,
             self.siread_partition_contended,
             100.0 * self.siread_contention_rate(),
@@ -804,15 +803,14 @@ impl Database {
     }
 
     fn fresh(config: EngineConfig, dwal: DurableWal) -> Database {
-        let cache = Arc::new(BufferCache::new(config.io.clone()));
-        let tracer = Arc::new(if config.obs.trace {
-            Tracer::new(config.obs.trace_capacity)
+        let tracer = Arc::new(if config.trace {
+            Tracer::new(TRACE_EVENTS)
         } else {
             Tracer::disabled()
         });
         Database {
             inner: Arc::new(DbInner {
-                catalog: Catalog::new(cache),
+                catalog: Catalog::default(),
                 tm: TxnManager::with_config(&config.txn),
                 ssi: RwLock::new(Arc::new(SsiManager::with_tracer(
                     config.ssi.clone(),
@@ -1340,7 +1338,6 @@ impl Database {
             ssi_graph_shards: ssi.graph_shards(),
             siread_acquisitions: siread.acquisitions.get(),
             siread_promotions: siread.promotions.get(),
-            siread_partitions: siread.partition_count(),
             siread_locks: parts.iter().map(|p| p.locks).sum(),
             siread_partition_taken: parts.iter().map(|p| p.taken).sum(),
             siread_partition_contended: parts.iter().map(|p| p.contended).sum(),
@@ -1413,7 +1410,7 @@ impl Database {
     }
 
     /// Dump the lifecycle tracer's ring, oldest retained event first. Empty
-    /// unless the database was opened with `obs.trace` on.
+    /// unless the database was opened with `trace` on.
     pub fn trace_dump(&self) -> Vec<TraceEvent> {
         self.inner.tracer.dump()
     }
@@ -1531,22 +1528,6 @@ impl Database {
         Ok(())
     }
 
-    /// Mark a prepared transaction's SSI state conservatively: summary
-    /// conflicts both ways, as if it had already committed at its prepare
-    /// CSN. A cross-shard coordinator calls this on every branch right after
-    /// PREPARE succeeds, so edges formed while the global fate is undecided
-    /// hit the full prepared-pivot machinery (§7.1 applied across shards).
-    pub fn mark_prepared_conservative(&self, gid: &str) -> Result<()> {
-        let prepared = self.inner.lock_prepared();
-        let rec = prepared
-            .get(gid)
-            .ok_or_else(|| Error::NotFound(format!("prepared transaction {gid:?}")))?;
-        if let Some(sx) = &rec.sx {
-            self.inner.ssi().mark_prepared_conservative(sx);
-        }
-        Ok(())
-    }
-
     /// The crash-safe SSI facts of a prepared transaction (None for a
     /// non-serializable branch). A cross-shard coordinator unions these
     /// across branches to evaluate the distributed dangerous-structure rule.
@@ -1649,10 +1630,7 @@ impl Database {
         let mut inner = t.inner.write();
         // Rebuild the heap from the latest committed row versions.
         let snapshot = self.inner.tm.snapshot();
-        let new_heap = Arc::new(pgssi_storage::Heap::new(
-            t.heap_rel,
-            Arc::clone(self.inner.catalog.cache()),
-        ));
+        let new_heap = Arc::new(pgssi_storage::Heap::new(t.heap_rel));
         // No vacuum can run on this table meanwhile: it needs the DDL lock.
         let rows = visible_rows(&inner.heap, &snapshot, self.inner.tm.clog());
         // Fresh physical layout + rebuilt indexes.

@@ -441,9 +441,10 @@ fn single_phantom_edge_is_allowed() {
 fn write_skew_abort_is_classified_and_traced() {
     use pgssi_common::{EngineConfig, Error, TraceTag};
 
-    let mut config = EngineConfig::default();
-    config.obs.trace = true;
-    let db = Database::new(config);
+    let db = Database::new(EngineConfig {
+        trace: true,
+        ..EngineConfig::default()
+    });
     db.create_table(TableDef::new("doctors", &["name", "on_call"], vec![0]))
         .unwrap();
     {

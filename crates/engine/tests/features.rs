@@ -108,6 +108,45 @@ fn recovered_prepared_transaction_still_conflicts() {
     db.commit_prepared("gid-1").unwrap();
 }
 
+/// PREPARE marks the live transaction exactly as recovery rebuilds it:
+/// conflicts assumed both ways. Its recorded facts are the ones read before
+/// that marking (no edge yet), and one new rw edge from a neighbour, in
+/// either direction, aborts the neighbour — before the crash and after it.
+#[test]
+fn prepared_transaction_is_conservative_live_and_recovered() {
+    let db = kv_db();
+    let mut setup = db.begin(IsolationLevel::ReadCommitted);
+    setup.insert("kv", row![1, 1]).unwrap();
+    setup.insert("kv", row![2, 2]).unwrap();
+    setup.commit().unwrap();
+
+    let mut p = db.begin(IsolationLevel::Serializable);
+    let _ = p.get("kv", &row![1]).unwrap();
+    p.update("kv", &row![2], row![2, 20]).unwrap();
+    p.prepare("gid-1").unwrap();
+    let facts = db.prepared_ssi("gid-1").expect("serializable branch");
+    assert!(!facts.had_in_conflict && !facts.had_out_conflict);
+
+    let neighbours_abort = |when: &str| {
+        // n –rw→ p: n reads the version p is replacing.
+        let mut n = db.begin(IsolationLevel::Serializable);
+        let err = n.get("kv", &row![2]).unwrap_err();
+        assert!(err.is_retryable(), "{when}: {err}");
+        // p –rw→ n: n overwrites what p read.
+        let mut n = db.begin(IsolationLevel::Serializable);
+        let err = n
+            .update("kv", &row![1], row![1, 10])
+            .and_then(|_| n.commit())
+            .unwrap_err();
+        assert!(err.is_retryable(), "{when}: {err}");
+    };
+    neighbours_abort("live");
+    db.simulate_crash_recovery();
+    assert_eq!(db.prepared_ssi("gid-1"), Some(facts));
+    neighbours_abort("recovered");
+    db.commit_prepared("gid-1").unwrap();
+}
+
 #[test]
 fn prepare_runs_precommit_check() {
     // A doomed pivot cannot PREPARE: the §5.4 check runs at prepare time.

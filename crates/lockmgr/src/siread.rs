@@ -23,8 +23,9 @@
 //!
 //! ## Partitioning and lock order
 //!
-//! Like PostgreSQL's predicate lock table (16 lightweight-lock partitions), the
-//! target → holders map is hashed into [`SsiConfig::lock_partitions`] mutexes.
+//! Like PostgreSQL's predicate lock table, the target → holders map is hashed
+//! into 16 partition mutexes, a compile-time constant as
+//! `NUM_PREDICATELOCK_PARTITIONS` is.
 //! The hash keys on **relation and page only**, so a page target and every
 //! tuple on that page land in the *same* partition: the tuple→page promotion is
 //! a single-partition operation, and a writer's coarse-to-fine check chain
@@ -302,6 +303,12 @@ pub struct SireadLockManager {
     pub publish_ns: pgssi_common::Histogram,
 }
 
+/// Number of lock-table partitions. Fixed, as in PostgreSQL: an observatory
+/// A/B of `1` against `16` (`readmostly-ssi` 164.0k vs 160.8k txn/s,
+/// `scan-update-ssi` 22.9k vs 22.4k, 2 vCPU) could not tell them apart, so
+/// the count is not a setting.
+const PARTITIONS: usize = 16;
+
 /// SplitMix64 finalizer: cheap, well-mixed 64-bit hash for partition choice.
 #[inline]
 pub(crate) fn spread(mut x: u64) -> u64 {
@@ -313,12 +320,10 @@ pub(crate) fn spread(mut x: u64) -> u64 {
 }
 
 impl SireadLockManager {
-    /// New manager with the given promotion thresholds and partition count
-    /// (a `lock_partitions` of 0 is treated as 1).
+    /// New manager with the given promotion thresholds and read batch.
     pub fn new(config: SsiConfig) -> SireadLockManager {
-        let n = config.lock_partitions.max(1);
         SireadLockManager {
-            partitions: (0..n)
+            partitions: (0..PARTITIONS)
                 .map(|_| PartitionSlot {
                     locks: Mutex::new(PartitionMap::default()),
                     taken: Counter::new(),
@@ -326,7 +331,7 @@ impl SireadLockManager {
                 })
                 .collect(),
             owners: RwLock::new(HashMap::new()),
-            filter: PresenceFilter::new(n),
+            filter: PresenceFilter::new(PARTITIONS),
             summarized_targets: AtomicU64::new(0),
             count_from: config
                 .promote_tuple_threshold
@@ -349,11 +354,6 @@ impl SireadLockManager {
         self.config.read_batch > 1
     }
 
-    /// Number of lock-table partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Partition index for `target`: relation targets hash by relation, page
     /// and tuple targets by (relation, page) — so a page and its tuples always
     /// share a partition.
@@ -362,7 +362,7 @@ impl SireadLockManager {
             LockTarget::Relation(r) => (r.0 as u64) << 32 | 0xFFFF_FFFF,
             LockTarget::Page(r, p) | LockTarget::Tuple(r, p, _) => (r.0 as u64) << 32 | p as u64,
         };
-        (spread(key) % self.partitions.len() as u64) as usize
+        (spread(key) % PARTITIONS as u64) as usize
     }
 
     /// Presence-filter address for `target`: its partition index plus a slot
@@ -415,7 +415,7 @@ impl SireadLockManager {
     /// Lock all partitions in ascending order (rare whole-table operations).
     fn lock_all(&self) -> MultiGuard<'_> {
         MultiGuard {
-            guards: (0..self.partitions.len())
+            guards: (0..PARTITIONS)
                 .map(|i| (i, self.lock_partition(i)))
                 .collect(),
         }
@@ -1014,7 +1014,7 @@ impl SireadLockManager {
         if self.summarized_targets.load(Ordering::Relaxed) == 0 {
             return;
         }
-        for idx in 0..self.partitions.len() {
+        for idx in 0..PARTITIONS {
             let mut part = self.lock_partition(idx);
             part.retain(|_, h| {
                 if let Some(c) = h.old_committed_csn {
@@ -1498,7 +1498,6 @@ mod tests {
     #[test]
     fn targets_spread_across_partitions() {
         let m = mgr();
-        assert_eq!(m.partition_count(), 16);
         let used: std::collections::HashSet<usize> = (0..256)
             .map(|p| m.partition_of(&LockTarget::Page(R, p)))
             .collect();
@@ -1507,21 +1506,6 @@ mod tests {
             "pages hash to only {} partitions",
             used.len()
         );
-    }
-
-    #[test]
-    fn one_partition_still_works() {
-        let m = SireadLockManager::new(SsiConfig {
-            lock_partitions: 1,
-            ..SsiConfig::default()
-        });
-        assert_eq!(m.partition_count(), 1);
-        m.register_owner(1);
-        m.acquire(1, LockTarget::Tuple(R, 0, 5));
-        let chain = LockTarget::Tuple(R, 0, 5).check_chain();
-        assert_eq!(m.conflicting_holders(&chain, 2).owners, vec![1]);
-        m.release_owner(1);
-        assert_eq!(m.total_lock_count(), 0);
     }
 
     #[test]
@@ -1543,7 +1527,7 @@ mod tests {
         m.register_owner(1);
         m.acquire(1, LockTarget::Tuple(R, 0, 0));
         let stats = m.partition_stats();
-        assert_eq!(stats.len(), 16);
+        assert_eq!(stats.len(), PARTITIONS);
         assert!(stats.iter().map(|s| s.taken).sum::<u64>() > 0);
         assert_eq!(stats.iter().map(|s| s.locks).sum::<usize>(), 1);
         assert_eq!(m.contention_total(), 0, "single thread never contends");

@@ -202,7 +202,6 @@ fn writers_never_miss_unpublished_readers() {
     const ROUNDS: usize = 120;
     let config = SsiConfig {
         read_batch: 1024,
-        lock_partitions: 8,
         ..SsiConfig::default()
     };
     let mgr = SireadLockManager::new(config);

@@ -207,6 +207,11 @@ pub fn check(history: &[CommittedTxn]) -> Vec<String> {
 /// the anomaly the coordinator's conservative 2PC rule exists to prevent:
 /// each shard's projection can look serializable while the union is not
 /// (the distributed write skew shape).
+///
+/// A cycle is reported with every edge on it, as
+/// `a (scsn,ccsn) -kind sS/kK-> b (scsn,ccsn)`: the edge's kind (rw, wr or
+/// ww), the shard and key it was derived from, and both endpoints' snapshot
+/// and commit CSNs on that shard.
 pub fn check_merged_acyclic(shard_histories: &[Vec<CommittedTxn>]) -> Vec<String> {
     let mut violations = Vec::new();
     // One global node per label.
@@ -221,8 +226,10 @@ pub fn check_merged_acyclic(shard_histories: &[Vec<CommittedTxn>]) -> Vec<String
         }
     }
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); labels.len()];
+    // First witness of each global edge, for the cycle report.
+    let mut why: HashMap<(usize, usize), String> = HashMap::new();
 
-    for hist in shard_histories {
+    for (shard, hist) in shard_histories.iter().enumerate() {
         let mut by_value: HashMap<(i64, i64), usize> = HashMap::new();
         for (i, t) in hist.iter().enumerate() {
             for &(k, v) in &t.writes {
@@ -240,6 +247,21 @@ pub fn check_merged_acyclic(shard_histories: &[Vec<CommittedTxn>]) -> Vec<String
         }
 
         let g = |i: usize| node_of[hist[i].label.as_str()];
+        let mut add = |a: usize, b: usize, kind: &str, k: i64| {
+            edges[g(a)].push(g(b));
+            why.entry((g(a), g(b))).or_insert_with(|| {
+                let (ta, tb) = (&hist[a], &hist[b]);
+                format!(
+                    "{} ({},{}) -{kind} s{shard}/k{k}-> {} ({},{})",
+                    ta.label,
+                    ta.snapshot_csn,
+                    ta.commit_csn,
+                    tb.label,
+                    tb.snapshot_csn,
+                    tb.commit_csn
+                )
+            });
+        };
         for (r, t) in hist.iter().enumerate() {
             for &(k, v) in &t.reads {
                 let Some(&w) = by_value.get(&(k, v)) else {
@@ -255,18 +277,18 @@ pub fn check_merged_acyclic(shard_histories: &[Vec<CommittedTxn>]) -> Vec<String
                         .iter()
                         .find(|&&i| hist[i].commit_csn > hist[w].commit_csn && i != r)
                     {
-                        edges[g(r)].push(g(next)); // rw antidependency
+                        add(r, next, "rw", k);
                     }
                 }
                 if w != r {
-                    edges[g(w)].push(g(r)); // wr
+                    add(w, r, "wr", k);
                 }
             }
         }
-        for list in writers.values() {
+        for (&k, list) in &writers {
             for pair in list.windows(2) {
                 if pair[0] != pair[1] {
-                    edges[g(pair[0])].push(g(pair[1])); // ww
+                    add(pair[0], pair[1], "ww", k);
                 }
             }
         }
@@ -277,9 +299,12 @@ pub fn check_merged_acyclic(shard_histories: &[Vec<CommittedTxn>]) -> Vec<String
     }
     if let Some(cycle) = find_cycle(&edges) {
         let path: Vec<&str> = cycle.iter().map(|&i| labels[i]).collect();
+        let steps = cycle.iter().zip(cycle.iter().cycle().skip(1));
+        let edge_lines: Vec<&str> = steps.map(|(&a, &b)| why[&(a, b)].as_str()).collect();
         violations.push(format!(
-            "merged cross-shard serialization graph has a cycle: {}",
-            path.join(" -> ")
+            "merged cross-shard serialization graph has a cycle: {}\n    {}",
+            path.join(" -> "),
+            edge_lines.join("\n    ")
         ));
     }
     violations
@@ -426,6 +451,13 @@ mod tests {
         assert!(
             v.iter()
                 .any(|m| m.contains("cross-shard") && m.contains("cycle")),
+            "{v:?}"
+        );
+        // Each edge of the cycle names its kind, shard, key and endpoints'
+        // shard-local CSNs.
+        assert!(
+            v[0].contains("t1 (2,3) -rw s0/k1-> t2 (2,4)")
+                && v[0].contains("t2 (2,3) -rw s1/k2-> t1 (2,4)"),
             "{v:?}"
         );
     }

@@ -58,13 +58,11 @@
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use pgssi_common::{CommitSeqNo, PageNo, RelId, Row, SlotNo, Snapshot, TupleId, TxnId};
 
 use crate::clog::{CommitLog, TxnStatus};
-use crate::io::BufferCache;
 use crate::once_table::OnceTable;
 use crate::visibility::{check_mvcc, OwnXids, VisEvent};
 
@@ -205,22 +203,20 @@ pub struct Heap {
     /// One prune pass at a time, so the only other party that frees slots is a
     /// writer disposing of an aborted branch.
     prune_lock: Mutex<()>,
-    cache: Arc<BufferCache>,
     /// Runs once, between the two latches of the next cross-page hop.
     #[cfg(test)]
     hop_hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl Heap {
-    /// Empty heap for relation `rel`, charging I/O through `cache`.
-    pub fn new(rel: RelId, cache: Arc<BufferCache>) -> Heap {
+    /// Empty heap for relation `rel`.
+    pub fn new(rel: RelId) -> Heap {
         Heap {
             rel,
             pages: OnceTable::new(),
             page_count: AtomicUsize::new(0),
             with_room: Mutex::new(Vec::new()),
             prune_lock: Mutex::new(()),
-            cache,
             #[cfg(test)]
             hop_hook: Mutex::new(None),
         }
@@ -239,7 +235,6 @@ impl Heap {
     }
 
     fn page(&self, no: PageNo) -> Option<&RwLock<HeapPage>> {
-        self.cache.touch(self.rel, no);
         self.pages.get(no as usize)
     }
 
@@ -714,10 +709,10 @@ mod tests {
     use crate::txn::TxnManager;
     use crate::visibility::SingleXid;
     use pgssi_common::row;
+    use std::sync::Arc;
 
     fn heap() -> (Heap, TxnManager) {
-        let cache = Arc::new(BufferCache::new(Default::default()));
-        (Heap::new(RelId(1), cache), TxnManager::new())
+        (Heap::new(RelId(1)), TxnManager::new())
     }
 
     /// Chain read as transaction `me`, without a SIREAD hook.

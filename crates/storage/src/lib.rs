@@ -22,7 +22,6 @@
 
 pub mod clog;
 pub mod heap;
-pub mod io;
 mod once_table;
 pub mod txn;
 pub mod visibility;
@@ -30,7 +29,6 @@ pub mod wal;
 
 pub use clog::{CommitLog, TxnStatus};
 pub use heap::{Heap, HeapTuple, LockOutcome, NextPtr, PruneOutcome, TUPLES_PER_PAGE};
-pub use io::BufferCache;
 pub use txn::{TxnManager, TxnStats, WaitObserver};
 pub use visibility::{check_mvcc, OwnXids, SingleXid, VisCheck, VisEvent, VisEvents};
 pub use wal::{crc32, FileWalStore, Lsn, MemWalStore, WalStore, FRAME_HEADER};

@@ -15,12 +15,9 @@
 //!   updates it has taken.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use pgssi_common::{row, IoModel, RelId, Row, Snapshot, TupleId, TxnId, Value};
-use pgssi_storage::{
-    BufferCache, Heap, LockOutcome, SingleXid, TxnManager, TxnStatus, TUPLES_PER_PAGE,
-};
+use pgssi_common::{row, RelId, Row, Snapshot, TupleId, TxnId, Value};
+use pgssi_storage::{Heap, LockOutcome, SingleXid, TxnManager, TxnStatus, TUPLES_PER_PAGE};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -99,7 +96,7 @@ fn int(v: &Value) -> i64 {
 impl World {
     fn new() -> World {
         World {
-            heap: Heap::new(RelId(1), Arc::new(BufferCache::new(IoModel::in_memory()))),
+            heap: Heap::new(RelId(1)),
             tm: TxnManager::new(),
             roots: Vec::new(),
             committed: BTreeMap::new(),

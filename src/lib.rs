@@ -54,7 +54,7 @@
 //! | [`pgssi_engine`] | tables, transactions, 2PC, replication, vacuum |
 
 pub use pgssi_common::{
-    row, CommitSeqNo, EngineConfig, Error, IoModel, Key, Result, Row, SerializationKind, Snapshot,
+    row, CommitSeqNo, EngineConfig, Error, Key, Result, Row, SerializationKind, Snapshot,
     SsiConfig, TxnId, Value,
 };
 pub use pgssi_core::{SafetyState, SsiManager};
