@@ -1,6 +1,6 @@
 //! Runtime configuration.
 //!
-//! [`EngineConfig`] has thirteen leaf fields. A field stays only while a second
+//! [`EngineConfig`] has twelve leaf fields. A field stays only while a second
 //! value is needed by more than a test of that value alone — a figure, a
 //! measurement, a reference arm other tests compare against, or a deployment
 //! choice; everything else is a constant where it is used (the SIREAD
@@ -16,9 +16,8 @@
 //! - `txn.id_shards`, `txn.txid_block`: `1`/`1` measurably loses on
 //!   `scan-update-ssi` latency and `cluster-cross` throughput.
 //! - `ssi.max_predicate_locks_per_txn`, `ssi.promote_tuple_threshold`,
-//!   `ssi.promote_page_threshold`, `ssi.max_committed_sxacts`,
-//!   `ssi.serial_ram_pages`: [`SsiConfig::tiny`] drives the §6 memory-pressure
-//!   tests through them.
+//!   `ssi.promote_page_threshold`, `ssi.max_committed_sxacts`:
+//!   [`SsiConfig::tiny`] drives the §6 memory-pressure tests through them.
 //! - `ssi.lock_wait_timeout`, `wal.mode`, `trace`: deployment and diagnostic
 //!   settings that callers choose.
 
@@ -60,12 +59,8 @@ pub struct SsiConfig {
     /// Capacity of the committed-transaction table. When exceeded, the oldest
     /// committed transaction is *summarized*: its SIREAD locks are consolidated onto
     /// the dummy "old committed" owner and its conflict-out information moves to the
-    /// serial overflow table (paper §6.2).
+    /// serial table (paper §6.2).
     pub max_committed_sxacts: usize,
-    /// Number of in-RAM pages of the serial overflow table (the SLRU analog). Older
-    /// pages are spilled to the simulated disk backing store, giving the table
-    /// effectively unlimited capacity with bounded RAM (paper §6.2).
-    pub serial_ram_pages: usize,
     /// Apply the read-only snapshot ordering rule (paper §4.1, Theorem 3) and safe
     /// snapshots (§4.2). The Figure 4/5 "SSI (no r/o opt.)" series disables this.
     pub enable_read_only_opt: bool,
@@ -88,7 +83,6 @@ impl Default for SsiConfig {
             // has to walk.
             read_batch: 32,
             max_committed_sxacts: 1024,
-            serial_ram_pages: 8,
             enable_read_only_opt: true,
             lock_wait_timeout: Duration::from_secs(10),
         }
@@ -113,7 +107,6 @@ impl SsiConfig {
             promote_tuple_threshold: 2,
             promote_page_threshold: 2,
             max_committed_sxacts: 4,
-            serial_ram_pages: 1,
             ..SsiConfig::default()
         }
     }

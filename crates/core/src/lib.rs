@@ -16,7 +16,8 @@
 //! * **safe snapshots** and **deferrable transactions** (§4.2–4.3);
 //! * **safe-retry victim selection** (§5.4);
 //! * **aggressive cleanup** and **summarization** under fixed memory (§6), with
-//!   the SLRU-style [`serial::SerialTable`] holding summarized conflict data;
+//!   the horizon-truncated [`serial::SerialTable`] holding summarized conflict
+//!   data;
 //! * **two-phase commit** integration (§7.1): a prepared transaction carries
 //!   conservative conflict flags from PREPARE on, live or recovered.
 //!

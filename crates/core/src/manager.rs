@@ -113,7 +113,14 @@
 //! §6.2's O(degree) summarization walk runs *outside* the commit-order mutex:
 //! commit only pops the over-limit records from the committed queue under the
 //! mutex and degrades their edges afterwards, so huge conflict fan-out cannot
-//! stall concurrent begins/commits.
+//! stall concurrent begins/commits. A summarized transaction's serial-table
+//! entry lives until the §6.1 horizon passes its commit, swept with the
+//! summarized SIREAD locks after each commit or abort.
+//!
+//! Every commit — single-phase or COMMIT PREPARED — goes through
+//! [`SsiManager::commit`], and every abort through [`SsiManager::abort`]. What
+//! differs for a two-phase commit is decided by the record (the mark PREPARE
+//! sets), not by the caller's choice of entry point.
 //!
 //! ## Where conflicts come from (paper §5.2)
 //!
@@ -160,7 +167,7 @@ type SxRef = Arc<Sxact>;
 /// read/write transactions whose fate decides the safety of any snapshot
 /// taken in the same critical section — no begin can slip between the
 /// membership read and the snapshot (the same argument
-/// [`SsiManager::commit_checked`] relies on for the pivot re-check).
+/// [`SsiManager::commit`] relies on for the pivot re-check).
 #[derive(Clone, Debug)]
 pub struct CommitDigest {
     /// The committing transaction's top-level xid.
@@ -317,42 +324,32 @@ struct CommitOrder {
     safety_waiters: usize,
 }
 
-/// SIREAD-table mutations decided under graph locks but executed after they
-/// are released, so whole-table work never extends a critical section.
-/// Everything collected here *removes* locks, and removing a SIREAD lock late
-/// is conservative: the worst case is a spurious rw-conflict flag, never a
-/// missed one. (§6.2 consolidation instead runs *before* the record becomes
-/// unresolvable — see the module docs' removal protocol.)
+/// SIREAD-table and serial-table mutations decided under graph locks but
+/// executed after they are released, so whole-table work never extends a
+/// critical section. Everything collected here *removes* state, and removing
+/// it late is conservative: the worst case is a spurious rw-conflict flag,
+/// never a missed one. (§6.2 consolidation instead runs *before* the record
+/// becomes unresolvable — see the module docs' removal protocol.)
 #[derive(Default)]
 struct DeferredLockOps {
     /// Owners whose SIREAD locks should be released wholesale.
     release_owners: Vec<u64>,
-    /// Run the §6.1 summarized-lock sweep up to this horizon.
+    /// Run the §6.1 sweeps of summarized state — SIREAD locks and serial-table
+    /// entries — up to this horizon.
     drop_summarized_before: Option<CommitSeqNo>,
 }
 
 impl DeferredLockOps {
-    fn run(self, siread: &SireadLockManager) {
+    fn run(self, siread: &SireadLockManager, serial: &SerialTable) {
         for o in self.release_owners {
             siread.release_owner(o);
         }
         if let Some(h) = self.drop_summarized_before {
             siread.drop_old_committed_before(h);
+            serial.truncate_before(h);
         }
     }
 }
-
-/// Cheap env-gated tracing for debugging conflict detection (`PGSSI_TRACE=1`).
-macro_rules! trace {
-    ($($arg:tt)*) => {
-        if *TRACE {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
-static TRACE: std::sync::LazyLock<bool> =
-    std::sync::LazyLock::new(|| std::env::var_os("PGSSI_TRACE").is_some());
 
 /// The serializable-transaction manager (PostgreSQL's `predicate.c` state).
 pub struct SsiManager {
@@ -389,7 +386,7 @@ impl SsiManager {
     pub fn with_tracer(config: SsiConfig, tracer: Arc<Tracer>) -> SsiManager {
         SsiManager {
             siread: SireadLockManager::new(config.clone()),
-            serial: SerialTable::new(config.serial_ram_pages),
+            serial: SerialTable::new(),
             reg: Registry::new(config.graph_shards),
             config,
             next_id: AtomicU64::new(1),
@@ -442,7 +439,7 @@ impl SsiManager {
         &self.siread
     }
 
-    /// The serial overflow table (diagnostics and tests).
+    /// The serial table (diagnostics and tests).
     pub fn serial(&self) -> &SerialTable {
         &self.serial
     }
@@ -629,12 +626,10 @@ impl SsiManager {
                         vanished = true;
                         Ok(())
                     } else if wrec.phase() == Phase::Aborted || wrec.is_doomed() {
-                        trace!("mvcc event {sx:?} -> writer {w:?} skipped (aborted/doomed)");
                         Ok(())
                     } else if wrec.commit_csn().is_some_and(|wc| wc < my_snapshot) {
                         // A writer that committed before our snapshot is not
                         // concurrent; its lingering record is not a conflict.
-                        trace!("mvcc event {sx:?} -> writer {w:?} skipped (pre-snapshot)");
                         Ok(())
                     } else {
                         self.flag_conflict_locked(me, &mut mg, &wrec, &mut wg, sx, &mut dooms)
@@ -748,12 +743,6 @@ impl SsiManager {
         // probe touches at most two partitions, so concurrent writers on
         // disjoint data don't serialize here.
         let check = self.siread.conflicting_holders(chain, sx.0);
-        trace!(
-            "on_write {:?} chain={:?} holders={:?}",
-            sx,
-            chain,
-            check.owners
-        );
         let my_snapshot = me.snapshot_csn;
         let mut vanished_holder = false;
         for holder in check.owners {
@@ -866,14 +855,6 @@ impl SsiManager {
                 .record(reader.txid.0, TraceTag::ConflictOut, writer.txid.0);
             self.tracer
                 .record(writer.txid.0, TraceTag::ConflictIn, reader.txid.0);
-            trace!(
-                "edge {:?}(txid {:?}) -rw-> {:?}(txid {:?}) acting={:?}",
-                reader.id,
-                reader.txid,
-                writer.id,
-                writer.txid,
-                acting
-            );
         }
         // Structure A: writer is the pivot (t1 = reader, t2 = writer, t3 = some
         // committed out-conflict of the writer).
@@ -1101,17 +1082,6 @@ impl SsiManager {
         };
         match self.precommit_checks(me, sx, t2s) {
             Ok(()) => {
-                if *TRACE {
-                    let g = me.lock();
-                    trace!(
-                        "precommit ok {:?}(txid {:?}) in={:?} out={:?} e={:?}",
-                        sx,
-                        me.txid,
-                        g.in_conflicts,
-                        g.out_conflicts,
-                        g.earliest_out_conflict_commit
-                    );
-                }
                 self.tracer.record(me.txid.0, TraceTag::Prepare, 0);
                 Ok(())
             }
@@ -1150,7 +1120,7 @@ impl SsiManager {
     /// Role-T2 dangerous-pivot validation: my own in-edge + committed
     /// out-conflict pair (read from my folded `earliest_out_conflict_commit`
     /// under my lock). Called twice: once from `precommit` (cheap early
-    /// abort), and once from [`SsiManager::commit_checked`] **under the
+    /// abort), and once from [`SsiManager::commit`] **under the
     /// commit-order mutex**, where it is authoritative — every earlier
     /// committer folded its CSN into my bound inside its own order-mutex
     /// section, so acquiring the mutex happens-after all of them. Without the
@@ -1274,80 +1244,18 @@ impl SsiManager {
         Ok(())
     }
 
-    /// [`SsiManager::commit`] plus the authoritative dangerous-pivot
-    /// re-validation under the commit-order mutex (see
-    /// [`SsiManager::pivot_commit_check`]): if a concurrent T3 committed
-    /// between this transaction's precommit and now, the fold of its CSN into
-    /// our bound is guaranteed visible here, and the commit fails *before*
-    /// `assign_csn` runs — nothing is published and the engine simply aborts
-    /// us instead. This is the normal single-phase commit entry point; the
-    /// two-phase path uses the unchecked [`SsiManager::commit`], because
-    /// `COMMIT PREPARED` must not fail (§7.1 — a prepared pivot's structures
-    /// are instead broken by aborting their T1s at *their* operations).
-    pub fn commit_checked(
-        &self,
-        sx: &SxactHandle,
-        assign_csn: impl FnOnce() -> CommitSeqNo,
-    ) -> Result<CommitSeqNo> {
-        self.commit_inner(sx, assign_csn, true, |_| {})
-    }
-
-    /// [`SsiManager::commit_checked`] with a `publish` hook that runs
-    /// **inside the commit-order critical section**, after the commit CSN is
-    /// assigned, and is handed a builder for the §8.4 [`CommitDigest`].
-    /// Replication uses it to append the commit record (and capture the
-    /// post-commit snapshot) atomically with the digest: because serializable
-    /// begins, commits, and aborts all serialize on the same mutex, the
-    /// shipped stream order matches the decided commit order, and every
-    /// transaction a digest names as concurrent is guaranteed to resolve
-    /// *later* in the stream. The digest is only *built* if the hook calls
-    /// the builder — a hook with no consumer attached (it must decide that
-    /// here, in-section, where attaches are ordered against it) costs the
-    /// commit nothing, in particular not the sorted `concurrent_rw` list.
-    pub fn commit_checked_with(
-        &self,
-        sx: &SxactHandle,
-        assign_csn: impl FnOnce() -> CommitSeqNo,
-        publish: impl FnOnce(&dyn Fn() -> CommitDigest),
-    ) -> Result<CommitSeqNo> {
-        self.commit_inner(sx, assign_csn, true, publish)
-    }
-
-    /// Finalize a commit unconditionally (the `COMMIT PREPARED` path — the
-    /// §5.4 checks ran at `prepare`, and a prepared transaction can no longer
-    /// be chosen as a victim).
-    pub fn commit(
-        &self,
-        sx: &SxactHandle,
-        assign_csn: impl FnOnce() -> CommitSeqNo,
-    ) -> CommitSeqNo {
-        self.commit_inner(sx, assign_csn, false, |_| {})
-            .expect("unchecked commit cannot fail")
-    }
-
-    /// [`SsiManager::commit`] with the §8.4 publish hook (see
-    /// [`SsiManager::commit_checked_with`]).
-    pub fn commit_with(
-        &self,
-        sx: &SxactHandle,
-        assign_csn: impl FnOnce() -> CommitSeqNo,
-        publish: impl FnOnce(&dyn Fn() -> CommitDigest),
-    ) -> CommitSeqNo {
-        self.commit_inner(sx, assign_csn, false, publish)
-            .expect("unchecked commit cannot fail")
-    }
-
     /// Capture a [`CommitDigest`] for a commit that did *not* run under SSI
-    /// (SI / READ COMMITTED / 2PL writers). The digest carries no conflict
-    /// facts, but the `concurrent_rw` membership — and anything `publish`
-    /// captures alongside it, such as the post-commit snapshot and the WAL
-    /// append — must still be read under the commit-order mutex, or a
-    /// serializable begin could slip between the membership read and the
-    /// snapshot (the capture race this API exists to close).
+    /// (SI / READ COMMITTED / 2PL). The digest carries no conflict facts, but
+    /// the `concurrent_rw` membership — and anything `publish` captures
+    /// alongside it, such as the post-commit snapshot and the WAL append —
+    /// must still be read under the commit-order mutex, or a serializable
+    /// begin could slip between the membership read and the snapshot (the
+    /// capture race this API exists to close).
     pub fn observe_commit(
         &self,
         txid: TxnId,
         commit_csn: CommitSeqNo,
+        wrote: bool,
         publish: impl FnOnce(CommitDigest),
     ) {
         let order = self.lock_order();
@@ -1356,7 +1264,7 @@ impl SsiManager {
             commit_csn,
             serializable: false,
             declared_read_only: false,
-            wrote: true,
+            wrote,
             had_in_conflict: false,
             had_out_conflict: false,
             earliest_out_conflict_commit: CommitSeqNo::MAX,
@@ -1389,22 +1297,43 @@ impl SsiManager {
         rw
     }
 
-    /// Finalize a commit. `assign_csn` runs under the commit-order mutex *and*
-    /// this record's lock (it should perform the actual transaction-manager
-    /// commit), so that no conflict can be flagged against this record between
-    /// the commit becoming visible and the record learning the commit CSN —
-    /// flaggers serialize on the record's lock.
+    /// Finalize a commit after [`SsiManager::precommit`] or
+    /// [`SsiManager::prepare`]. `assign_csn` runs under the commit-order mutex
+    /// *and* this record's lock (it should perform the actual
+    /// transaction-manager commit), so that no conflict can be flagged against
+    /// this record between the commit becoming visible and the record learning
+    /// the commit CSN — flaggers serialize on the record's lock.
+    ///
+    /// Before `assign_csn`, the dangerous-pivot condition is re-validated
+    /// under the commit-order mutex, where it is authoritative (see
+    /// [`SsiManager::pivot_commit_check`]): a failure leaves nothing
+    /// committed or published, and the engine rolls the transaction back like
+    /// any precommit failure. A record that `prepare` or `recover_prepared`
+    /// marked skips it: `COMMIT PREPARED` must not fail (§7.1 — a prepared
+    /// pivot's structures are instead broken by aborting their T1s at *their*
+    /// operations), and the mark's conservative flags would fail it always.
+    ///
+    /// `publish` runs **inside the commit-order critical section**, after the
+    /// commit CSN is assigned, and is handed a builder for the §8.4
+    /// [`CommitDigest`]. Replication uses it to append the commit record (and
+    /// capture the post-commit snapshot) atomically with the digest: because
+    /// serializable begins, commits, and aborts all serialize on the same
+    /// mutex, the shipped stream order matches the decided commit order, and
+    /// every transaction a digest names as concurrent is guaranteed to resolve
+    /// *later* in the stream. The digest is only *built* if the hook calls the
+    /// builder — a hook with no consumer attached (it must decide that here,
+    /// in-section, where attaches are ordered against it) costs the commit
+    /// nothing, in particular not the sorted `concurrent_rw` list.
     ///
     /// A transaction nobody conflicted with takes the order mutex once, its
     /// own record's lock once (the pivot re-check, the CSN assignment and
     /// every fact the rest of the section needs are read in that one hold —
     /// all of them only change under the order mutex held here, or on this
     /// transaction's own thread), and nothing else that is shared.
-    fn commit_inner(
+    pub fn commit(
         &self,
         handle: &SxactHandle,
         assign_csn: impl FnOnce() -> CommitSeqNo,
-        enforce_pivot_check: bool,
         publish: impl FnOnce(&dyn Fn() -> CommitDigest),
     ) -> Result<CommitSeqNo> {
         let me = &handle.rec;
@@ -1415,11 +1344,7 @@ impl SsiManager {
         let csn;
         let (in_sources, summary_in, trackers, my_earliest, had_out, watched) = {
             let mut g = me.lock();
-            if enforce_pivot_check && !self.emulate_pivot_race.load(Ordering::Relaxed) {
-                // Order-mutex-authoritative: every earlier commit's CSN fold
-                // happened inside its own order section. Failing here is
-                // clean — the transaction manager has not committed yet, and
-                // the engine rolls us back like any precommit failure.
+            if !g.two_phase && !self.emulate_pivot_race.load(Ordering::Relaxed) {
                 self.pivot_check_locked(&g)?;
             }
             csn = assign_csn();
@@ -1496,7 +1421,6 @@ impl SsiManager {
                 wx.lock().ro_trackers.remove(&sx);
             }
         }
-        trace!("commit {:?} csn={:?}", sx, csn);
         order.committed.push_back(Arc::clone(me));
         self.cleanup_locked(&mut order, &mut ops);
         let excess = self.pop_excess_committed(&mut order);
@@ -1514,7 +1438,7 @@ impl SsiManager {
         for rec in excess {
             self.summarize_record(&rec);
         }
-        ops.run(&self.siread);
+        ops.run(&self.siread, &self.serial);
         self.wake_safety_waiters(wake);
         Ok(csn)
     }
@@ -1535,18 +1459,13 @@ impl SsiManager {
 
     /// Abort: remove the record and its edges, release its SIREAD locks, and
     /// resolve read-only tracking (an aborted writer cannot make a snapshot
-    /// unsafe).
-    pub fn abort(&self, sx: &SxactHandle) {
-        self.abort_with(sx, |_| {});
-    }
-
-    /// [`SsiManager::abort`] with a publish hook: `publish(txid)` runs inside
-    /// the commit-order critical section, after the record leaves the active
-    /// set, and only for read/write (non-declared-read-only) transactions —
-    /// the ones WAL followers may be waiting on. Running it under the mutex
-    /// keeps the shipped stream in commit order: no commit record can name
-    /// this transaction as concurrent *after* its abort is published.
-    pub fn abort_with(&self, handle: &SxactHandle, publish: impl FnOnce(TxnId)) {
+    /// unsafe). `publish(txid)` runs inside the commit-order critical section,
+    /// after the record leaves the active set, and only for read/write
+    /// (non-declared-read-only) transactions — the ones WAL followers may be
+    /// waiting on. Running it under the mutex keeps the shipped stream in
+    /// commit order: no commit record can name this transaction as concurrent
+    /// *after* its abort is published.
+    pub fn abort(&self, handle: &SxactHandle, publish: impl FnOnce(TxnId)) {
         let me = &handle.rec;
         let sx = me.id;
         let mut ops = DeferredLockOps::default();
@@ -1594,7 +1513,7 @@ impl SsiManager {
         let wake = order.safety_waiters > 0;
         drop(order);
         self.siread.release_owner(sx.0);
-        ops.run(&self.siread);
+        ops.run(&self.siread, &self.serial);
         self.wake_safety_waiters(wake);
     }
 
@@ -1741,9 +1660,7 @@ impl SsiManager {
                     || g.earliest_out_conflict_commit != CommitSeqNo::MAX,
                 g.earliest_out_conflict_commit,
             );
-            g.summary_conflict_in = true;
-            g.summary_conflict_out = true;
-            g.earliest_out_conflict_commit = g.earliest_out_conflict_commit.min(prepare_csn);
+            g.mark_two_phase(prepare_csn);
             facts
         };
         Ok(PreparedSsi {
@@ -1771,12 +1688,7 @@ impl SsiManager {
         if rec.wrote {
             sx.set_wrote();
         }
-        {
-            let mut g = sx.lock();
-            g.summary_conflict_in = true;
-            g.summary_conflict_out = true;
-            g.earliest_out_conflict_commit = rec.prepare_csn;
-        }
+        sx.lock().mark_two_phase(rec.prepare_csn);
         order.active.insert(id, Arc::clone(&sx));
         self.reg.insert(&sx);
         drop(order);
@@ -1898,9 +1810,9 @@ impl SsiManager {
             // Serial entries (top-level xid and each subxact alias, whose
             // writes carry the subxid in tuple headers) are published before
             // the tombstone, so the on_mvcc vanished path always finds them.
-            self.serial.record(rec.txid, g.earliest_out_conflict_commit);
-            for a in &g.alias_txids {
-                self.serial.record(*a, g.earliest_out_conflict_commit);
+            let e = g.earliest_out_conflict_commit;
+            for x in std::iter::once(&rec.txid).chain(&g.alias_txids) {
+                self.serial.record(*x, commit_csn, e);
             }
             g.gone = true;
             (

@@ -1,124 +1,83 @@
-//! The serial overflow table (paper §6.2; PostgreSQL's `pg_serial` SLRU).
+//! The serial table (paper §6.2; PostgreSQL's `pg_serial`).
 //!
 //! When a committed transaction is summarized, its record leaves the dependency
 //! graph; the only thing later conflict checks need is "did it have a conflict
 //! out, and what is the earliest commit sequence number among those targets?"
-//! That is one `u64` per transaction, stored here keyed by xid.
+//! That is one `u64` per transaction, stored here keyed by xid beside the
+//! transaction's own commit CSN.
 //!
-//! Like PostgreSQL's SLRU, the table keeps a bounded number of pages in RAM and
-//! spills the rest to a backing store (simulated disk), giving it effectively
-//! unlimited capacity with fixed memory — the property that lets the SSI
-//! implementation keep accepting transactions under any load (§6).
+//! The table is one in-memory map, bounded by the §6.1 cleanup horizon rather
+//! than by paging: an entry is consulted only for a writer that committed at
+//! or after the reader's snapshot, every active snapshot is at or above the
+//! horizon, and a later `begin` takes a later snapshot — so an entry that
+//! committed before the horizon can never be consulted again and is dropped
+//! by the sweep every commit and abort runs (`truncate_before`). PostgreSQL's
+//! `pg_serial` is an SLRU that pages to disk; nothing here pages.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use pgssi_common::stats::Counter;
 use pgssi_common::{CommitSeqNo, TxnId};
 
-/// Transactions per page.
-const PAGE_SPAN: u64 = 256;
-
-type Page = HashMap<u64, u64>;
-
-struct SerialState {
-    /// RAM-resident pages.
-    ram: HashMap<u64, Page>,
-    /// RAM page ids in load order (FIFO eviction).
-    order: Vec<u64>,
-    /// Spilled pages ("disk").
-    disk: HashMap<u64, Page>,
-}
-
-/// Bounded-RAM map from summarized transaction id to the commit sequence number
-/// of its earliest out-conflict (or nothing, if it had none).
+/// Map from summarized transaction id to `(commit CSN, earliest out-conflict
+/// commit CSN)`.
 pub struct SerialTable {
-    state: Mutex<SerialState>,
-    ram_pages: usize,
-    /// Page evictions to the simulated disk.
-    pub spills: Counter,
-    /// Page fetches back from the simulated disk.
-    pub fetches: Counter,
+    entries: Mutex<HashMap<TxnId, (CommitSeqNo, CommitSeqNo)>>,
+    /// Smallest commit CSN in `entries` (`MAX` when empty). Maintained under
+    /// the mutex; lets the per-commit horizon sweep skip the mutex while no
+    /// entry is old enough to drop (the common case: nothing is summarized).
+    oldest: AtomicU64,
 }
 
 impl SerialTable {
-    /// Table holding at most `ram_pages` pages in memory.
-    pub fn new(ram_pages: usize) -> SerialTable {
+    /// Empty table.
+    pub(crate) fn new() -> SerialTable {
         SerialTable {
-            state: Mutex::new(SerialState {
-                ram: HashMap::new(),
-                order: Vec::new(),
-                disk: HashMap::new(),
-            }),
-            ram_pages: ram_pages.max(1),
-            spills: Counter::new(),
-            fetches: Counter::new(),
+            entries: Mutex::new(HashMap::new()),
+            oldest: AtomicU64::new(CommitSeqNo::MAX.0),
         }
     }
 
-    fn page_of(txid: TxnId) -> u64 {
-        txid.0 / PAGE_SPAN
-    }
-
-    fn load_page<'a>(&self, st: &'a mut SerialState, pno: u64) -> &'a mut Page {
-        if !st.ram.contains_key(&pno) {
-            let page = if let Some(p) = st.disk.remove(&pno) {
-                self.fetches.bump();
-                p
-            } else {
-                Page::new()
-            };
-            if st.ram.len() >= self.ram_pages {
-                let evict = st.order.remove(0);
-                if let Some(p) = st.ram.remove(&evict) {
-                    st.disk.insert(evict, p);
-                    self.spills.bump();
-                }
-            }
-            st.ram.insert(pno, page);
-            st.order.push(pno);
-        }
-        st.ram.get_mut(&pno).unwrap()
-    }
-
-    /// Record a summarized transaction's earliest out-conflict commit CSN
-    /// (`CommitSeqNo::MAX` means "had no committed out-conflict"). PostgreSQL's
-    /// `SerialAdd`.
-    pub fn record(&self, txid: TxnId, earliest_out: CommitSeqNo) {
-        let mut st = self.state.lock();
-        let page = self.load_page(&mut st, Self::page_of(txid));
-        page.insert(txid.0, earliest_out.0);
+    /// Record a summarized transaction that committed at `commit_csn`, with its
+    /// earliest out-conflict commit CSN (`CommitSeqNo::MAX` means "had no
+    /// committed out-conflict"). PostgreSQL's `SerialAdd`.
+    pub(crate) fn record(&self, txid: TxnId, commit_csn: CommitSeqNo, earliest_out: CommitSeqNo) {
+        let mut entries = self.entries.lock();
+        entries.insert(txid, (commit_csn, earliest_out));
+        self.oldest.fetch_min(commit_csn.0, Ordering::Relaxed);
     }
 
     /// Earliest out-conflict commit CSN of a summarized transaction, if the
     /// transaction is recorded here. PostgreSQL's `SerialGetMinConflictCommitSeqNo`.
     /// `Some(CommitSeqNo::MAX)` means "summarized, but no committed out-conflict".
     pub fn lookup(&self, txid: TxnId) -> Option<CommitSeqNo> {
-        let mut st = self.state.lock();
-        let page = self.load_page(&mut st, Self::page_of(txid));
-        page.get(&txid.0).map(|&v| CommitSeqNo(v))
+        self.entries.lock().get(&txid).map(|&(_, e)| e)
     }
 
-    /// Discard entries for transactions that committed before `horizon` — no
-    /// active transaction can be concurrent with them (§6.1). Walks both RAM and
-    /// disk pages; entries whose *recorded* csn is MAX are dropped only via the
-    /// xid horizon supplied by the caller.
-    pub fn truncate_before(&self, min_live_txid: TxnId) {
-        let keep_from_page = min_live_txid.0 / PAGE_SPAN;
-        let mut st = self.state.lock();
-        st.ram.retain(|&pno, _| pno >= keep_from_page);
-        st.order.retain(|&pno| pno >= keep_from_page);
-        st.disk.retain(|&pno, _| pno >= keep_from_page);
+    /// Drop every entry that committed before `horizon` — no active or future
+    /// transaction can be concurrent with it (§6.1). A relaxed read racing a
+    /// concurrent `record` may skip one round; the next commit's sweep picks
+    /// the entry up.
+    pub(crate) fn truncate_before(&self, horizon: CommitSeqNo) {
+        if self.oldest.load(Ordering::Relaxed) >= horizon.0 {
+            return;
+        }
+        let mut entries = self.entries.lock();
+        entries.retain(|_, &mut (c, _)| c >= horizon);
+        let oldest = entries.values().map(|&(c, _)| c.0).min();
+        self.oldest
+            .store(oldest.unwrap_or(CommitSeqNo::MAX.0), Ordering::Relaxed);
     }
 
-    /// Number of pages currently in RAM (bounded-memory assertions).
-    pub fn ram_page_count(&self) -> usize {
-        self.state.lock().ram.len()
+    /// Number of entries (bounded-memory assertions).
+    pub fn len(&self) -> usize {
+        self.entries.lock().len()
     }
 
-    /// Number of pages spilled to the simulated disk.
-    pub fn disk_page_count(&self) -> usize {
-        self.state.lock().disk.len()
+    /// Whether the table holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -128,43 +87,36 @@ mod tests {
 
     #[test]
     fn record_and_lookup() {
-        let t = SerialTable::new(2);
-        t.record(TxnId(5), CommitSeqNo(42));
+        let t = SerialTable::new();
+        t.record(TxnId(5), CommitSeqNo(7), CommitSeqNo(42));
         assert_eq!(t.lookup(TxnId(5)), Some(CommitSeqNo(42)));
         assert_eq!(t.lookup(TxnId(6)), None);
+        assert_eq!(t.len(), 1, "a lookup miss inserts nothing");
     }
 
     #[test]
     fn max_csn_round_trips() {
-        let t = SerialTable::new(2);
-        t.record(TxnId(5), CommitSeqNo::MAX);
+        let t = SerialTable::new();
+        t.record(TxnId(5), CommitSeqNo(7), CommitSeqNo::MAX);
         assert_eq!(t.lookup(TxnId(5)), Some(CommitSeqNo::MAX));
     }
 
     #[test]
-    fn ram_is_bounded_and_spills_to_disk() {
-        let t = SerialTable::new(2);
-        // Touch 5 distinct pages.
-        for p in 0..5u64 {
-            t.record(TxnId(p * PAGE_SPAN + 1), CommitSeqNo(p + 1));
+    fn truncation_drops_entries_committed_before_the_horizon() {
+        let t = SerialTable::new();
+        for c in 1..=4u64 {
+            t.record(TxnId(100 + c), CommitSeqNo(c), CommitSeqNo::MAX);
         }
-        assert!(t.ram_page_count() <= 2);
-        assert!(t.disk_page_count() >= 3);
-        assert!(t.spills.get() >= 3);
-        // Spilled data is still readable (page fetched back).
-        assert_eq!(t.lookup(TxnId(1)), Some(CommitSeqNo(1)));
-        assert!(t.fetches.get() >= 1);
-        assert!(t.ram_page_count() <= 2, "fetch must not exceed the RAM cap");
-    }
-
-    #[test]
-    fn truncation_drops_old_pages() {
-        let t = SerialTable::new(2);
-        for p in 0..4u64 {
-            t.record(TxnId(p * PAGE_SPAN + 1), CommitSeqNo(p + 1));
-        }
-        t.truncate_before(TxnId(2 * PAGE_SPAN));
-        assert_eq!(t.lookup(TxnId(1)), None, "old entry gone");
-        assert_eq!(t.lookup(TxnId(3 * PAGE_SPAN + 1)), Some(CommitSeqNo(4)));
+        t.truncate_before(CommitSeqNo(3));
+        assert_eq!(t.lookup(TxnId(102)), None, "committed before the horizon");
+        assert_eq!(t.lookup(TxnId(103)), Some(CommitSeqNo::MAX));
+        assert_eq!(t.len(), 2);
+        t.truncate_before(CommitSeqNo::MAX);
+        assert!(t.is_empty());
+        // An empty table's sweep is a no-op, and recording re-arms it.
+        t.truncate_before(CommitSeqNo(9));
+        t.record(TxnId(200), CommitSeqNo(8), CommitSeqNo::MAX);
+        t.truncate_before(CommitSeqNo(9));
+        assert!(t.is_empty());
     }
 }

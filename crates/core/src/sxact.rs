@@ -127,6 +127,21 @@ pub struct SxactMut {
     /// so an observer of `gone == true` can safely fall back to the
     /// vanished-record paths.
     pub gone: bool,
+    /// Went through PREPARE TRANSACTION (or was recovered prepared): its
+    /// commit is COMMIT PREPARED, which skips the pivot re-check (§7.1).
+    pub two_phase: bool,
+}
+
+impl SxactMut {
+    /// The §7.1 conservatism of a prepared transaction, live or recovered:
+    /// conflicts assumed both ways, out-bound at the prepare CSN (anything
+    /// later cannot have committed first), and the two-phase mark.
+    pub(crate) fn mark_two_phase(&mut self, prepare_csn: CommitSeqNo) {
+        self.summary_conflict_in = true;
+        self.summary_conflict_out = true;
+        self.earliest_out_conflict_commit = self.earliest_out_conflict_commit.min(prepare_csn);
+        self.two_phase = true;
+    }
 }
 
 /// State tracked per serializable transaction (paper §5.3). Shared as
@@ -198,6 +213,7 @@ impl Sxact {
                 possible_unsafe: BTreeSet::new(),
                 ro_trackers: BTreeSet::new(),
                 gone: false,
+                two_phase: false,
             }),
         }
     }

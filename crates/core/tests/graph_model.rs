@@ -108,7 +108,7 @@ impl World {
     fn auto_abort(&mut self, slot: usize) {
         if let Some((txid, sx)) = self.live[slot].take() {
             self.tm.abort(&[txid]);
-            self.ssi.abort(&sx);
+            self.ssi.abort(&sx, |_| {});
         }
     }
 
@@ -181,7 +181,7 @@ impl World {
                 let r = self
                     .ssi
                     .precommit(&sx, self.tm.frontier())
-                    .and_then(|()| self.ssi.commit_checked(&sx, || self.tm.commit(&[txid])));
+                    .and_then(|()| self.ssi.commit(&sx, || self.tm.commit(&[txid]), |_| {}));
                 match r {
                     Ok(_) => {
                         self.live[slot] = None;

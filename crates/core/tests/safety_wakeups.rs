@@ -56,18 +56,18 @@ impl World {
         if commit {
             self.ssi.precommit(sx, self.tm.frontier()).unwrap();
             self.ssi
-                .commit_checked(sx, || self.tm.commit(&[txid]))
+                .commit(sx, || self.tm.commit(&[txid]), |_| {})
                 .unwrap();
         } else {
             self.tm.abort(&[txid]);
-            self.ssi.abort(sx);
+            self.ssi.abort(sx, |_| {});
         }
     }
 
     fn finish_reader(&self, txid: TxnId, sx: &SxactHandle) {
         self.ssi.precommit(sx, self.tm.frontier()).unwrap();
         self.ssi
-            .commit_checked(sx, || self.tm.commit_readonly(&[txid]))
+            .commit(sx, || self.tm.commit_readonly(&[txid]), |_| {})
             .unwrap();
     }
 }

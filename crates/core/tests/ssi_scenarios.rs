@@ -103,14 +103,14 @@ impl Harness {
     fn commit(&self, t: T) -> Result<CommitSeqNo> {
         self.ssi.precommit(&self.hd(t), self.tm.snapshot().csn)?;
         // Engine-faithful: the order-mutex-authoritative pivot re-check runs
-        // at commit (`commit_checked`), exactly as `Transaction::commit` does.
+        // at commit, exactly as `Transaction::commit` does.
         self.ssi
-            .commit_checked(&self.hd(t), || self.tm.commit(&[t.txid]))
+            .commit(&self.hd(t), || self.tm.commit(&[t.txid]), |_| {})
     }
 
     fn abort(&self, t: T) {
         self.tm.abort(&[t.txid]);
-        self.ssi.abort(&self.hd(t));
+        self.ssi.abort(&self.hd(t), |_| {});
     }
 }
 
@@ -533,7 +533,9 @@ fn prepared_transaction_survives_recovery_and_commits() {
     // COMMIT PREPARED succeeds.
     let txid2 = h2.tm.begin(); // stand-in for the recovered xid slot
     let _ = txid2;
-    h2.ssi.commit(&sx2, || h2.tm.commit(&[rec.txid]));
+    h2.ssi
+        .commit(&sx2, || h2.tm.commit(&[rec.txid]), |_| {})
+        .expect("a recovered prepared branch skips the pivot re-check");
 }
 
 #[test]
@@ -566,7 +568,12 @@ fn prepared_transaction_cannot_be_victim_active_one_dies_instead() {
     assert!(matches!(err, Error::SerializationFailure { .. }));
     h.abort(t_active);
     h.ssi
-        .commit(&h.hd(t_prepared), || h.tm.commit(&[t_prepared.txid]));
+        .commit(
+            &h.hd(t_prepared),
+            || h.tm.commit(&[t_prepared.txid]),
+            |_| {},
+        )
+        .expect("COMMIT PREPARED skips the pivot re-check");
 }
 
 // ---------------------------------------------------------------------------

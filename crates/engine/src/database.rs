@@ -11,7 +11,7 @@ use parking_lot::{Mutex, RwLock};
 use pgssi_common::config::WalMode;
 use pgssi_common::stats::{Counter, HistSnapshot, TraceEvent, Tracer};
 use pgssi_common::{CommitSeqNo, EngineConfig, Error, Key, Result, Row, Snapshot, TxnId};
-use pgssi_core::{SafetyState, SsiManager};
+use pgssi_core::{SafetyState, SsiManager, SxactHandle};
 use pgssi_lockmgr::s2pl::S2plLockManager;
 use pgssi_storage::wal::{Lsn, WalStore};
 use pgssi_storage::{CommitLog, TxnManager};
@@ -348,6 +348,70 @@ impl LatencyReport {
     }
 }
 
+/// Every event counter of [`StatsReport`] — the fields `delta` subtracts and
+/// `absorb` adds — listed once and handed to the macro `$apply`.
+macro_rules! stats_counters {
+    ($apply:ident) => {
+        $apply!(
+            commits,
+            aborts,
+            retry_attempts,
+            ssi_conflicts_flagged,
+            ssi_dangerous_structures,
+            ssi_aborts_self,
+            ssi_doomed,
+            ssi_summary_aborts,
+            ssi_safe_snapshots,
+            ssi_summarized,
+            siread_acquisitions,
+            siread_promotions,
+            siread_partition_taken,
+            siread_partition_contended,
+            siread_local_accumulated,
+            siread_batches_published,
+            siread_filter_probes,
+            siread_filter_hits,
+            siread_forced_publishes,
+            s2pl_grants,
+            s2pl_waits,
+            s2pl_deadlocks,
+            txn_begins,
+            txn_snapshot_hits,
+            txn_snapshot_incremental,
+            txn_snapshot_full_rebuilds,
+            txn_id_blocks,
+            txn_wait_reports,
+            sessions_opened,
+            session_requests,
+            session_executed,
+            session_worker_parks,
+            session_lock_wakeups,
+            session_reserve_workers,
+            session_socket_reads,
+            session_socket_writes,
+            repl_records,
+            repl_resolves_shipped,
+            repl_safe_local,
+            repl_marker_waits_avoided,
+            repl_unsafe_candidates,
+            repl_catch_ups,
+            repl_lag_records,
+            wal_records,
+            wal_bytes,
+            wal_syncs,
+            wal_sync_waits,
+            wal_recovered_records,
+            wal_torn_bytes,
+            trace_events,
+            cluster_single_commits,
+            cluster_cross_commits,
+            cluster_cross_aborts,
+            cluster_enlistments,
+            cluster_spared_by_facts
+        )
+    };
+}
+
 impl StatsReport {
     /// Fraction of partition-mutex acquisitions that had to block.
     pub fn siread_contention_rate(&self) -> f64 {
@@ -384,7 +448,7 @@ impl StatsReport {
     /// and gauges (`siread_locks`) keep `self`'s value.
     pub fn delta(&self, baseline: &StatsReport) -> StatsReport {
         macro_rules! sub {
-            ($($f:ident),* $(,)?) => {
+            ($($f:ident),*) => {
                 StatsReport {
                     $($f: self.$f.saturating_sub(baseline.$f),)*
                     ssi_graph_shards: self.ssi_graph_shards,
@@ -396,63 +460,7 @@ impl StatsReport {
                 }
             };
         }
-        sub!(
-            commits,
-            aborts,
-            retry_attempts,
-            ssi_conflicts_flagged,
-            ssi_dangerous_structures,
-            ssi_aborts_self,
-            ssi_doomed,
-            ssi_summary_aborts,
-            ssi_safe_snapshots,
-            ssi_summarized,
-            siread_acquisitions,
-            siread_promotions,
-            siread_partition_taken,
-            siread_partition_contended,
-            siread_local_accumulated,
-            siread_batches_published,
-            siread_filter_probes,
-            siread_filter_hits,
-            siread_forced_publishes,
-            s2pl_grants,
-            s2pl_waits,
-            s2pl_deadlocks,
-            txn_begins,
-            txn_snapshot_hits,
-            txn_snapshot_incremental,
-            txn_snapshot_full_rebuilds,
-            txn_id_blocks,
-            txn_wait_reports,
-            sessions_opened,
-            session_requests,
-            session_executed,
-            session_worker_parks,
-            session_lock_wakeups,
-            session_reserve_workers,
-            session_socket_reads,
-            session_socket_writes,
-            repl_records,
-            repl_resolves_shipped,
-            repl_safe_local,
-            repl_marker_waits_avoided,
-            repl_unsafe_candidates,
-            repl_catch_ups,
-            repl_lag_records,
-            wal_records,
-            wal_bytes,
-            wal_syncs,
-            wal_sync_waits,
-            wal_recovered_records,
-            wal_torn_bytes,
-            trace_events,
-            cluster_single_commits,
-            cluster_cross_commits,
-            cluster_cross_aborts,
-            cluster_enlistments,
-            cluster_spared_by_facts,
-        )
+        stats_counters!(sub)
     }
 
     /// Fold another shard's report into this one (cluster aggregation over
@@ -461,66 +469,10 @@ impl StatsReport {
     /// `self`'s value — shards are configured identically.
     pub fn absorb(&mut self, other: &StatsReport) {
         macro_rules! add {
-            ($($f:ident),* $(,)?) => { $(self.$f += other.$f;)* };
+            ($($f:ident),*) => { $(self.$f += other.$f;)* };
         }
-        add!(
-            commits,
-            aborts,
-            retry_attempts,
-            ssi_conflicts_flagged,
-            ssi_dangerous_structures,
-            ssi_aborts_self,
-            ssi_doomed,
-            ssi_summary_aborts,
-            ssi_safe_snapshots,
-            ssi_summarized,
-            siread_acquisitions,
-            siread_promotions,
-            siread_locks,
-            siread_partition_taken,
-            siread_partition_contended,
-            siread_local_accumulated,
-            siread_batches_published,
-            siread_filter_probes,
-            siread_filter_hits,
-            siread_forced_publishes,
-            s2pl_grants,
-            s2pl_waits,
-            s2pl_deadlocks,
-            txn_begins,
-            txn_snapshot_hits,
-            txn_snapshot_incremental,
-            txn_snapshot_full_rebuilds,
-            txn_id_blocks,
-            txn_wait_reports,
-            sessions_opened,
-            session_requests,
-            session_executed,
-            session_worker_parks,
-            session_lock_wakeups,
-            session_reserve_workers,
-            session_socket_reads,
-            session_socket_writes,
-            repl_records,
-            repl_resolves_shipped,
-            repl_safe_local,
-            repl_marker_waits_avoided,
-            repl_unsafe_candidates,
-            repl_catch_ups,
-            repl_lag_records,
-            wal_records,
-            wal_bytes,
-            wal_syncs,
-            wal_sync_waits,
-            wal_recovered_records,
-            wal_torn_bytes,
-            trace_events,
-            cluster_single_commits,
-            cluster_cross_commits,
-            cluster_cross_aborts,
-            cluster_enlistments,
-            cluster_spared_by_facts,
-        );
+        stats_counters!(add);
+        self.siread_locks += other.siread_locks;
         self.aborts_by.merge(&other.aborts_by);
         self.latency.merge(&other.latency);
     }
@@ -722,15 +674,95 @@ impl DbInner {
     /// spin on `try_lock` with yields instead of blocking in the kernel while
     /// the holder is parked.
     pub fn lock_prepared(&self) -> parking_lot::MutexGuard<'_, HashMap<String, PreparedTxn>> {
-        if pgssi_common::sim::is_sim_thread() {
-            loop {
-                if let Some(g) = self.prepared.try_lock() {
-                    return g;
+        pgssi_common::sim::lock_cooperatively(
+            pgssi_common::sim::Site::LockSpin,
+            || self.prepared.try_lock(),
+            || self.prepared.lock(),
+        )
+    }
+
+    /// The one commit path, COMMIT and COMMIT PREPARED alike: the clog commit
+    /// with the durable `record` appended in the same critical section, and
+    /// the replication publish inside the SSI commit-order section (§8.4
+    /// atomic capture). A serializable commit may fail the pivot re-check
+    /// before anything is committed (a prepared branch never does); the
+    /// caller then rolls back. Returns the log position to wait on.
+    pub fn commit_txn(
+        &self,
+        txid: TxnId,
+        xids: &[TxnId],
+        ssi: Option<(&SsiManager, &SxactHandle)>,
+        wrote: bool,
+        record: Option<&[u8]>,
+    ) -> Result<Option<Lsn>> {
+        let mut lsn = None;
+        let mut assign_csn = || {
+            let (csn, l) = self.dwal.commit_durably(record, || {
+                if wrote {
+                    self.tm.commit(xids)
+                } else {
+                    self.tm.commit_readonly(xids)
                 }
-                pgssi_common::sim::yield_point(pgssi_common::sim::Site::LockSpin);
+            });
+            lsn = l;
+            csn
+        };
+        if let Some((mgr, sx)) = ssi {
+            mgr.commit(sx, assign_csn, |digest| {
+                self.wal.publish_commit_lazy(self, digest)
+            })?;
+        } else {
+            let csn = assign_csn();
+            // With no replica attached the commit-order section is skipped
+            // entirely — SI/RC traffic pays nothing for replication.
+            if self.wal.has_consumers() {
+                self.ssi().observe_commit(txid, csn, wrote, |digest| {
+                    self.wal.publish_commit(self, digest)
+                });
             }
         }
-        self.prepared.lock()
+        Ok(lsn)
+    }
+
+    /// After [`DbInner::commit_txn`] and any lock it ran under: acknowledge
+    /// only once the record is on stable storage (group commit batches the
+    /// fsync), and only then release the 2PL locks.
+    pub fn finish_commit(&self, txid: TxnId, lsn: Option<Lsn>, s2pl_owner: Option<u64>) {
+        if let Some(lsn) = lsn {
+            self.dwal.wait_durable(lsn);
+        }
+        if let Some(owner) = s2pl_owner {
+            self.s2pl.release_owner(owner);
+        }
+        self.active_snapshots.lock().remove(&txid);
+        self.stats.commits.bump();
+    }
+
+    /// The one abort path, ROLLBACK and ROLLBACK PREPARED alike: the clog
+    /// abort (writeless: no snapshot-cache invalidation), then the SSI abort
+    /// publishing its resolution in-section, then the 2PL locks and the
+    /// vacuum-horizon entry. Callers count the abort — a deferrable begin's
+    /// discarded unsafe snapshot is not one.
+    pub fn abort_txn(
+        &self,
+        txid: TxnId,
+        xids: &[TxnId],
+        ssi: Option<(&SsiManager, &SxactHandle)>,
+        wrote: bool,
+        s2pl_owner: Option<u64>,
+    ) {
+        if wrote {
+            self.tm.abort(xids);
+        } else {
+            self.tm.abort_readonly(xids);
+        }
+        if let Some((mgr, sx)) = ssi {
+            mgr.abort(sx, |txid| self.wal.publish_abort(self, txid));
+        }
+        if let Some(owner) = s2pl_owner {
+            self.s2pl.release_owner(owner);
+        }
+        self.active_snapshots.lock().remove(&txid);
     }
 
     /// Oldest snapshot CSN any active transaction may read at (vacuum horizon).
@@ -1191,32 +1223,31 @@ impl Database {
             return Ok(self.begin_deferrable(shard));
         }
         let txid = self.begin_txid(shard);
-        let mut snapshot = None;
-        let ssi = if opts.isolation == IsolationLevel::Serializable {
-            // The snapshot is taken inside `SsiManager::begin`, under the SSI
-            // graph lock, so no cleanup/summarization can race between snapshot
-            // acquisition and registration (see the method's docs).
-            let mgr = self.inner.ssi();
-            let sx = mgr.begin(
-                txid,
-                || {
-                    let s = self.snapshot_registered(txid);
-                    let csn = s.csn;
-                    snapshot = Some(s);
-                    csn
-                },
-                opts.read_only,
-                false,
-            );
-            Some(SsiTxn { mgr, sx })
+        let (ssi, snapshot) = if opts.isolation == IsolationLevel::Serializable {
+            let (ssi, snapshot) = self.begin_ssi(txid, opts.read_only, false);
+            (Some(ssi), snapshot)
         } else {
-            None
-        };
-        let snapshot = match snapshot {
-            Some(s) => s,
-            None => self.snapshot_registered(txid),
+            (None, self.snapshot_registered(txid))
         };
         Ok(self.make_txn(txid, snapshot, opts, ssi))
+    }
+
+    /// Register a serializable transaction. Its snapshot is taken inside
+    /// `SsiManager::begin`, under the commit-order mutex, so no
+    /// cleanup/summarization can race between snapshot acquisition and
+    /// registration (see the method's docs).
+    fn begin_ssi(&self, txid: TxnId, read_only: bool, deferrable: bool) -> (SsiTxn, Snapshot) {
+        let mgr = self.inner.ssi();
+        let mut snapshot = None;
+        let take_snapshot = || {
+            let s = self.snapshot_registered(txid);
+            let csn = s.csn;
+            snapshot = Some(s);
+            csn
+        };
+        let sx = mgr.begin(txid, take_snapshot, read_only, deferrable);
+        let snapshot = snapshot.expect("closure always runs");
+        (SsiTxn { mgr, sx }, snapshot)
     }
 
     fn begin_txid(&self, shard: Option<usize>) -> TxnId {
@@ -1241,31 +1272,17 @@ impl Database {
     fn begin_deferrable(&self, shard: Option<usize>) -> Transaction {
         loop {
             let txid = self.begin_txid(shard);
-            let ssi = self.inner.ssi();
-            let mut snapshot = None;
-            let sx = ssi.begin(
-                txid,
-                || {
-                    let s = self.snapshot_registered(txid);
-                    let csn = s.csn;
-                    snapshot = Some(s);
-                    csn
-                },
-                true,
-                true,
-            );
-            let snapshot = snapshot.expect("closure always runs");
-            match ssi.wait_for_safety(&sx, Duration::from_secs(3600)) {
+            let (ssi, snapshot) = self.begin_ssi(txid, true, true);
+            match ssi.mgr.wait_for_safety(&ssi.sx, Duration::from_secs(3600)) {
                 SafetyState::Safe => {
                     let opts = BeginOptions::new(IsolationLevel::Serializable).deferrable();
-                    return self.make_txn(txid, snapshot, opts, Some(SsiTxn { mgr: ssi, sx }));
+                    return self.make_txn(txid, snapshot, opts, Some(ssi));
                 }
                 SafetyState::Unsafe | SafetyState::Pending => {
-                    ssi.abort(&sx);
                     // The retry loop's discarded txid never wrote anything;
                     // its snapshot must stop pinning the vacuum horizon.
-                    self.inner.tm.abort_readonly(&[txid]);
-                    self.inner.active_snapshots.lock().remove(&txid);
+                    let ssi = Some((&*ssi.mgr, &ssi.sx));
+                    self.inner.abort_txn(txid, &[txid], ssi, false, None);
                     self.inner.stats.deferrable_retries.bump();
                 }
             }
@@ -1458,40 +1475,18 @@ impl Database {
             .ok_or_else(|| Error::NotFound(format!("prepared transaction {gid:?}")))?;
         let resolve = rec.prepare_lsn.map(|_| encode_resolve(gid, true));
         let ssi = self.inner.ssi();
-        let inner = &self.inner;
-        let mut wal_lsn = None;
-        if let Some(sx) = &rec.sx {
-            ssi.commit_with(
-                sx,
-                || {
-                    let (csn, lsn) = inner
-                        .dwal
-                        .commit_durably(resolve.as_deref(), || inner.tm.commit(&rec.xids));
-                    wal_lsn = lsn;
-                    csn
-                },
-                |digest| inner.wal.publish_commit_lazy(inner, digest),
-            );
-        } else {
-            let (csn, lsn) = inner
-                .dwal
-                .commit_durably(resolve.as_deref(), || inner.tm.commit(&rec.xids));
-            wal_lsn = lsn;
-            if inner.wal.has_consumers() {
-                ssi.observe_commit(rec.txid, csn, |digest| {
-                    inner.wal.publish_commit(inner, digest)
-                });
-            }
-        }
+        let lsn = self
+            .inner
+            .commit_txn(
+                rec.txid,
+                &rec.xids,
+                rec.sx.as_ref().map(|sx| (&*ssi, sx)),
+                rec.wrote,
+                resolve.as_deref(),
+            )
+            .expect("a prepared branch skips the pivot re-check");
         drop(prepared);
-        if let Some(owner) = rec.s2pl_owner {
-            self.inner.s2pl.release_owner(owner);
-        }
-        self.inner.active_snapshots.lock().remove(&rec.txid);
-        self.inner.stats.commits.bump();
-        if let Some(lsn) = wal_lsn {
-            self.inner.dwal.wait_durable(lsn);
-        }
+        self.inner.finish_commit(rec.txid, lsn, rec.s2pl_owner);
         Ok(())
     }
 
@@ -1510,17 +1505,14 @@ impl Database {
             .prepare_lsn
             .map(|_| self.inner.dwal.append_record(&encode_resolve(gid, false)));
         drop(prepared);
-        if let Some(sx) = &rec.sx {
-            let inner = &self.inner;
-            self.inner
-                .ssi()
-                .abort_with(sx, |txid| inner.wal.publish_abort(inner, txid));
-        }
-        self.inner.tm.abort(&rec.xids);
-        if let Some(owner) = rec.s2pl_owner {
-            self.inner.s2pl.release_owner(owner);
-        }
-        self.inner.active_snapshots.lock().remove(&rec.txid);
+        let ssi = self.inner.ssi();
+        self.inner.abort_txn(
+            rec.txid,
+            &rec.xids,
+            rec.sx.as_ref().map(|sx| (&*ssi, sx)),
+            rec.wrote,
+            rec.s2pl_owner,
+        );
         self.inner.stats.aborts.bump();
         if let Some(lsn) = resolve_lsn {
             self.inner.dwal.wait_durable(lsn);

@@ -28,9 +28,9 @@
 //! *inside* a snapshot whose pending set does not name it — exactly the
 //! Figure-2 REPORT anomaly the protocol exists to prevent. Every publish path
 //! runs under the SSI commit-order mutex
-//! ([`pgssi_core::SsiManager::commit_checked_with`] /
+//! ([`pgssi_core::SsiManager::commit`] /
 //! [`pgssi_core::SsiManager::observe_commit`] /
-//! [`pgssi_core::SsiManager::abort_with`]), where serializable begins also
+//! [`pgssi_core::SsiManager::abort`]), where serializable begins also
 //! take their snapshots, so the {safety facts, snapshot, stream position}
 //! triple is captured atomically. Two invariants follow by construction:
 //!
@@ -188,10 +188,11 @@ impl WalStream {
 
     /// Append the record for a commit. Runs **inside the SSI commit-order
     /// critical section** (via the `publish` hooks of
-    /// [`pgssi_core::SsiManager::commit_checked_with`] /
+    /// [`pgssi_core::SsiManager::commit`] /
     /// [`pgssi_core::SsiManager::observe_commit`]), so the digest, the
     /// post-commit snapshot taken here, and the record's stream position are
-    /// mutually consistent — no serializable begin can interleave.
+    /// mutually consistent — no serializable begin can interleave. A writeless
+    /// non-serializable commit ships nothing: no follower waits on it.
     pub(crate) fn publish_commit(&self, db: &DbInner, digest: CommitDigest) {
         if !self.has_consumers() || digest.declared_read_only {
             return; // no replica to serve / can make no snapshot unsafe
@@ -222,7 +223,7 @@ impl WalStream {
 
     /// Append the resolution record for a serializable read/write abort.
     /// Runs inside the commit-order critical section (the publish hook of
-    /// [`pgssi_core::SsiManager::abort_with`]).
+    /// [`pgssi_core::SsiManager::abort`]).
     pub(crate) fn publish_abort(&self, db: &DbInner, txid: TxnId) {
         if !self.has_consumers() {
             return;

@@ -19,6 +19,9 @@ pub struct PreparedTxn {
     pub ssi: Option<PreparedSsi>,
     /// 2PL owner whose locks must be released at resolution.
     pub s2pl_owner: Option<u64>,
+    /// Performed at least one write: a writeless branch resolves like a
+    /// writeless commit or rollback, and ships no data commit to replicas.
+    pub wrote: bool,
     /// Log position of the durable Prepare record (None when capture is off).
     /// The record carries the redo ops, so resolution only logs a small
     /// Resolve marker; the checkpoint trimmer must keep the log tail from the

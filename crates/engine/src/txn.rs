@@ -208,27 +208,28 @@ impl Transaction {
         self.auto_abort(e)
     }
 
+    /// The SSI manager and handle this transaction runs under, if serializable.
+    fn ssi_ref(&self) -> Option<(&SsiManager, &SxactHandle)> {
+        self.ssi.as_ref().map(|s| (&*s.mgr, &s.sx))
+    }
+
+    /// The 2PL lock owner to release at the end, if two-phase locking.
+    fn s2pl_owner(&self) -> Option<u64> {
+        self.is_2pl().then_some(self.txid.0)
+    }
+
     fn rollback_in_place(&mut self) {
         if self.finished {
             return;
         }
         let xids = all_xids(&self.txid, &self.subxids);
-        if self.wrote {
-            self.db.tm.abort(&xids);
-        } else {
-            // Writeless rollback: skip the snapshot-cache invalidation, same
-            // soundness argument as the writeless commit path.
-            self.db.tm.abort_readonly(&xids);
-        }
-        if let Some(s) = &self.ssi {
-            let db = &self.db;
-            s.mgr
-                .abort_with(&s.sx, |txid| db.wal.publish_abort(db, txid));
-        }
-        if self.is_2pl() {
-            self.db.s2pl.release_owner(self.txid.0);
-        }
-        self.db.active_snapshots.lock().remove(&self.txid);
+        self.db.abort_txn(
+            self.txid,
+            &xids,
+            self.ssi_ref(),
+            self.wrote,
+            self.s2pl_owner(),
+        );
         self.db.stats.aborts.bump();
         self.finished = true;
     }
@@ -1036,77 +1037,27 @@ impl Transaction {
         let span = self.db.stats.commit_ns.start();
         let txid = self.txid;
         let xids = all_xids(&txid, &self.subxids);
-        let wrote = self.wrote;
-        let payload = if wrote {
+        let payload = if self.wrote {
             self.take_redo_payload()
         } else {
             None
         };
-        let mut wal_lsn = None;
-        let tm_commit = |tm: &pgssi_storage::TxnManager| {
-            if wrote {
-                tm.commit(&xids)
-            } else {
-                tm.commit_readonly(&xids)
+        if let Some((mgr, sx)) = self.ssi_ref() {
+            if let Err(e) = mgr.precommit(sx, self.db.tm.frontier()) {
+                return Err(self.abort_at(e, AbortSite::Precommit, None));
             }
+        }
+        // A failed commit-time pivot re-check committed nothing, so rolling
+        // back here is exactly like a precommit failure.
+        let ssi = self.ssi_ref();
+        let lsn = match self
+            .db
+            .commit_txn(txid, &xids, ssi, self.wrote, payload.as_deref())
+        {
+            Ok(lsn) => lsn,
+            Err(e) => return Err(self.abort_at(e, AbortSite::Precommit, None)),
         };
-        if let Some(SsiTxn { mgr: ssi, sx }) = &self.ssi {
-            if let Err(e) = ssi.precommit(sx, self.db.tm.frontier()) {
-                return Err(self.abort_at(e, AbortSite::Precommit, None));
-            }
-            // The checked commit re-validates the dangerous-pivot condition
-            // under the commit-order mutex (a concurrent T3 may have
-            // committed since the precommit) and fails *before* the
-            // transaction-manager commit runs, so rolling back here is
-            // exactly like a precommit failure. The publish hook ships the
-            // WAL record(s) in the same critical section, so the §8.4 digest,
-            // the post-commit snapshot, and the stream position are captured
-            // atomically with respect to serializable begins.
-            let db = &self.db;
-            if let Err(e) = ssi.commit_checked_with(
-                sx,
-                || {
-                    let (csn, lsn) = db
-                        .dwal
-                        .commit_durably(payload.as_deref(), || tm_commit(&db.tm));
-                    wal_lsn = lsn;
-                    csn
-                },
-                |digest| db.wal.publish_commit_lazy(db, digest),
-            ) {
-                return Err(self.abort_at(e, AbortSite::Precommit, None));
-            }
-        } else {
-            let csn = {
-                let db = &self.db;
-                let (csn, lsn) = db
-                    .dwal
-                    .commit_durably(payload.as_deref(), || tm_commit(&db.tm));
-                wal_lsn = lsn;
-                csn
-            };
-            if wrote && self.db.wal.has_consumers() {
-                // Non-serializable commits publish through the SSI
-                // commit-order section: the shipped concurrent-rw set and the
-                // snapshot a follower will judge with it must be captured
-                // atomically with respect to serializable begins. With no
-                // replica attached the section is skipped entirely — SI/RC
-                // traffic pays nothing for the replication layer.
-                let db = &self.db;
-                db.ssi()
-                    .observe_commit(self.txid, csn, |digest| db.wal.publish_commit(db, digest));
-            }
-        }
-        // Commit is acknowledged only once the record is on stable storage
-        // (group commit batches the fsync with concurrent committers).
-        if let Some(lsn) = wal_lsn {
-            self.db.dwal.wait_durable(lsn);
-        }
-        if self.is_2pl() {
-            self.db.s2pl.release_owner(self.txid.0);
-        }
-        self.db.active_snapshots.lock().remove(&self.txid);
-        self.db.stats.commits.bump();
+        self.db.finish_commit(txid, lsn, self.s2pl_owner());
         self.db.stats.commit_ns.record_elapsed(span);
         self.finished = true;
         Ok(())
@@ -1163,7 +1114,8 @@ impl Transaction {
             xids,
             sx: self.ssi.as_ref().map(|s| s.sx.clone()),
             ssi: ssi_rec,
-            s2pl_owner: self.is_2pl().then_some(self.txid.0),
+            s2pl_owner: self.s2pl_owner(),
+            wrote: self.wrote,
             prepare_lsn: None,
         };
         let prepare_lsn = {

@@ -1,9 +1,9 @@
 //! Feature interactions from §7: two-phase commit (with crash recovery and the
 //! degraded safe-retry case), streaming replication (§8.4 metadata shipping —
-//! the concurrent suite and the race regression tests cover it in depth), and
-//! deferrable transactions.
+//! the concurrent suite and the race regression tests cover it in depth), the
+//! §6 serial-table bound, and deferrable transactions.
 
-use pgssi_common::{row, Value};
+use pgssi_common::{row, EngineConfig, SsiConfig, TxnId, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, Replica, TableDef, Transaction};
 
 fn kv_db() -> Database {
@@ -189,6 +189,25 @@ fn replica_receives_commits_and_safe_snapshots() {
     q.commit().unwrap();
 }
 
+/// A branch that only read ships no data commit: neither a writeless
+/// REPEATABLE READ commit nor COMMIT PREPARED of a writeless REPEATABLE READ
+/// branch moves the replication stream.
+#[test]
+fn writeless_prepared_branch_ships_no_commit_record() {
+    let db = kv_db();
+    let _replica = Replica::connect(&db);
+    let shipped = db.wal().len();
+    let mut plain = db.begin(IsolationLevel::RepeatableRead);
+    assert_eq!(plain.get("kv", &row![1]).unwrap(), None);
+    plain.commit().unwrap();
+    assert_eq!(db.wal().len(), shipped, "writeless commit");
+    let mut branch = db.begin(IsolationLevel::RepeatableRead);
+    assert_eq!(branch.get("kv", &row![1]).unwrap(), None);
+    branch.prepare("gid-ro").unwrap();
+    db.commit_prepared("gid-ro").unwrap();
+    assert_eq!(db.wal().len(), shipped, "writeless COMMIT PREPARED");
+}
+
 #[test]
 fn replica_safe_snapshot_lags_behind_active_serializable_txns() {
     let db = kv_db();
@@ -306,6 +325,49 @@ fn replica_stale_query_exposes_anomaly_safe_query_does_not() {
         .unwrap();
     assert_eq!((closed, receipts.len()), (x + 1, 1));
     after.commit().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Memory bounds (§6)
+// ---------------------------------------------------------------------------
+
+/// §6's serial-table bound holds and releases: while a reader pins the
+/// cleanup horizon, each summarized writer leaves at most one entry; once the
+/// reader is gone the next horizon sweep empties the table, and probing it
+/// for transactions it never recorded adds nothing.
+#[test]
+fn serial_table_is_bounded_by_the_horizon_and_released() {
+    let db = Database::new(EngineConfig {
+        ssi: SsiConfig::tiny(),
+        ..EngineConfig::default()
+    });
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    let write = |k: i64| {
+        let mut w = db.begin(IsolationLevel::Serializable);
+        w.insert("kv", row![k, k]).unwrap();
+        w.commit().unwrap();
+    };
+    write(0);
+    let mut reader = db.begin(IsolationLevel::Serializable);
+    assert_eq!(reader.get("kv", &row![0]).unwrap(), Some(row![0, 0]));
+    for k in 1..=12 {
+        write(k);
+    }
+    let ssi = db.ssi();
+    let (len, summarized) = (ssi.serial().len() as u64, ssi.stats.summarized.get());
+    assert!(
+        0 < len && len <= summarized,
+        "{len} entries, {summarized} summarized"
+    );
+
+    reader.commit().unwrap();
+    write(13);
+    assert_eq!(ssi.serial().len(), 0, "released once the horizon passes");
+    for x in 1_000_000..1_000_064 {
+        assert_eq!(ssi.serial().lookup(TxnId(x)), None);
+    }
+    assert_eq!(ssi.serial().len(), 0, "a lookup miss inserts nothing");
 }
 
 // ---------------------------------------------------------------------------
