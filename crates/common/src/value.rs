@@ -1,11 +1,15 @@
 //! Typed row values and keys.
 //!
 //! Rows are flat tuples of [`Value`]s; index keys are projections of row columns
-//! (`Vec<Value>` compared lexicographically), which is enough to express composite
-//! keys like TPC-C's `(w_id, d_id, o_id)` without a full type system.
+//! (the same [`Row`] type, compared lexicographically), which is enough to express
+//! composite keys like TPC-C's `(w_id, d_id, o_id)` without a full type system.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::iter::{Chain, Take};
+use std::ops::{Deref, DerefMut};
+use std::{array, vec};
 
 /// A single column value.
 ///
@@ -124,11 +128,173 @@ impl From<String> for Value {
     }
 }
 
+/// How many values a [`Row`] holds without a heap allocation. Four covers
+/// every key in the workspace (the widest, DBT-2's `order_line` primary key and
+/// `orders_by_customer`, have four columns) and every two-column SIBENCH row.
+pub const INLINE_VALUES: usize = 4;
+
 /// A stored row: a flat tuple of column values.
-pub type Row = Vec<Value>;
+///
+/// Up to [`INLINE_VALUES`] values live inline, so building, cloning and
+/// dropping a short row or key never touches the allocator; a longer one
+/// spills to a `Vec`. The representation is invisible: a `Row` derefs to
+/// `[Value]`, and equality, ordering, hashing and `Debug` are exactly those of
+/// the slice (and therefore of `Vec<Value>`).
+#[derive(Clone)]
+pub struct Row(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `len` live values, then `Value::Null` padding (which owns nothing).
+    Inline(u8, [Value; INLINE_VALUES]),
+    Heap(Vec<Value>),
+}
+
+const NULLS: [Value; INLINE_VALUES] = [Value::Null, Value::Null, Value::Null, Value::Null];
 
 /// An index key: an ordered projection of row columns, compared lexicographically.
-pub type Key = Vec<Value>;
+pub type Key = Row;
+
+impl Row {
+    /// An empty row (no allocation).
+    pub const fn new() -> Row {
+        Row(Repr::Inline(0, NULLS))
+    }
+
+    /// An empty row with room for `n` values; allocates only if `n` exceeds
+    /// [`INLINE_VALUES`].
+    pub fn with_capacity(n: usize) -> Row {
+        if n <= INLINE_VALUES {
+            Row::new()
+        } else {
+            Row(Repr::Heap(Vec::with_capacity(n)))
+        }
+    }
+
+    /// Append a value, spilling to the heap when the inline slots are full.
+    pub fn push(&mut self, v: Value) {
+        match &mut self.0 {
+            Repr::Inline(len, vals) if (*len as usize) < INLINE_VALUES => {
+                vals[*len as usize] = v;
+                *len += 1;
+            }
+            Repr::Inline(_, vals) => {
+                let mut heap = Vec::with_capacity(2 * INLINE_VALUES);
+                heap.extend(std::mem::replace(vals, NULLS));
+                heap.push(v);
+                self.0 = Repr::Heap(heap);
+            }
+            Repr::Heap(heap) => heap.push(v),
+        }
+    }
+}
+
+impl Default for Row {
+    fn default() -> Row {
+        Row::new()
+    }
+}
+
+impl Deref for Row {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            Repr::Inline(len, vals) => &vals[..*len as usize],
+            Repr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Row {
+    fn deref_mut(&mut self) -> &mut [Value] {
+        match &mut self.0 {
+            Repr::Inline(len, vals) => &mut vals[..*len as usize],
+            Repr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Row {}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Row) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Row) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Row {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Row {
+        let iter = iter.into_iter();
+        let mut row = Row::with_capacity(iter.size_hint().0);
+        for v in iter {
+            row.push(v);
+        }
+        row
+    }
+}
+
+impl From<Vec<Value>> for Row {
+    fn from(vals: Vec<Value>) -> Row {
+        if vals.len() <= INLINE_VALUES {
+            vals.into_iter().collect()
+        } else {
+            Row(Repr::Heap(vals))
+        }
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Row {
+    fn from(vals: [Value; N]) -> Row {
+        vals.into_iter().collect()
+    }
+}
+
+impl IntoIterator for Row {
+    type Item = Value;
+    /// The inline values, then the spilled ones; one side is always empty.
+    type IntoIter = Chain<Take<array::IntoIter<Value, INLINE_VALUES>>, vec::IntoIter<Value>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        match self.0 {
+            Repr::Inline(len, vals) => vals.into_iter().take(len as usize).chain(Vec::new()),
+            Repr::Heap(heap) => NULLS.into_iter().take(0).chain(heap),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Row {
+    type Item = &'a Value;
+    type IntoIter = std::slice::Iter<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
 
 /// Build a [`Row`] (or [`Key`]) from anything convertible to [`Value`].
 ///
@@ -140,7 +306,7 @@ pub type Key = Vec<Value>;
 #[macro_export]
 macro_rules! row {
     ($($v:expr),* $(,)?) => {
-        vec![$($crate::Value::from($v)),*]
+        $crate::Row::from([$($crate::Value::from($v)),*])
     };
 }
 
@@ -189,11 +355,17 @@ mod tests {
     }
 
     #[test]
+    fn inline_row_is_its_values_plus_a_word() {
+        let values = INLINE_VALUES * std::mem::size_of::<Value>();
+        assert!(std::mem::size_of::<Row>() <= values + 8);
+    }
+
+    #[test]
     fn row_macro_builds_values() {
         let r = row![42, "name", false];
         assert_eq!(
-            r,
-            vec![Value::Int(42), Value::text("name"), Value::Bool(false)]
+            *r,
+            [Value::Int(42), Value::text("name"), Value::Bool(false)]
         );
     }
 }

@@ -201,7 +201,7 @@ impl<'a> Reader<'a> {
 
     fn row(&mut self) -> Option<Row> {
         let n = self.u32()? as usize;
-        let mut row = Vec::with_capacity(n.min(1024));
+        let mut row = Row::with_capacity(n.min(1024));
         for _ in 0..n {
             row.push(self.value()?);
         }
@@ -815,7 +815,7 @@ mod tests {
             },
             RedoOp::Upsert {
                 table: "t".into(),
-                row: vec![Value::Null, Value::Bool(true), Value::Int(-7)],
+                row: row![Value::Null, true, -7],
             },
             RedoOp::Delete {
                 table: "t".into(),
@@ -826,6 +826,32 @@ mod tests {
         let (txid, dec) = decode_commit(&enc).unwrap();
         assert_eq!(txid, TxnId(42));
         assert_eq!(dec, ops);
+    }
+
+    /// Rows on both sides of the inline capacity (4) survive the redo codec.
+    #[test]
+    fn redo_rows_roundtrip_inline_and_spilled() {
+        for width in [0usize, 4, 5, 20] {
+            let row: Row = (0..width)
+                .map(|i| match i % 3 {
+                    0 => Value::Int(i as i64 - 7),
+                    1 => Value::text(format!("c{i}")),
+                    _ => Value::Null,
+                })
+                .collect();
+            let ops = vec![
+                RedoOp::Upsert {
+                    table: "t".into(),
+                    row: row.clone(),
+                },
+                RedoOp::Delete {
+                    table: "t".into(),
+                    key: row,
+                },
+            ];
+            let (_, dec) = decode_commit(&encode_commit(TxnId(7), &ops)).unwrap();
+            assert_eq!(dec, ops, "{width} columns");
+        }
     }
 
     #[test]

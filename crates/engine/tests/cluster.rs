@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgssi_common::{row, EngineConfig, Error, Key, SerializationKind, Value, WalConfig};
+use pgssi_common::{row, EngineConfig, Error, Key, SerializationKind, WalConfig};
 use pgssi_engine::{IsolationLevel, Replica, ShardedDatabase, TableDef};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -67,12 +67,8 @@ fn cross_shard_write_skew_aborts_at_the_coordinator() {
     let c = kv_cluster(2);
     let (x, y) = split_keys(&c);
     let mut setup = c.begin(IsolationLevel::Serializable);
-    setup
-        .insert("kv", vec![x[0].clone(), Value::Int(0)])
-        .unwrap();
-    setup
-        .insert("kv", vec![y[0].clone(), Value::Int(0)])
-        .unwrap();
+    setup.insert("kv", row![x[0].clone(), 0]).unwrap();
+    setup.insert("kv", row![y[0].clone(), 0]).unwrap();
     setup.commit().unwrap();
     let committed_before = c.cluster_stats().cross_shard_commits.get();
 
@@ -80,10 +76,8 @@ fn cross_shard_write_skew_aborts_at_the_coordinator() {
     let mut t2 = c.begin(IsolationLevel::Serializable);
     assert!(t1.get("kv", &x).unwrap().is_some());
     assert!(t2.get("kv", &y).unwrap().is_some());
-    t1.update("kv", &y, vec![y[0].clone(), Value::Int(1)])
-        .unwrap();
-    t2.update("kv", &x, vec![x[0].clone(), Value::Int(1)])
-        .unwrap();
+    t1.update("kv", &y, row![y[0].clone(), 1]).unwrap();
+    t2.update("kv", &x, row![x[0].clone(), 1]).unwrap();
     assert!(t1.is_cross_shard());
     assert!(t2.is_cross_shard());
 
@@ -122,12 +116,8 @@ fn pivot_with_committed_out_neighbor_is_not_counted_as_spared() {
     let c = kv_cluster(2);
     let (x, y) = split_keys(&c);
     let mut setup = c.begin(IsolationLevel::Serializable);
-    setup
-        .insert("kv", vec![x[0].clone(), Value::Int(0)])
-        .unwrap();
-    setup
-        .insert("kv", vec![y[0].clone(), Value::Int(0)])
-        .unwrap();
+    setup.insert("kv", row![x[0].clone(), 0]).unwrap();
+    setup.insert("kv", row![y[0].clone(), 0]).unwrap();
     setup.commit().unwrap();
 
     // Pivot T1: reads x on shard A (out-edge lives there), writes y on
@@ -139,15 +129,13 @@ fn pivot_with_committed_out_neighbor_is_not_counted_as_spared() {
     // shard B only).
     let mut t3 = c.begin(IsolationLevel::Serializable);
     assert!(t3.get("kv", &y).unwrap().is_some());
-    t1.update("kv", &y, vec![y[0].clone(), Value::Int(1)])
-        .unwrap();
+    t1.update("kv", &y, row![y[0].clone(), 1]).unwrap();
 
     // T2 overwrites x and commits (single-shard, shard A): T1 --rw--> T2
     // with T2 committed before T1 prepares, which is exactly the §3.3.1
     // condition for the pivot being genuinely dangerous.
     let mut t2 = c.begin(IsolationLevel::Serializable);
-    t2.update("kv", &x, vec![x[0].clone(), Value::Int(2)])
-        .unwrap();
+    t2.update("kv", &x, row![x[0].clone(), 2]).unwrap();
     t2.commit().unwrap();
 
     let err = t1.commit().unwrap_err();

@@ -5,12 +5,12 @@
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
-use pgssi_common::{Key, PageNo, RelId, TupleId, Value};
+use pgssi_common::{row, Key, PageNo, RelId, TupleId};
 use pgssi_index::BTreeIndex;
 use proptest::prelude::*;
 
 fn key(i: i64) -> Key {
-    vec![Value::Int(i)]
+    row![i]
 }
 
 fn tid(n: u32) -> TupleId {

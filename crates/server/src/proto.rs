@@ -136,127 +136,120 @@ pub fn write_row(out: &mut Vec<u8>, row: &Row, sep: u8) {
     }
 }
 
-fn parse_begin(tokens: &[&str]) -> Result<Command, String> {
+fn parse_begin<'a>(mut tokens: impl Iterator<Item = &'a str>) -> Result<Command, String> {
     let mut spec = BeginSpec {
         isolation: IsolationLevel::Serializable,
         read_only: false,
         deferrable: false,
     };
-    let mut i = 0;
-    while i < tokens.len() {
-        match tokens[i].to_ascii_uppercase().as_str() {
-            "ISOLATION" => i += 1, // optional noise word: BEGIN ISOLATION SERIALIZABLE
-            "SERIALIZABLE" => {
-                spec.isolation = IsolationLevel::Serializable;
-                i += 1;
+    while let Some(tok) = tokens.next() {
+        let is = |word: &str| tok.eq_ignore_ascii_case(word);
+        if is("ISOLATION") {
+            // optional noise word: BEGIN ISOLATION SERIALIZABLE
+        } else if is("SERIALIZABLE") {
+            spec.isolation = IsolationLevel::Serializable;
+        } else if is("S2PL") {
+            spec.isolation = IsolationLevel::Serializable2pl;
+        } else if is("REPEATABLE") {
+            if !tokens
+                .next()
+                .is_some_and(|t| t.eq_ignore_ascii_case("READ"))
+            {
+                return Err("expected REPEATABLE READ".into());
             }
-            "S2PL" => {
-                spec.isolation = IsolationLevel::Serializable2pl;
-                i += 1;
-            }
-            "REPEATABLE" => {
-                if tokens.get(i + 1).map(|t| t.to_ascii_uppercase()) != Some("READ".into()) {
-                    return Err("expected REPEATABLE READ".into());
-                }
-                spec.isolation = IsolationLevel::RepeatableRead;
-                i += 2;
-            }
-            "READ" => match tokens.get(i + 1).map(|t| t.to_ascii_uppercase()) {
-                Some(ref t) if t == "COMMITTED" => {
+            spec.isolation = IsolationLevel::RepeatableRead;
+        } else if is("READ") {
+            match tokens.next() {
+                Some(t) if t.eq_ignore_ascii_case("COMMITTED") => {
                     spec.isolation = IsolationLevel::ReadCommitted;
-                    i += 2;
                 }
-                Some(ref t) if t == "ONLY" => {
-                    spec.read_only = true;
-                    i += 2;
-                }
+                Some(t) if t.eq_ignore_ascii_case("ONLY") => spec.read_only = true,
                 _ => return Err("expected READ COMMITTED or READ ONLY".into()),
-            },
-            "DEFERRABLE" => {
-                spec.deferrable = true;
-                spec.read_only = true;
-                i += 1;
             }
-            other => return Err(format!("unknown BEGIN option {other:?}")),
+        } else if is("DEFERRABLE") {
+            spec.deferrable = true;
+            spec.read_only = true;
+        } else {
+            return Err(format!(
+                "unknown BEGIN option {:?}",
+                tok.to_ascii_uppercase()
+            ));
         }
     }
     Ok(Command::Begin(spec))
 }
 
-fn table_and_values(tokens: &[&str], verb: &str) -> Result<(String, Vec<Value>), String> {
-    let Some((table, rest)) = tokens.split_first() else {
+/// The table name and the values after it, parsed straight into a [`Row`].
+fn table_and_values<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    verb: &str,
+) -> Result<(String, Row), String> {
+    let Some(table) = tokens.next() else {
         return Err(format!("{verb} needs a table name"));
     };
-    if rest.is_empty() {
+    let values: Row = tokens.map(parse_value).collect();
+    if values.is_empty() {
         return Err(format!("{verb} needs at least one value"));
     }
-    Ok((
-        table.to_string(),
-        rest.iter().map(|t| parse_value(t)).collect(),
-    ))
+    Ok((table.to_string(), values))
 }
 
-/// Parse one request line.
+/// `cmd` if no token is left, else `err`.
+fn no_args<'a>(
+    mut tokens: impl Iterator<Item = &'a str>,
+    cmd: Command,
+    err: &str,
+) -> Result<Command, String> {
+    match tokens.next() {
+        None => Ok(cmd),
+        Some(_) => Err(err.into()),
+    }
+}
+
+/// The one token left, or `err`.
+fn one_arg<'a>(mut tokens: impl Iterator<Item = &'a str>, err: &str) -> Result<String, String> {
+    match (tokens.next(), tokens.next()) {
+        (Some(arg), None) => Ok(arg.to_string()),
+        _ => Err(err.into()),
+    }
+}
+
+/// Parse one request line. The tokens are walked in place and verbs matched
+/// without case folding, so a `GET`/`PUT`/`DEL` of integer values allocates
+/// only its table name (its values land in an inline [`Row`]).
 pub fn parse(line: &str) -> Result<Command, String> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let Some((verb, rest)) = tokens.split_first() else {
+    let mut tokens = line.split_whitespace();
+    let Some(verb) = tokens.next() else {
         return Err("empty request".into());
     };
-    match verb.to_ascii_uppercase().as_str() {
-        "BEGIN" => parse_begin(rest),
-        "GET" => {
-            let (table, key) = table_and_values(rest, "GET")?;
-            Ok(Command::Get { table, key })
-        }
-        "PUT" => {
-            let (table, row) = table_and_values(rest, "PUT")?;
-            Ok(Command::Put { table, row })
-        }
-        "DEL" => {
-            let (table, key) = table_and_values(rest, "DEL")?;
-            Ok(Command::Del { table, key })
-        }
-        "SCAN" => match rest {
-            [table] => Ok(Command::Scan {
-                table: table.to_string(),
-            }),
-            _ => Err("SCAN takes exactly a table name".into()),
-        },
-        "COMMIT" => {
-            if rest.is_empty() {
-                Ok(Command::Commit)
-            } else {
-                Err("COMMIT takes no arguments".into())
-            }
-        }
-        "ABORT" | "ROLLBACK" => {
-            if rest.is_empty() {
-                Ok(Command::Abort)
-            } else {
-                Err("ABORT takes no arguments".into())
-            }
-        }
-        "STATS" => {
-            if rest.is_empty() {
-                Ok(Command::Stats)
-            } else {
-                Err("STATS takes no arguments".into())
-            }
-        }
-        "ACTIVITY" => {
-            if rest.is_empty() {
-                Ok(Command::Activity)
-            } else {
-                Err("ACTIVITY takes no arguments".into())
-            }
-        }
-        "HIST" => match rest {
-            [name] => Ok(Command::Hist {
-                name: name.to_string(),
-            }),
-            _ => Err("HIST takes exactly a histogram name".into()),
-        },
-        other => Err(format!("unknown command {other:?}")),
+    let is = |name: &str| verb.eq_ignore_ascii_case(name);
+    if is("BEGIN") {
+        parse_begin(tokens)
+    } else if is("GET") {
+        let (table, key) = table_and_values(tokens, "GET")?;
+        Ok(Command::Get { table, key })
+    } else if is("PUT") {
+        let (table, row) = table_and_values(tokens, "PUT")?;
+        Ok(Command::Put { table, row })
+    } else if is("DEL") {
+        let (table, key) = table_and_values(tokens, "DEL")?;
+        Ok(Command::Del { table, key })
+    } else if is("SCAN") {
+        let table = one_arg(tokens, "SCAN takes exactly a table name")?;
+        Ok(Command::Scan { table })
+    } else if is("COMMIT") {
+        no_args(tokens, Command::Commit, "COMMIT takes no arguments")
+    } else if is("ABORT") || is("ROLLBACK") {
+        no_args(tokens, Command::Abort, "ABORT takes no arguments")
+    } else if is("STATS") {
+        no_args(tokens, Command::Stats, "STATS takes no arguments")
+    } else if is("ACTIVITY") {
+        no_args(tokens, Command::Activity, "ACTIVITY takes no arguments")
+    } else if is("HIST") {
+        let name = one_arg(tokens, "HIST takes exactly a histogram name")?;
+        Ok(Command::Hist { name })
+    } else {
+        Err(format!("unknown command {:?}", verb.to_ascii_uppercase()))
     }
 }
 
@@ -320,6 +313,7 @@ mod tests {
                     Value::Null,
                     Value::text("hello")
                 ]
+                .into()
             }
         );
         assert_eq!(

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use pgssi_common::{EngineConfig, Error, ServerConfig};
+use pgssi_common::{row, EngineConfig, Error, ServerConfig};
 use pgssi_engine::{Database, TableDef};
 use pgssi_server::{Server, TcpClient, TcpFrontEnd, Transport};
 
@@ -922,9 +922,9 @@ fn shutdown_closes_tcp_sessions_parked_or_claimed() {
         }
     }
     let mut check = db.begin(pgssi_engine::IsolationLevel::ReadCommitted);
-    let seven = check.get("kv", &vec![7.into()]).unwrap();
+    let seven = check.get("kv", &row![7]).unwrap();
     assert_eq!(seven.map(|r| r[1].clone()), Some(70.into()));
-    assert_eq!(check.get("kv", &vec![8.into()]).unwrap(), None);
+    assert_eq!(check.get("kv", &row![8]).unwrap(), None);
     check.commit().unwrap();
 }
 

@@ -458,7 +458,8 @@ impl Heap {
     /// followed — at most one version of a row is visible to a snapshot, wherever
     /// it lives), report each version's conflict-out events as PostgreSQL's
     /// `CheckForSerializableConflictOut` does per tuple, and hand visible rows to
-    /// `on_row`. Both callbacks run under the page latch: clone and return.
+    /// `on_row`. Both callbacks run under the page latch: clone and return (a
+    /// row of up to four values clones without allocating).
     /// Row order is physical and unspecified.
     pub fn scan_visible(
         &self,
@@ -678,7 +679,7 @@ impl Heap {
         let newly_stubbed = self.with_tuple_mut(root, |t| {
             let newly = !t.pruned;
             t.pruned = true;
-            t.row = Vec::new();
+            t.row = Row::new();
             t.next = Some(live);
             newly
         });
@@ -694,7 +695,7 @@ impl Heap {
             let newly = !t.pruned;
             t.pruned = true;
             t.dead = true;
-            t.row = Vec::new();
+            t.row = Row::new();
             (newly, t.next.take())
         });
         let Some((newly, rest)) = cut else { return };
