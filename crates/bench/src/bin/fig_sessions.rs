@@ -26,7 +26,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pgssi_bench::args::BenchArgs;
@@ -99,13 +99,16 @@ fn run_sweep_cell(
     let stop = Arc::new(AtomicBool::new(false));
     // A few driver threads pace all terminals; each owns a disjoint slice.
     let drivers = sessions.clamp(1, 4);
-    let start = Instant::now();
+    // The clock starts once every driver has connected its terminals:
+    // connecting a thousand sockets takes seconds, and is not throughput.
+    let connected = Barrier::new(drivers + 1);
     let mut elapsed = Duration::ZERO;
     std::thread::scope(|scope| {
         for d in 0..drivers {
             let committed = Arc::clone(&committed);
             let aborted = Arc::clone(&aborted);
             let stop = Arc::clone(&stop);
+            let connected = &connected;
             let mine = (sessions / drivers) + usize::from(d < sessions % drivers);
             scope.spawn(move || {
                 let mut terminals: Vec<Terminal> = (0..mine)
@@ -115,6 +118,7 @@ fn run_sweep_cell(
                         pending: 0,
                     })
                     .collect();
+                connected.wait();
                 for t in &mut terminals {
                     t.fire(rows);
                 }
@@ -147,6 +151,8 @@ fn run_sweep_cell(
                 }
             });
         }
+        connected.wait();
+        let start = Instant::now();
         std::thread::sleep(duration);
         stop.store(true, Ordering::Relaxed);
         // Measure up to the stop flag, not past the drain joins below: the

@@ -152,16 +152,19 @@ impl Default for TxnConfig {
     }
 }
 
-/// Session-layer configuration for `pgssi-server`'s [`SessionPool`] — the
-/// thread-pooled front-end that multiplexes many logical client sessions
-/// (paper §8 runs hundreds of mostly-idle DBT-2 terminals) onto a small,
-/// fixed set of worker threads.
+/// Session-layer configuration for `pgssi-server`. A TCP connection runs its
+/// session on its own thread; the sessions that have no thread of their own
+/// (in-process handles, DBT-2 terminals — paper §8 runs hundreds of
+/// mostly-idle ones) are multiplexed onto the [`SessionPool`]'s small, fixed
+/// set of worker threads. A thread per such session was measured and lost
+/// (the pool's module docs give the numbers).
 ///
 /// [`SessionPool`]: https://docs.rs/pgssi-server
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing session activations. Defaults to the machine's
-    /// available parallelism, capped at 16.
+    /// Worker threads executing the activations of threadless sessions; TCP
+    /// sessions never use them. Defaults to the machine's available
+    /// parallelism, capped at 16.
     pub workers: usize,
     /// Maximum number of concurrently open logical sessions.
     pub max_sessions: usize,

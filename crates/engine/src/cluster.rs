@@ -319,7 +319,6 @@ impl ShardedDatabase {
             alloc_shard,
             branches: (0..self.shards()).map(|_| None).collect(),
             enlisted: Vec::new(),
-            on_enlist: None,
             finished: false,
         })
     }
@@ -389,11 +388,6 @@ pub struct ShardedTransaction {
     branches: Vec<Option<Transaction>>,
     /// Shards in enlistment order (first entry = fast-path shard).
     enlisted: Vec<usize>,
-    /// Called with `(shard, branch txid)` each time a statement enlists a
-    /// new shard. The server layer registers branches with its wait-observer
-    /// registry here: a branch can block inside the very statement that
-    /// opened it, before any statement-completion bookkeeping runs.
-    on_enlist: Option<Box<dyn Fn(usize, TxnId) + Send>>,
     finished: bool,
 }
 
@@ -411,14 +405,10 @@ impl ShardedTransaction {
                 Some(s) => db.begin_with_on_shard(self.opts, s)?,
                 None => db.begin_with(self.opts)?,
             };
-            let txid = txn.txid();
             self.branches[shard] = Some(txn);
             self.enlisted.push(shard);
             if self.enlisted.len() == 2 {
                 self.cluster.inner.stats.coordinator_enlistments.bump();
-            }
-            if let Some(hook) = &self.on_enlist {
-                hook(shard, txid);
             }
         }
         Ok(self.branches[shard].as_mut().expect("just opened"))
@@ -438,13 +428,6 @@ impl ShardedTransaction {
         }
         let key: Key = pk.iter().map(|&i| new_row[i].clone()).collect();
         Ok(self.route(table, &key))
-    }
-
-    /// Install the enlist hook (see the field's docs). Fires for branches
-    /// opened after this call; typically installed right after BEGIN, before
-    /// any statement routes.
-    pub fn set_enlist_hook(&mut self, hook: impl Fn(usize, TxnId) + Send + 'static) {
-        self.on_enlist = Some(Box::new(hook));
     }
 
     /// Shards this transaction has touched, in enlistment order, with each

@@ -124,11 +124,9 @@ pub struct SessionStats {
     pub requests_executed: Counter,
     /// Times a pool worker went to sleep with no runnable session.
     pub worker_parks: Counter,
-    /// Times a worker about to park on a row lock priority-woke the lock
-    /// holder's descheduled session (lock-aware scheduling).
-    pub lock_holder_wakeups: Counter,
     /// Emergency reserve workers spawned because every pool worker was
-    /// blocked in a row-lock wait while a lock-holding session sat runnable.
+    /// blocked in a row-lock wait while a session with an open transaction
+    /// sat queued.
     pub reserve_workers: Counter,
     /// `read` calls that returned bytes on TCP connections (server side).
     pub socket_reads: Counter,
@@ -216,7 +214,8 @@ pub struct StatsReport {
     pub session_executed: u64,
     /// Times a session-pool worker parked with no runnable session.
     pub session_worker_parks: u64,
-    /// Lock-holder sessions priority-woken by a worker about to park.
+    /// Always 0: nothing produces it. Kept because the observatory
+    /// benchmark reads it.
     pub session_lock_wakeups: u64,
     /// Emergency reserve workers spawned for an all-workers-blocked pool.
     pub session_reserve_workers: u64,
@@ -555,13 +554,12 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "server : sessions {}  requests {}  executed {}  worker-parks {}  lock-wakeups {}  \
+            "server : sessions {}  requests {}  executed {}  worker-parks {}  \
              reserve-workers {}  socket-reads {}  socket-writes {}",
             self.sessions_opened,
             self.session_requests,
             self.session_executed,
             self.session_worker_parks,
-            self.session_lock_wakeups,
             self.session_reserve_workers,
             self.session_socket_reads,
             self.session_socket_writes
@@ -1377,7 +1375,7 @@ impl Database {
             session_requests: self.inner.session_stats.requests_enqueued.get(),
             session_executed: self.inner.session_stats.requests_executed.get(),
             session_worker_parks: self.inner.session_stats.worker_parks.get(),
-            session_lock_wakeups: self.inner.session_stats.lock_holder_wakeups.get(),
+            session_lock_wakeups: 0,
             session_reserve_workers: self.inner.session_stats.reserve_workers.get(),
             session_socket_reads: self.inner.session_stats.socket_reads.get(),
             session_socket_writes: self.inner.session_stats.socket_writes.get(),
@@ -1444,8 +1442,8 @@ impl Database {
 
     /// Register a row-lock wait observer: `(waiter, holder)` is reported just
     /// before a transaction parks waiting for another to finish. The session
-    /// pool installs one so it can priority-schedule the holder's session
-    /// (lock-aware scheduling). Replaces any previous observer.
+    /// pool installs one to show the wait in `ACTIVITY` and to count its
+    /// blocked workers. Replaces any previous observer.
     pub fn set_wait_observer(&self, obs: pgssi_storage::WaitObserver) {
         self.inner.tm.set_wait_observer(obs);
     }

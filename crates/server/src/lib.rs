@@ -9,9 +9,7 @@
 //! * [`SessionPool`] — the scheduling core: a fixed set of worker threads
 //!   executing activations of many logical [`SessionTask`]s, with a ready
 //!   queue, a think-time deadline heap, and lost-wakeup-free external wakes.
-//!   Benchmark harnesses drive it directly (DBT-2++ think-time sessions). A
-//!   session that has a thread of its own — a TCP connection — runs its
-//!   activations there instead ([`SessionPool::run_or_wake`]).
+//!   Benchmark harnesses drive it directly (DBT-2++ think-time sessions).
 //! * [`Server`] / [`SessionHandle`] — the wire layer: logical client
 //!   sessions speaking a tiny line protocol (`BEGIN`/`GET`/`PUT`/`DEL`/
 //!   `SCAN`/`COMMIT`/`ABORT`, see [`proto`]) over in-process duplex
@@ -22,6 +20,12 @@
 //!   against a [`Server::listen`] accept loop, see [`tcp`]) expose one
 //!   `send`/`recv`/`roundtrip`/`pipeline` surface, with closed sessions
 //!   surfacing uniformly as [`pgssi_common::Error::Disconnected`].
+//!
+//! **One runner per session.** A TCP session is run only by its connection
+//! thread, which is PostgreSQL's backend per connection: it is opened idle
+//! and never queued, so no pool worker ever touches it. A threadless session
+//! (a [`SessionHandle`], a benchmark terminal, a sim client) is run only by
+//! pool workers. A session therefore never changes hands between the two.
 //!
 //! Underneath, the reworked `TxnManager` makes the many-session shape cheap:
 //! txids come from per-shard blocks (each session is pinned to a shard via

@@ -1,10 +1,18 @@
-//! The session pool: many logical sessions multiplexed onto few workers.
+//! The session pool: threadless sessions multiplexed onto few workers.
 //!
 //! PostgreSQL gives every connection an OS process; the paper's evaluation
-//! (§8.2) leans on that to run hundreds of mostly-idle DBT-2 terminals. An
-//! embedded engine cannot afford a thread per *in-process* session, so this
-//! pool runs a fixed set of worker threads ([`ServerConfig::workers`]) and
-//! schedules *session activations* onto them:
+//! (§8.2) leans on that to run hundreds of mostly-idle DBT-2 terminals. Here
+//! a TCP connection gets a thread of its own ([`crate::tcp`]). The sessions
+//! that have none — in-process [`SessionHandle`](crate::SessionHandle)s,
+//! DBT-2 terminals, sim clients — are run by this pool's fixed set of worker
+//! threads ([`ServerConfig::workers`]). Giving each of them a thread was
+//! measured and lost. DBT-2 terminals under SSI on a 2-vCPU box, 4 s
+//! windows, three rounds: 1 024 terminals with 10 ms think time ran
+//! 8.4–8.7k txn/s at 216–229 µs CPU per commit on two workers, and
+//! 334–371 txn/s at 4.6–5.1 ms with a thread each; 1 024 terminals with
+//! 200 ms think time (≈ 5.1k txn/s offered) ran 5.0–5.1k against 589–694.
+//! The bounded worker set is admission control, so it stays. The pool
+//! schedules *session activations* onto the workers:
 //!
 //! * a session is a [`SessionTask`]; each activation calls
 //!   [`SessionTask::run`] once and the returned [`Next`] decides what happens
@@ -16,21 +24,18 @@
 //!   out while running), so session state needs no internal synchronization
 //!   beyond `Send`.
 //!
-//! **Who may run an activation.** A pool worker that popped the session off
-//! the ready queue, or — for a session that has a thread of its own, which is
-//! every TCP connection — that thread, through [`SessionPool::run_or_wake`]:
-//! it claims the task out of the slot exactly as a worker does and runs the
-//! activation on the spot, with no hand-off. Both go through one routine
-//! (`PoolInner::activate`), so the claim, the panic containment and the
-//! settling of the slot by [`Next`] exist once. A TCP session is thereby what
-//! the paper's PostgreSQL has, a backend per connection; the worker set is
-//! for the sessions that have no thread (`SessionHandle`s, benchmark
-//! terminals).
+//! **One runner per session.** A session opened with [`SessionPool::spawn`]
+//! is run by pool workers only. A TCP session is opened idle and is never
+//! woken, so it never enters the ready queue: its connection thread alone
+//! claims its task (`SessionPool::run_here`) and runs each activation on the
+//! spot. Both runners go through one routine (`PoolInner::activate`), so the
+//! claim, the panic containment and the settling of the slot by [`Next`]
+//! exist once.
 //!
-//! A wake that races an activation is never lost: [`SessionPool::wake`] and
-//! [`SessionPool::run_or_wake`] mark `wake_pending` under the pool mutex when
-//! the task is claimed or queued, and a task returning [`Next::Idle`]
-//! re-enters the ready queue if the mark is set.
+//! A wake that races an activation is never lost: [`SessionPool::wake`]
+//! marks `wake_pending` under the pool mutex when the task is claimed or
+//! queued, and a task returning [`Next::Idle`] re-enters the ready queue if
+//! the mark is set.
 //!
 //! Blocking inside an activation (row-lock waits, DEFERRABLE safe-snapshot
 //! waits) blocks the thread running it: a worker, exactly like a PostgreSQL
@@ -42,20 +47,15 @@
 //! lock-wait timeout bound the damage — see `crates/server/tests` for the
 //! 1024-sessions-on-4-workers case.
 //!
-//! Two mechanisms exist for multiplexed sessions whose lock *holder* is
-//! descheduled behind other work, and both stay for them:
-//!
-//! * the **priority wake** — a thread about to park on a row lock reports the
-//!   holder's txid and the holder's session jumps the ready queue. Without
-//!   it `blocked_worker_priority_wakes_the_lock_holder_session`
-//!   (`tests/server_basic.rs`) never sees `session_lock_wakeups` move.
-//! * the **emergency reserve worker** — with every worker inside a reported
-//!   lock wait the queue is frozen, so the pool spawns a bounded extra thread
-//!   that drains the ready queue (the holder first) and exits. Without it
-//!   `all_workers_blocked_on_one_holder_resolves_via_reserve_worker` stalls
-//!   to the lock-wait timeout and its waiter gets `ERR`. Only pool workers
-//!   count as blocked: a connection thread parked on a row lock starves no
-//!   queue (`tcp_waiter_is_not_counted_as_a_blocked_worker`).
+//! One mechanism exists for a lock holder descheduled behind other work: the
+//! **emergency reserve worker**. With every worker inside a reported lock
+//! wait the queue is frozen, so once a queued session has an open
+//! transaction (its `ACTIVITY` row says so) the pool spawns a bounded extra
+//! thread that drains the ready queue and exits. Without it
+//! `all_workers_blocked_on_one_holder_resolves_via_reserve_worker` stalls to
+//! the lock-wait timeout and its waiter gets `ERR`. Only pool workers count
+//! as blocked: a connection thread parked on a row lock starves no queue
+//! (`tcp_waiter_is_not_counted_as_a_blocked_worker`).
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -81,8 +81,8 @@ pub struct SessionActivity {
     /// transaction.
     pub isolation: Option<&'static str>,
     /// The txid this session is currently blocked on (row-lock wait), set by
-    /// the wait observer when the owning worker parks and cleared when the
-    /// request that blocked completes.
+    /// the wait observer when the thread running the session parks and
+    /// cleared when the request that blocked completes.
     pub waiting_on: Option<u64>,
     /// Shards the open transaction has enlisted, in enlistment order (empty
     /// when no statement has routed yet). More than one entry means the
@@ -102,10 +102,14 @@ thread_local! {
     /// one activation reporting several waits counts as one blocked worker.
     static IN_WAIT_REPORT: Cell<bool> = const { Cell::new(false) };
     /// True on the pool's own threads (regular and reserve workers). A
-    /// connection thread that lent itself to its session is not one: when it
-    /// parks on a row lock no runnable session loses a worker, so it must
-    /// never count into `waiting_workers`.
+    /// connection thread running its session is not one: when it parks on a
+    /// row lock no runnable session loses a worker, so it must never count
+    /// into `waiting_workers`.
     static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The session whose activation this thread is running, for the wait
+    /// observer (which runs on the waiting thread) to find its `ACTIVITY`
+    /// row. Set around [`SessionTask::run`] by every runner.
+    static CURRENT_SESSION: Cell<Option<SessionId>> = const { Cell::new(None) };
 }
 
 /// What a session does after an activation returns.
@@ -123,7 +127,8 @@ pub enum Next {
 /// A logical session's behavior. `run` is called by exactly one worker at a
 /// time; the task owns all per-session state (open transaction, RNG, inbox).
 pub trait SessionTask: Send {
-    /// One activation. Runs on a pool worker with no pool locks held. The
+    /// One activation. Runs on the session's one runner (a pool worker, or a
+    /// TCP session's connection thread) with no pool locks held. The
     /// pool always fronts a [`ShardedDatabase`] (a plain [`Database`] is
     /// wrapped as a cluster of one); single-shard tasks use
     /// [`ShardedDatabase::shard`] to reach their engine directly.
@@ -166,14 +171,9 @@ struct PoolInner {
     cfg: ServerConfig,
     state: Mutex<PoolState>,
     work: Condvar,
-    /// Which session owns which open transaction branch (maintained by the
-    /// tasks via [`SessionPool::note_txn`]/[`SessionPool::forget_txn`]), so
-    /// the wait observer can map a blocking txid back to its session. Keyed
-    /// by `(shard, txid)`: each shard allocates txids independently, so a
-    /// bare txid is ambiguous cluster-wide.
-    txn_owners: Mutex<HashMap<(usize, TxnId), SessionId>>,
-    /// Live-session activity for the `ACTIVITY` verb. Innermost lock: taken
-    /// only as a leaf, never while acquiring another pool lock.
+    /// Live-session activity for the `ACTIVITY` verb; also where the reserve
+    /// rule reads whether a session has a transaction open. Innermost lock:
+    /// taken only as a leaf, never while acquiring another pool lock.
     activity: Mutex<HashMap<SessionId, SessionActivity>>,
 }
 
@@ -192,7 +192,7 @@ impl SessionPool {
 
     /// Start `cfg.workers` worker threads fronting a sharded cluster.
     /// Statements route per shard; the wait observer is installed on every
-    /// shard so lock-aware scheduling works wherever a branch blocks.
+    /// shard so a wait is seen wherever a branch blocks.
     pub fn new_cluster(db: ShardedDatabase, cfg: ServerConfig) -> SessionPool {
         let inner = Arc::new(PoolInner {
             db,
@@ -211,14 +211,11 @@ impl SessionPool {
                 reserve_workers: 0,
             }),
             work: Condvar::new(),
-            txn_owners: Mutex::new(HashMap::new()),
             activity: Mutex::new(HashMap::new()),
         });
-        // Lock-aware scheduling: a worker about to park on a row lock tells
-        // us the holder's txid; if that transaction belongs to a descheduled
-        // session, jump it to the front of the ready queue so the lock is
-        // released as soon as a worker frees up instead of stalling until the
-        // lock timeout. The observer holds only a weak handle (the Database
+        // A thread about to park on a row lock tells us the holder's txid:
+        // that feeds `ACTIVITY` and the count of blocked workers behind the
+        // reserve rule. The observer holds only a weak handle (the Database
         // outlives pools fronting it; a dead pool's observer is a no-op).
         // Installed per shard, each closure carrying its shard index: txids
         // are only meaningful within a shard.
@@ -260,10 +257,25 @@ impl SessionPool {
         &self.inner.cfg
     }
 
-    /// Open a session and schedule its first activation. Fails once
-    /// [`ServerConfig::max_sessions`] sessions are live.
+    /// Open a session and schedule its first activation on a pool worker.
+    /// Fails once [`ServerConfig::max_sessions`] sessions are live, or once
+    /// the pool is shutting down.
     pub fn spawn(&self, task: Box<dyn SessionTask>) -> Result<SessionId> {
+        self.open(task, true)
+    }
+
+    /// Open a session that stays idle until its first [`SessionPool::wake`]
+    /// — or, for a TCP session, forever: its connection thread runs it
+    /// through [`SessionPool::run_here`] and nothing ever wakes it.
+    pub(crate) fn open_idle(&self, task: Box<dyn SessionTask>) -> Result<SessionId> {
+        self.open(task, false)
+    }
+
+    fn open(&self, task: Box<dyn SessionTask>, queued: bool) -> Result<SessionId> {
         let mut st = self.inner.state.lock();
+        if st.shutdown {
+            return Err(Error::Misuse("session pool is shutting down".into()));
+        }
         if st.live >= self.inner.cfg.max_sessions {
             return Err(Error::Misuse(format!(
                 "session limit reached ({} live)",
@@ -279,18 +291,22 @@ impl SessionPool {
         };
         st.slots[sid] = Some(Slot {
             task: Some(task),
-            queued: true,
+            queued,
             wake_pending: false,
         });
         st.live += 1;
-        st.ready.push_back(sid);
+        if queued {
+            st.ready.push_back(sid);
+        }
         drop(st);
         self.inner
             .activity
             .lock()
             .insert(sid, SessionActivity::default());
         self.inner.db.session_stats().sessions_opened.bump();
-        self.inner.notify_work_one();
+        if queued {
+            self.inner.notify_work_one();
+        }
         Ok(sid)
     }
 
@@ -298,13 +314,11 @@ impl SessionPool {
     /// session is currently running, the wake is latched and applied when its
     /// activation returns [`Next::Idle`].
     ///
-    /// If the woken session owns an open transaction while every worker is
+    /// If the woken session has a transaction open while every worker is
     /// blocked in a row-lock wait, those workers may well be waiting on *this
     /// session's* locks (a COMMIT arriving for a descheduled holder is the
     /// canonical case) — and no worker is left to run it, so the pool spawns
     /// an emergency reserve worker rather than stalling to the lock timeout.
-    /// The ownership map is consulted only in that all-blocked state; an
-    /// ordinary wake takes the state lock and nothing else.
     pub fn wake(&self, sid: SessionId) {
         let mut st = self.inner.state.lock();
         let Some(Some(slot)) = st.slots.get_mut(sid) else {
@@ -316,77 +330,37 @@ impl SessionPool {
         }
         slot.queued = true;
         st.ready.push_back(sid);
-        let stalled = self.inner.all_workers_waiting(&st);
+        let reserve = self.inner.reserve_needed(&mut st);
         drop(st);
         self.inner.notify_work_one();
-        // `txn_owners` nests outside the state lock, hence the re-check.
-        if stalled && self.inner.owns_txn(sid) {
-            let reserve = self.inner.reserve_needed(&mut self.inner.state.lock());
-            if reserve {
-                self.inner.spawn_reserve();
-            }
+        if reserve {
+            self.inner.spawn_reserve();
         }
     }
 
-    /// [`SessionPool::wake`] for a caller that can spare its own thread: a
-    /// TCP connection thread that has just queued input for `sid`. If the
-    /// session's task is parked in its slot, the caller claims it exactly as
-    /// a worker would (the task leaves the slot, so there is still at most
-    /// one runner per session), runs the activation on the spot and settles
-    /// the slot by the returned [`Next`]; returns `true`. If a worker already
-    /// holds or is about to pick up the task — the first activation after
-    /// [`SessionPool::spawn`], or a priority wake that raced this call — the
-    /// wake is latched like any other and that worker finishes the job;
-    /// returns `false`.
+    /// Run one activation of `sid` on the calling thread: the connection
+    /// thread of a TCP session (opened with [`SessionPool::open_idle`]) that
+    /// has just queued input for it. Nothing else ever claims such a session,
+    /// so the task is always in its slot — unless a pool-wide close retired
+    /// the slot, which makes this a no-op.
     ///
-    /// A lent thread is not a pool worker: what it blocks on (a row lock, a
-    /// slow client's socket) stalls its own session only, and it never counts
-    /// towards the all-workers-blocked test that spawns reserve workers.
-    pub fn run_or_wake(&self, sid: SessionId) -> bool {
+    /// The calling thread is not a pool worker: what it blocks on (a row
+    /// lock, a slow client's socket) stalls its own session only, and it
+    /// never counts towards the all-workers-blocked test that spawns reserve
+    /// workers.
+    pub(crate) fn run_here(&self, sid: SessionId) {
         let mut st = self.inner.state.lock();
-        let Some(Some(slot)) = st.slots.get_mut(sid) else {
-            return false;
-        };
-        let task = if slot.queued { None } else { slot.task.take() };
-        let Some(task) = task else {
-            slot.wake_pending = true;
-            return false;
+        let Some(task) = st.slots.get_mut(sid).and_then(|s| s.as_mut()?.task.take()) else {
+            return;
         };
         drop(st);
-        drop(self.inner.activate(sid, task, true));
-        true
-    }
-
-    /// Record that `sid`'s open transaction has branch `txid` on `shard`
-    /// (wire tasks call this when a statement enlists a new shard). The wait
-    /// observer uses the mapping to priority-schedule the session when
-    /// another worker blocks on that branch's locks.
-    pub fn note_txn(&self, shard: usize, txid: TxnId, sid: SessionId) {
-        self.inner.txn_owners.lock().insert((shard, txid), sid);
-        // Reflect the branch in the session's ACTIVITY row immediately: the
-        // statement that opened this branch may block before the session's
-        // post-request bookkeeping runs, and an observer should still see
-        // which transaction and shards the blocked session holds.
-        if let Some(a) = self.inner.activity.lock().get_mut(&sid) {
-            if a.txid.is_none() {
-                a.txid = Some(txid.0);
-            }
-            if !a.shards.contains(&shard) {
-                a.shards.push(shard);
-            }
-        }
-    }
-
-    /// Forget a finished branch's ownership (COMMIT/ABORT/close).
-    pub fn forget_txn(&self, shard: usize, txid: TxnId) {
-        self.inner.txn_owners.lock().remove(&(shard, txid));
+        drop(self.inner.activate(sid, task));
     }
 
     /// Refresh `sid`'s `ACTIVITY` row: the open transaction (if any), its
     /// isolation label, and the shards it has enlisted so far. Wire tasks
     /// call it when the transaction slot opens or empties and once at the end
-    /// of a drain (branches appear through [`SessionPool::note_txn`] as they
-    /// enlist). Clears any recorded wait target — if the session *was*
+    /// of a drain. Clears any recorded wait target — if the session *was*
     /// blocked, the request that blocked it has finished by the time this
     /// runs.
     pub fn note_activity(
@@ -514,102 +488,58 @@ impl PoolInner {
         }
     }
 
-    /// Wait-observer entry point: the calling thread (running `waiter`'s
-    /// session) is about to park on a row lock held by `holder`, both txids
-    /// scoped to `shard`. Marks a pool worker blocked (cleared when its
-    /// activation returns), records the wait target for `ACTIVITY`, and
-    /// priority-wakes the holder's session.
+    /// Wait-observer entry point: the calling thread (running the session in
+    /// `CURRENT_SESSION`) is about to park on a row lock held by `holder`,
+    /// both txids scoped to `shard`. Records the wait target for `ACTIVITY`
+    /// and marks a pool worker blocked (cleared when its activation returns).
     fn report_wait(self: &Arc<Self>, shard: usize, waiter: TxnId, holder: TxnId) {
-        // First report of this activation: count the worker as blocked. A
-        // lent connection thread is no worker and is not counted.
-        if ON_POOL_WORKER.with(Cell::get) && IN_WAIT_REPORT.with(|f| !f.replace(true)) {
-            self.state.lock().waiting_workers += 1;
-        }
-        if let Some(sid) = self.txn_owners.lock().get(&(shard, waiter)).copied() {
+        if let Some(sid) = CURRENT_SESSION.with(Cell::get) {
             if let Some(a) = self.activity.lock().get_mut(&sid) {
                 a.waiting_on = Some(holder.0);
-            }
-        }
-        self.wake_txn_owner(shard, holder);
-    }
-
-    /// Priority-wake the session owning `txid` (wait-observer path): a
-    /// descheduled holder jumps the FIFO so its lock release is the very next
-    /// thing a free worker runs. Counted only when it actually changes the
-    /// schedule; a running or already-front session needs no help. If the
-    /// holder is runnable but every worker is blocked in a lock wait, a free
-    /// worker will never come — spawn an emergency reserve for it.
-    fn wake_txn_owner(self: &Arc<Self>, shard: usize, txid: TxnId) {
-        let Some(sid) = self.txn_owners.lock().get(&(shard, txid)).copied() else {
-            return;
-        };
-        let mut st = self.state.lock();
-        let Some(Some(slot)) = st.slots.get_mut(sid) else {
-            return;
-        };
-        let mut woke = false;
-        let mut holder_ready = false;
-        if slot.task.is_some() {
-            if slot.queued {
-                // Parked in the ready queue behind others: move it to the front.
-                if let Some(pos) = st.ready.iter().position(|s| *s == sid) {
-                    holder_ready = true;
-                    if pos > 0 {
-                        st.ready.remove(pos);
-                        st.ready.push_front(sid);
-                        woke = true;
-                    }
+                // The branch may have opened inside the blocking statement,
+                // before the row was last written.
+                a.txid.get_or_insert(waiter.0);
+                if !a.shards.contains(&shard) {
+                    a.shards.push(shard);
                 }
-                // Sleeping a think time (deadline heap): leave it — promoting
-                // a thinking terminal would fake the workload's pacing.
-            } else {
-                // Idle (or latched): schedule it at the front right away.
-                slot.queued = true;
-                st.ready.push_front(sid);
-                holder_ready = true;
-                woke = true;
             }
-        } else {
-            // Mid-activation on another worker: latch the wake so the session
-            // reschedules the moment its activation returns Idle. Still a
-            // lock-holder wakeup — the latch is what keeps it runnable.
-            slot.wake_pending = true;
-            woke = true;
         }
-        let reserve = holder_ready && self.reserve_needed(&mut st);
+        // First report of this activation: count the worker as blocked. A
+        // connection thread is no worker and is not counted.
+        if !ON_POOL_WORKER.with(Cell::get) || IN_WAIT_REPORT.with(|f| f.replace(true)) {
+            return;
+        }
+        let mut st = self.state.lock();
+        st.waiting_workers += 1;
+        // This may be the last worker to block, with the session that would
+        // release its lock (a holder's COMMIT) already queued behind it.
+        let reserve = self.reserve_needed(&mut st);
         drop(st);
-        if woke {
-            self.db.session_stats().lock_holder_wakeups.bump();
-            if holder_ready {
-                self.notify_work_one();
-            }
-        }
         if reserve {
             self.spawn_reserve();
         }
     }
 
-    /// True when every worker — regular and reserve alike — is blocked inside
-    /// a reported lock wait, so a just-queued session has no thread left to
-    /// run it.
-    fn all_workers_waiting(&self, st: &PoolState) -> bool {
-        !st.shutdown && st.waiting_workers >= self.cfg.workers + st.reserve_workers
-    }
-
-    /// With the state lock held: true (and a reserve slot claimed) when
-    /// [`PoolInner::all_workers_waiting`] and the reserve cap has room.
+    /// With the state lock held: true (and a reserve slot claimed) when every
+    /// worker — regular and reserve alike — is blocked inside a reported lock
+    /// wait, a session in the ready queue has a transaction open (so it may
+    /// hold the locks they wait on), and the reserve cap has room.
     fn reserve_needed(&self, st: &mut PoolState) -> bool {
-        if !self.all_workers_waiting(st) || st.reserve_workers >= MAX_RESERVE_WORKERS {
+        let all_blocked =
+            !st.shutdown && st.waiting_workers >= self.cfg.workers + st.reserve_workers;
+        if !all_blocked || st.reserve_workers >= MAX_RESERVE_WORKERS {
             return false;
         }
-        st.reserve_workers += 1;
-        true
-    }
-
-    /// Does `sid` own an open transaction branch? A scan of the ownership
-    /// map: callers ask only once the pool is already stalled.
-    fn owns_txn(&self, sid: SessionId) -> bool {
-        self.txn_owners.lock().values().any(|owner| *owner == sid)
+        let activity = self.activity.lock();
+        let holder_queued = st
+            .ready
+            .iter()
+            .any(|sid| activity.get(sid).is_some_and(|a| a.isolation.is_some()));
+        drop(activity);
+        if holder_queued {
+            st.reserve_workers += 1;
+        }
+        holder_queued
     }
 
     /// Start a reserve worker (its `reserve_workers` slot is already claimed
@@ -624,20 +554,21 @@ impl PoolInner {
 
     /// Run one activation of the claimed `task` on the calling thread and
     /// settle the session's slot by what it returned. The one routine behind
-    /// both runners: a pool worker (`lent == false`), and a connection thread
-    /// that lent itself through [`SessionPool::run_or_wake`]. Called without
-    /// the state lock; returns it held.
+    /// both runners: a pool worker, and a TCP session's connection thread
+    /// ([`SessionPool::run_here`]). Called without the state lock; returns
+    /// it held.
     fn activate(
         &self,
         sid: SessionId,
         mut task: Box<dyn SessionTask>,
-        lent: bool,
     ) -> MutexGuard<'_, PoolState> {
         // Contain panics: one misbehaving session must not kill a worker
         // (the pool is fixed-size; a dead worker is capacity lost forever)
         // or strand its client.
+        CURRENT_SESSION.with(|c| c.set(Some(sid)));
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run(&self.db, sid)));
+        CURRENT_SESSION.with(|c| c.set(None));
         // The activation is over; if it reported a row-lock wait, this
         // thread is no longer blocked in it.
         let waited = IN_WAIT_REPORT.with(|f| f.replace(false));
@@ -667,8 +598,8 @@ impl PoolInner {
             drop(task);
             return self.state.lock();
         };
-        // A worker goes back to the ready queue by itself; work that a lent
-        // thread leaves there needs a worker told.
+        // A worker goes back to the ready queue by itself: another is told
+        // only when more than this session is waiting there.
         match next {
             Next::Stop => {
                 st.slots[sid] = None;
@@ -684,7 +615,7 @@ impl PoolInner {
                 slot.task = Some(task);
                 slot.queued = true;
                 st.ready.push_back(sid);
-                if lent || st.ready.len() > 1 {
+                if st.ready.len() > 1 {
                     self.notify_work_one();
                 }
             }
@@ -705,9 +636,6 @@ impl PoolInner {
                     slot.wake_pending = false;
                     slot.queued = true;
                     st.ready.push_back(sid);
-                    if lent {
-                        self.notify_work_one();
-                    }
                 }
             }
         }
@@ -749,7 +677,7 @@ fn worker_loop(inner: &PoolInner, reserve: bool) {
                 continue;
             };
             drop(st);
-            st = inner.activate(sid, task, false);
+            st = inner.activate(sid, task);
             continue;
         }
 
@@ -960,114 +888,6 @@ mod tests {
         pool.wake(sid);
         std::thread::sleep(Duration::from_millis(60));
         assert_eq!(runs.load(Ordering::SeqCst), 2);
-        pool.shutdown();
-    }
-    /// A connection thread lending itself (`run_or_wake`) races lock-holder
-    /// priority wakes for the same session: the task is never entered by two
-    /// threads at once, and every input queued before a `run_or_wake` is
-    /// consumed exactly once — inline, or by the worker the wake was latched
-    /// for.
-    #[test]
-    fn lent_thread_and_priority_wakes_never_share_a_task() {
-        use std::sync::atomic::AtomicBool;
-
-        struct Inbox {
-            queue: Arc<Mutex<VecDeque<u64>>>,
-            inside: Arc<AtomicBool>,
-            taken: Arc<AtomicU64>,
-            sum: Arc<AtomicU64>,
-        }
-        impl SessionTask for Inbox {
-            fn run(&mut self, _db: &ShardedDatabase, _sid: SessionId) -> Next {
-                assert!(
-                    !self.inside.swap(true, Ordering::SeqCst),
-                    "two threads inside one session"
-                );
-                loop {
-                    let Some(x) = self.queue.lock().pop_front() else {
-                        break;
-                    };
-                    self.sum.fetch_add(x, Ordering::SeqCst);
-                    self.taken.fetch_add(1, Ordering::SeqCst);
-                }
-                self.inside.store(false, Ordering::SeqCst);
-                Next::Idle
-            }
-        }
-
-        /// Keeps the pool's only worker busy in short activations, so that a
-        /// priority-woken session stays queued long enough to be met there
-        /// (an idle worker can be switched to, run the session and park
-        /// again inside the waker's own `notify` call).
-        struct Busy;
-        impl SessionTask for Busy {
-            fn run(&mut self, _db: &ShardedDatabase, _sid: SessionId) -> Next {
-                let until = Instant::now() + Duration::from_micros(20);
-                while Instant::now() < until {
-                    std::hint::spin_loop();
-                }
-                Next::Again
-            }
-        }
-
-        const INPUTS: u64 = 20_000;
-        let db = Database::new(EngineConfig::default());
-        let pool = SessionPool::new(db, ServerConfig::with_workers(1));
-        pool.spawn(Box::new(Busy)).unwrap();
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        let (taken, sum) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        let sid = pool
-            .spawn(Box::new(Inbox {
-                queue: Arc::clone(&queue),
-                inside: Arc::new(AtomicBool::new(false)),
-                taken: Arc::clone(&taken),
-                sum: Arc::clone(&sum),
-            }))
-            .unwrap();
-        pool.note_txn(0, TxnId(7), sid);
-
-        let feeding = AtomicBool::new(true);
-        let (mut inline, mut latched) = (0u64, 0u64);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                // Paced: back-to-back priority wakes keep the session queued
-                // for a worker around the clock and nothing would run inline.
-                while feeding.load(Ordering::SeqCst) {
-                    pool.inner.wake_txn_owner(0, TxnId(7));
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            });
-            for x in 1..=INPUTS {
-                queue.lock().push_back(x);
-                // The other thread's wakes land wherever the scheduler puts
-                // them; these land on the idle task just before a claim, so
-                // the worker path is taken hundreds of times whatever the box.
-                if x % 64 == 0 {
-                    pool.inner.wake_txn_owner(0, TxnId(7));
-                }
-                if pool.run_or_wake(sid) {
-                    inline += 1;
-                    continue;
-                }
-                // Latched: a worker owes this input a run. Waiting for it
-                // keeps the feeder in step with the pool, so the two kinds
-                // of claim go on alternating for the whole run.
-                latched += 1;
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while taken.load(Ordering::SeqCst) < x {
-                    assert!(Instant::now() < deadline, "input {x} was lost");
-                    std::thread::yield_now();
-                }
-            }
-            feeding.store(false, Ordering::SeqCst);
-        });
-        assert_eq!(taken.load(Ordering::SeqCst), INPUTS);
-        assert_eq!(sum.load(Ordering::SeqCst), INPUTS * (INPUTS + 1) / 2);
-        assert!(
-            inline > INPUTS / 128 && latched > INPUTS / 128,
-            "both outcomes must occur often for the race to have been run \
-             (inline {inline}, latched {latched})"
-        );
         pool.shutdown();
     }
 }

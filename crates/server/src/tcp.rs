@@ -7,10 +7,9 @@
 //!
 //! 1. `read` whatever the socket holds and split *every* complete line out of
 //!    it ([`LineReader`], a cursor over the buffer);
-//! 2. queue those lines on the session's inbox in one step and lend itself to
-//!    the session through [`SessionPool::run_or_wake`]: the drain — parse,
-//!    execute, format — runs on this thread, with no hand-off to a pool
-//!    worker and no wake-up;
+//! 2. queue those lines on the session's inbox in one step and run the
+//!    session's drain — parse, execute, format — on this thread, with no
+//!    hand-off to a pool worker and no wake-up;
 //! 3. the drain ends by writing all its response lines to the socket at once,
 //!    and the thread goes back to `read`.
 //!
@@ -18,11 +17,13 @@
 //! that blocks — on a row lock, on a DEFERRABLE wait, on a client too slow to
 //! take its responses — blocks its own thread and nobody else's, and TCP flow
 //! control bounds its inbox (the thread does not read while it executes).
-//! [`ServerConfig::workers`] sizes the pool that multiplexes *in-process*
-//! sessions; a TCP session meets a pool worker only when one already holds
-//! its task (the first activation after accept, or a lock-holder priority
-//! wake that raced a read), in which case the wake is latched, that worker
-//! runs the drain, and the connection thread waits for it before reading on.
+//!
+//! **One runner per session.** The connection thread is the only thread that
+//! ever runs its session: the session is opened idle, nothing ever wakes it,
+//! so it never enters the pool's ready queue and no pool worker can claim
+//! it. [`ServerConfig::workers`] sizes the pool for the sessions that have no
+//! thread of their own (in-process sessions, benchmark terminals), and a TCP
+//! session parked on a row lock never counts as a blocked worker.
 //!
 //! [`TcpClient`] is the matching client: the same line protocol over a socket,
 //! speaking [`Transport`] so harnesses can swap it for a
@@ -144,13 +145,14 @@ fn serve_connection(pool: &Arc<SessionPool>, stream: TcpStream) -> Result<()> {
 }
 
 /// Open the pool session a connection feeds; `sink` takes its responses.
+/// It is opened idle: only the connection thread ever runs it.
 fn open_session(
     pool: &Arc<SessionPool>,
     sink: Box<dyn ResponseSink>,
 ) -> Result<(SessionId, Arc<Duplex>)> {
     let duplex = Arc::new(Duplex::new());
     let task = WireTask::new(Arc::clone(&duplex), Arc::downgrade(pool), sink);
-    Ok((pool.spawn(Box::new(task))?, duplex))
+    Ok((pool.open_idle(Box::new(task))?, duplex))
 }
 
 /// The connection thread's loop: read, queue every complete line, run the
@@ -196,11 +198,7 @@ fn serve(pool: &SessionPool, sid: SessionId, duplex: &Duplex, mut input: impl Re
         }
         if queued > 0 {
             stats.requests_enqueued.add(queued);
-            if !pool.run_or_wake(sid) {
-                // A pool worker holds the task: it runs this batch, and this
-                // thread reads no further ahead of it.
-                duplex.wait_drained();
-            }
+            pool.run_here(sid);
         }
         match reader.fill(&mut input) {
             // EOF (client hung up); SO_RCVTIMEO expiry (`WouldBlock` on
@@ -214,7 +212,7 @@ fn serve(pool: &SessionPool, sid: SessionId, duplex: &Duplex, mut input: impl Re
     // its id may belong to another connection by now.
     let closed_here = !std::mem::replace(&mut duplex.chan.lock().closed, true);
     if closed_here {
-        pool.run_or_wake(sid);
+        pool.run_here(sid);
     }
 }
 

@@ -33,7 +33,7 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-use pgssi_common::{Error, Result, ServerConfig, TxnId};
+use pgssi_common::{Error, Result, ServerConfig};
 use pgssi_engine::{Database, IsolationLevel, ShardedDatabase, ShardedTransaction};
 
 use crate::lines::LineWriter;
@@ -46,9 +46,6 @@ pub(crate) struct Channel {
     pub(crate) requests: VecDeque<String>,
     responses: VecDeque<String>,
     pub(crate) closed: bool,
-    /// The TCP connection thread is parked in [`Duplex::wait_drained`]; the
-    /// drain that empties the inbox notifies it.
-    reader_parked: bool,
 }
 
 /// Client/server halves share this duplex channel. For TCP sessions only the
@@ -56,7 +53,8 @@ pub(crate) struct Channel {
 /// responses go straight to the socket.
 pub(crate) struct Duplex {
     pub(crate) chan: Mutex<Channel>,
-    /// Signalled when a drain has delivered its responses, and on close.
+    /// Signalled when a drain has delivered its responses to an in-process
+    /// client, and on close.
     delivered: Condvar,
 }
 
@@ -66,20 +64,6 @@ impl Duplex {
             chan: Mutex::new(Channel::default()),
             delivered: Condvar::new(),
         }
-    }
-
-    /// Block until the session has taken every queued request (or closed).
-    /// A connection thread calls this when a pool worker, not itself, is
-    /// running its session: it must not read further ahead of that worker,
-    /// or a client that sends faster than the session executes grows the
-    /// inbox without bound.
-    pub(crate) fn wait_drained(&self) {
-        let mut c = self.chan.lock();
-        while !c.requests.is_empty() && !c.closed {
-            c.reader_parked = true;
-            self.delivered.wait(&mut c);
-        }
-        c.reader_parked = false;
     }
 }
 
@@ -165,7 +149,8 @@ impl Server {
             Arc::downgrade(&self.pool),
             Box::new(ChannelSink(Arc::clone(&duplex))),
         );
-        let sid = self.pool.spawn(Box::new(task))?;
+        // Idle until the first `send` wakes it: an empty inbox needs no run.
+        let sid = self.pool.open_idle(Box::new(task))?;
         Ok(SessionHandle {
             pool: Arc::clone(&self.pool),
             duplex,
@@ -268,8 +253,8 @@ impl Drop for SessionHandle {
 /// Server-side session state: drains the inbox on each activation.
 pub(crate) struct WireTask {
     duplex: Arc<Duplex>,
-    /// Back-reference for transaction-ownership bookkeeping (weak: tasks live
-    /// inside the pool's slots, so a strong handle would be a cycle).
+    /// Back-reference for the `ACTIVITY` rows (weak: tasks live inside the
+    /// pool's slots, so a strong handle would be a cycle).
     pool: std::sync::Weak<SessionPool>,
     /// Responses of the drain in progress, one `\n`-terminated line each,
     /// in front of the sink they are delivered to when the inbox runs dry.
@@ -278,12 +263,6 @@ pub(crate) struct WireTask {
     /// advanced once per drain, before the client can see the responses).
     executed: u64,
     txn: Option<ShardedTransaction>,
-    /// Branches the open transaction has registered with the pool's
-    /// `(shard, txid)` → session map. Shared with the transaction's enlist
-    /// hook: branches register the instant they open (they can block inside
-    /// that same statement), and everything deregisters when the
-    /// transaction slot empties.
-    tracked: Arc<Mutex<Vec<(usize, TxnId)>>>,
     /// Whether the `ACTIVITY` row last written showed a transaction open, and
     /// whether a line has run since (the row may then show a wait that is
     /// over): the row is rewritten when the first changes, and at the end of
@@ -308,7 +287,6 @@ impl WireTask {
             out: LineWriter::new(sink),
             executed: 0,
             txn: None,
-            tracked: Arc::new(Mutex::new(Vec::new())),
             activity_open: false,
             activity_stale: false,
             shapes: HashMap::new(),
@@ -333,7 +311,6 @@ impl WireTask {
         }
         out.push(b'\n');
         self.executed += 1;
-        self.untrack_finished_txn();
         if self.txn.is_some() != self.activity_open {
             self.note_activity(sid);
         } else {
@@ -349,15 +326,14 @@ impl WireTask {
                 sid,
                 self.txn.as_ref().and_then(|t| t.txid()),
                 self.txn.as_ref().map(|t| iso_label(t.isolation())),
-                self.tracked.lock().iter().map(|&(s, _)| s),
+                self.txn.iter().flat_map(|t| t.enlisted()).map(|(s, _)| s),
             );
         }
     }
 
     /// The inbox is empty: hand the drain's responses to the client in one
-    /// step. `reader_parked` is the channel's flag as read under the lock
-    /// that found the inbox empty.
-    fn deliver(&mut self, db: &ShardedDatabase, sid: SessionId, reader_parked: bool) -> Next {
+    /// step.
+    fn deliver(&mut self, db: &ShardedDatabase, sid: SessionId) -> Next {
         if self.activity_stale {
             self.note_activity(sid);
         }
@@ -371,37 +347,7 @@ impl WireTask {
             self.close();
             return Next::Stop;
         }
-        if reader_parked {
-            self.duplex.delivered.notify_all();
-        }
         Next::Idle
-    }
-
-    /// Registration happens eagerly in the transaction's enlist hook (set at
-    /// BEGIN); this is the matching teardown, run after each request: once
-    /// the transaction slot is empty (COMMIT/ABORT/auto-abort), every branch
-    /// it registered is forgotten.
-    fn untrack_finished_txn(&mut self) {
-        if self.txn.is_some() {
-            return;
-        }
-        let pairs: Vec<(usize, TxnId)> = self.tracked.lock().drain(..).collect();
-        if pairs.is_empty() {
-            return;
-        }
-        if let Some(pool) = self.pool.upgrade() {
-            for (shard, txid) in pairs {
-                pool.forget_txn(shard, txid);
-            }
-        }
-    }
-
-    /// Drop and forget the open transaction (rolls back via `Drop`): the
-    /// retirement paths, where only the ownership *removal* matters and no
-    /// session id is meaningful.
-    fn drop_txn(&mut self) {
-        self.txn = None;
-        self.untrack_finished_txn();
     }
 }
 
@@ -412,7 +358,7 @@ impl SessionTask for WireTask {
     /// clients learn the same thing from the socket shutting down, and the
     /// connection thread from its `read` ending.
     fn close(&mut self) {
-        self.drop_txn();
+        self.txn = None;
         self.duplex.chan.lock().closed = true;
         self.duplex.delivered.notify_all();
         self.out.sink().hang_up();
@@ -429,17 +375,16 @@ impl SessionTask for WireTask {
                     match c.requests.pop_front() {
                         Some(l) => Some(l),
                         None => {
-                            let reader_parked = c.reader_parked;
                             drop(c);
-                            return self.deliver(db, sid, reader_parked);
+                            return self.deliver(db, sid);
                         }
                     }
                 }
             };
             let Some(line) = line else {
-                // Channel closed: roll back any open transaction (forgetting
-                // its pool ownership) and retire the session.
-                self.drop_txn();
+                // Channel closed: roll back any open transaction and retire
+                // the session.
+                self.txn = None;
                 return Next::Stop;
             };
             self.answer(db, sid, &line);
@@ -486,7 +431,6 @@ impl WireTask {
         let WireTask {
             pool,
             txn,
-            tracked,
             shapes,
             out,
             ..
@@ -503,20 +447,7 @@ impl WireTask {
                 if txn.is_some() {
                     return Err("transaction already open".into());
                 }
-                let mut t = db.begin_with_on_shard(spec.options(), Some(sid))?;
-                // Register branches the moment they open: a branch can
-                // park on a row lock inside the statement that opened
-                // it, and the wait observer must already know the
-                // `(shard, txid)` → session mapping by then.
-                let pool = pool.clone();
-                let tracked = Arc::clone(tracked);
-                t.set_enlist_hook(move |shard, txid| {
-                    tracked.lock().push((shard, txid));
-                    if let Some(p) = pool.upgrade() {
-                        p.note_txn(shard, txid, sid);
-                    }
-                });
-                *txn = Some(t);
+                *txn = Some(db.begin_with_on_shard(spec.options(), Some(sid))?);
                 out.extend_from_slice(b"OK");
             }
             Command::Commit => {

@@ -302,63 +302,11 @@ fn a_thousand_sessions_on_four_workers() {
     Arc::try_unwrap(Arc::new(server)).ok().unwrap().shutdown();
 }
 
-/// Lock-aware scheduling: a worker about to park on a row lock reports the
-/// holder's txid, and the pool priority-wakes the holder's descheduled
-/// session. The wait must resolve by the holder committing — well inside the
-/// lock timeout — not by timing out.
-#[test]
-fn blocked_worker_priority_wakes_the_lock_holder_session() {
-    let server = kv_server(2, 8);
-    let setup = server.connect().unwrap();
-    assert_eq!(setup.roundtrip("BEGIN").unwrap(), "OK");
-    assert_eq!(setup.roundtrip("PUT kv 7 70").unwrap(), "OK");
-    assert_eq!(setup.roundtrip("COMMIT").unwrap(), "OK");
-    drop(setup);
-
-    let holder = server.connect().unwrap();
-    // Interactive transaction: holds the row lock across activations.
-    assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
-    assert_eq!(holder.roundtrip("PUT kv 7 71").unwrap(), "OK");
-
-    // A second session updates the same row and blocks on the holder's txid
-    // (READ COMMITTED: after the holder commits, the update re-applies to the
-    // new version instead of failing).
-    let waiter = server.connect().unwrap();
-    assert_eq!(waiter.roundtrip("BEGIN READ COMMITTED").unwrap(), "OK");
-    waiter.send("PUT kv 7 72").unwrap(); // blocks inside the activation
-
-    // The blocking worker must have reported the holder and woken its session.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    loop {
-        let r = server.db().stats_report();
-        if r.txn_wait_reports >= 1 && r.session_lock_wakeups >= 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "wait observer never fired: {r:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-
-    // The holder commits; the waiter's PUT must now succeed (not time out).
-    assert_eq!(holder.roundtrip("COMMIT").unwrap(), "OK");
-    assert_eq!(waiter.recv().unwrap(), "OK");
-    assert_eq!(waiter.roundtrip("COMMIT").unwrap(), "OK");
-
-    let check = server.connect().unwrap();
-    assert_eq!(check.roundtrip("BEGIN").unwrap(), "OK");
-    assert_eq!(check.roundtrip("GET kv 7").unwrap(), "ROW 7 72");
-    assert_eq!(check.roundtrip("COMMIT").unwrap(), "OK");
-    drop((holder, waiter, check));
-    server.shutdown();
-}
-
 /// Regression: with every worker blocked on row locks held by a descheduled
-/// session, priority-waking the holder used to be futile — no worker was left
-/// to run it, and the pool froze until the lock-wait timeout aborted the
-/// waiter. The emergency reserve worker must run the holder's queued COMMIT
-/// so the waiter's PUT *succeeds* (a timeout would return ERR).
+/// session, no worker is left to run the holder, and without a reserve the
+/// pool freezes until the lock-wait timeout aborts the waiter. The emergency
+/// reserve worker must run the holder's queued COMMIT so the waiter's PUT
+/// *succeeds* (a timeout would return ERR).
 #[test]
 fn all_workers_blocked_on_one_holder_resolves_via_reserve_worker() {
     let server = kv_server(1, 8); // a single worker: trivially "all of them"
@@ -398,6 +346,56 @@ fn all_workers_blocked_on_one_holder_resolves_via_reserve_worker() {
     assert_eq!(check.roundtrip("GET kv 9").unwrap(), "ROW 9 92");
     assert_eq!(check.roundtrip("COMMIT").unwrap(), "OK");
     drop((holder, waiter, check));
+    server.shutdown();
+}
+
+/// A TCP session has exactly one runner, its connection thread: no pool
+/// worker has to run any part of it, not even its first activation. With the
+/// pool's only worker parked on a row lock, a fresh connection still commits
+/// at once, and the parked waiter is then released by its holder's commit,
+/// not by the lock-wait timeout.
+#[test]
+fn tcp_session_never_waits_for_a_pool_worker() {
+    let mut config = EngineConfig::default();
+    config.ssi.lock_wait_timeout = std::time::Duration::from_secs(5);
+    let db = Database::new(config);
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    let server = Server::new(db, ServerConfig::with_workers(1));
+    let front = server.listen("127.0.0.1:0").unwrap();
+
+    let holder = server.connect().unwrap();
+    assert_eq!(
+        holder
+            .pipeline(&["BEGIN", "PUT kv 9 90", "COMMIT"])
+            .unwrap(),
+        ["OK", "OK", "OK"]
+    );
+    assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
+    assert_eq!(holder.roundtrip("PUT kv 9 91").unwrap(), "OK");
+    let waiter = server.connect().unwrap();
+    assert_eq!(waiter.roundtrip("BEGIN READ COMMITTED").unwrap(), "OK");
+    waiter.send("PUT kv 9 92").unwrap(); // parks the only worker
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while server.db().stats_report().txn_wait_reports < 1 {
+        assert!(std::time::Instant::now() < deadline, "worker never blocked");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    let fresh = TcpClient::connect(front.local_addr()).unwrap();
+    let start = std::time::Instant::now();
+    assert_eq!(fresh.pipeline(&["BEGIN", "COMMIT"]).unwrap(), ["OK", "OK"]);
+    let took = start.elapsed();
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "a TCP session waited {took:?} for the blocked pool worker"
+    );
+
+    assert_eq!(holder.roundtrip("COMMIT").unwrap(), "OK");
+    assert_eq!(waiter.recv().unwrap(), "OK");
+    assert_eq!(waiter.roundtrip("COMMIT").unwrap(), "OK");
+    drop((holder, waiter, fresh));
+    front.shutdown();
     server.shutdown();
 }
 
@@ -855,8 +853,8 @@ fn tcp_waiter_is_not_counted_as_a_blocked_worker() {
     assert_eq!(server.db().stats_report().session_reserve_workers, 0);
 
     // Same shape in-process: the waiter now does block the pool's only
-    // worker, and the stall still resolves through the reserve (one for the
-    // priority wake; a second if that one has retired before the COMMIT).
+    // worker, and the stall still resolves through the reserve spawned when
+    // the holder's COMMIT is queued.
     let holder = server.connect().unwrap();
     assert_eq!(holder.roundtrip("BEGIN REPEATABLE READ").unwrap(), "OK");
     assert_eq!(holder.roundtrip("PUT kv 9 93").unwrap(), "OK");

@@ -108,7 +108,7 @@ pub struct TxnStats {
     /// Txid blocks carved off the global frontier.
     pub txid_blocks: Counter,
     /// `wait_for` sleeps that reported their blocking txid to a registered
-    /// wait observer (the session pool's lock-aware scheduling hook).
+    /// wait observer (the session pool's hook).
     pub wait_reports: Counter,
     /// Row-lock wait time (ns): how long `wait_for` actually parked before
     /// the holder finished, the wait timed out, or deadlock aborted it.
@@ -125,8 +125,9 @@ struct ShardAlloc {
 
 /// Callback invoked (while the waits mutex is held, just before the first
 /// sleep) with `(waiter, holder)` when a transaction is about to park on
-/// another's finish. The session pool uses it to priority-schedule the
-/// holder's session. Must not call back into the transaction manager.
+/// another's finish. The session pool uses it to show the wait target and to
+/// count its blocked workers. Must not call back into the transaction
+/// manager.
 pub type WaitObserver = Arc<dyn Fn(TxnId, TxnId) + Send + Sync>;
 
 /// Assigns transaction ids and commit sequence numbers, takes snapshots, and
@@ -152,7 +153,7 @@ pub struct TxnManager {
     /// waiter -> waitee edges for deadlock detection; also the condvar mutex.
     waits: Mutex<HashMap<TxnId, TxnId>>,
     finished: Condvar,
-    /// Lock-aware scheduling hook (see [`WaitObserver`]).
+    /// Row-lock wait hook (see [`WaitObserver`]).
     wait_observer: RwLock<Option<WaitObserver>>,
     block: u64,
     /// Event counters.
@@ -531,9 +532,8 @@ impl TxnManager {
     }
 
     /// Register a [`WaitObserver`] called whenever a transaction is about to
-    /// park waiting on another's finish. The session pool installs one so a
-    /// worker about to block can priority-schedule the lock holder's session
-    /// (ROADMAP's lock-aware scheduling). Replaces any previous observer.
+    /// park waiting on another's finish. The session pool installs one (see
+    /// [`WaitObserver`]). Replaces any previous observer.
     pub fn set_wait_observer(&self, obs: WaitObserver) {
         *self.wait_observer.write() = Some(obs);
     }
@@ -548,8 +548,7 @@ impl TxnManager {
     /// guard — edges cannot be added or removed mid-chase.
     ///
     /// Just before the first sleep the registered [`WaitObserver`] (if any) is
-    /// told `(waiter, waitee)`, so the session layer can wake the blocking
-    /// transaction's descheduled session rather than stall until the timeout.
+    /// told `(waiter, waitee)`, on the thread that is about to park.
     pub fn wait_for(&self, waiter: TxnId, waitee: TxnId, timeout: Duration) -> Result<()> {
         // Control-flow deadline: virtual time under the simulator so lock
         // timeouts fire at deterministic schedule points.
