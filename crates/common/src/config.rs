@@ -1,14 +1,12 @@
 //! Runtime configuration.
 //!
-//! [`EngineConfig`] has twelve leaf fields. A field stays only while a second
+//! [`EngineConfig`] has eleven leaf fields. A field stays only while a second
 //! value is needed by more than a test of that value alone — a figure, a
 //! measurement, a reference arm other tests compare against, or a deployment
 //! choice; everything else is a constant where it is used (the SIREAD
-//! partition count, the trace ring's size) or is always on (the §3.3.1
-//! commit-ordering rule). Why each survivor stays:
+//! partition and SSI registry shard counts, the trace ring's size) or is
+//! always on (the §3.3.1 commit-ordering rule). Why each survivor stays:
 //!
-//! - `ssi.graph_shards`: `core/tests/graph_model.rs` runs `1` as the reference
-//!   arm the sharded registry is compared against.
 //! - `ssi.enable_read_only_opt`: the "SSI (no r/o opt.)" series of Figures 4
 //!   and 5a.
 //! - `ssi.read_batch`: `1` is the eager reference of `readset_model.rs` and the
@@ -26,15 +24,6 @@ use std::time::Duration;
 /// Tuning knobs for the SSI core and the SIREAD lock manager.
 #[derive(Clone, Debug)]
 pub struct SsiConfig {
-    /// Number of shards the SSI transaction-record registry (`sxacts` /
-    /// `by_txid` in the conflict-graph manager) is hashed into. Registry
-    /// lookups and insertions on different shards share nothing; the conflict
-    /// edges themselves are guarded by per-transaction locks, so this knob
-    /// only sizes the id→record maps; `1` is a single map. Kept as a fixed
-    /// default, not tuned: the observatory A/B of `1` against `16`
-    /// (`readmostly-ssi` 163.1k vs 160.8k txn/s) sits inside run-to-run
-    /// spread — 2 vCPU, re-measure on ≥ 8 cores.
-    pub graph_shards: usize,
     /// Soft cap on SIREAD locks a single transaction may hold before the lock
     /// manager starts promoting its fine-grained locks to coarser granularity
     /// (PostgreSQL: `max_pred_locks_per_transaction`).
@@ -73,7 +62,6 @@ pub struct SsiConfig {
 impl Default for SsiConfig {
     fn default() -> Self {
         SsiConfig {
-            graph_shards: 16,
             max_predicate_locks_per_txn: 4096,
             promote_tuple_threshold: 16,
             promote_page_threshold: 64,
@@ -275,7 +263,6 @@ mod tests {
     fn sharding_and_batching_defaults() {
         let c = SsiConfig::default();
         assert!(c.read_batch > 1);
-        assert_eq!(c.graph_shards, 16);
         let t = TxnConfig::default();
         assert!(t.id_shards >= 1);
         assert!(t.txid_block >= 1);

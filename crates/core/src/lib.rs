@@ -27,6 +27,7 @@
 //! *read-before-write* conflicts ([`SsiManager::on_write`]).
 
 pub mod manager;
+mod registry;
 pub mod serial;
 pub mod sxact;
 pub mod twophase;

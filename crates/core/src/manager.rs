@@ -8,8 +8,7 @@
 //! SSN keeps per-transaction summary state:
 //!
 //! * the **record registry** (`SxactId → record`, `TxnId → record`) is hashed
-//!   into [`SsiConfig::graph_shards`] mutex-guarded maps (`--graph-shards 1`
-//!   reproduces a single-map registry for ablation);
+//!   into a fixed number of mutex-guarded maps (`registry.rs`);
 //! * each record's conflict-edge state has **its own lock** ([`Sxact::lock`]),
 //!   and scalar facts third parties need (phase, commit/prepare CSN, wrote,
 //!   read-only safety, doomed) are lock-free atomics on the record;
@@ -75,9 +74,8 @@
 //!    record, the CSN fold into each in-source, read-only tracking, cleanup's
 //!    peer fix-ups); never hold one record's lock while acquiring another
 //!    outside `lock_pair`.
-//! 3. **registry shard mutexes**: leaf-level — lookups clone the `Arc` and
-//!    release the shard before any record lock is taken; insertion/removal may
-//!    run under the order mutex or a record lock.
+//! 3. **registry shard mutexes** (`registry.rs`): leaf-level; insertion and
+//!    removal may run under the order mutex or a record lock.
 //! 4. the SIREAD lock manager and the serial table sit strictly below all of
 //!    the above (either may be called with graph locks held; neither calls
 //!    back in). The transaction manager's locks (via the `begin`/`commit`
@@ -152,12 +150,10 @@ use pgssi_lockmgr::siread::SireadLockManager;
 use pgssi_storage::clog::{CommitLog, TxnStatus};
 use pgssi_storage::visibility::VisEvent;
 
+use crate::registry::{Registry, SxRef};
 use crate::serial::SerialTable;
 use crate::sxact::{lock_pair, Phase, Sxact, SxactHandle, SxactId, SxactMut};
 use crate::twophase::PreparedSsi;
-
-/// Shared handle to a serializable-transaction record.
-type SxRef = Arc<Sxact>;
 
 /// §8.4 commit metadata: everything a WAL follower needs to decide snapshot
 /// safety locally, captured **inside the commit-order mutex** at the instant
@@ -255,64 +251,6 @@ pub struct SsiStats {
     pub commit_order_ns: Histogram,
 }
 
-/// Sharded record registry: `SxactId → record` and `TxnId → record`
-/// (subtransaction aliases included). Shard mutexes are leaf-level.
-struct Registry {
-    by_id: Box<[Mutex<HashMap<u64, SxRef>>]>,
-    by_txid: Box<[Mutex<HashMap<TxnId, SxRef>>]>,
-}
-
-impl Registry {
-    fn new(shards: usize) -> Registry {
-        let shards = shards.max(1);
-        Registry {
-            by_id: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            by_txid: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    #[inline]
-    fn id_shard(&self, id: SxactId) -> &Mutex<HashMap<u64, SxRef>> {
-        &self.by_id[(id.0 as usize) % self.by_id.len()]
-    }
-
-    #[inline]
-    fn txid_shard(&self, txid: TxnId) -> &Mutex<HashMap<TxnId, SxRef>> {
-        &self.by_txid[(txid.0 as usize) % self.by_txid.len()]
-    }
-
-    fn get(&self, id: SxactId) -> Option<SxRef> {
-        self.id_shard(id).lock().get(&id.0).cloned()
-    }
-
-    fn get_txid(&self, txid: TxnId) -> Option<SxRef> {
-        self.txid_shard(txid).lock().get(&txid).cloned()
-    }
-
-    fn insert(&self, rec: &SxRef) {
-        self.id_shard(rec.id)
-            .lock()
-            .insert(rec.id.0, Arc::clone(rec));
-        self.insert_txid(rec.txid, rec);
-    }
-
-    fn insert_txid(&self, txid: TxnId, rec: &SxRef) {
-        self.txid_shard(txid).lock().insert(txid, Arc::clone(rec));
-    }
-
-    fn remove(&self, id: SxactId, txid: TxnId, aliases: &[TxnId]) {
-        self.id_shard(id).lock().remove(&id.0);
-        self.txid_shard(txid).lock().remove(&txid);
-        for a in aliases {
-            self.txid_shard(*a).lock().remove(a);
-        }
-    }
-
-    fn record_count(&self) -> usize {
-        self.by_id.iter().map(|s| s.lock().len()).sum()
-    }
-}
-
 /// Membership state guarded by the commit-order mutex: who is active/prepared,
 /// and the committed records retained in commit order (front = oldest).
 struct CommitOrder {
@@ -387,7 +325,7 @@ impl SsiManager {
         SsiManager {
             siread: SireadLockManager::new(config.clone()),
             serial: SerialTable::new(),
-            reg: Registry::new(config.graph_shards),
+            reg: Registry::new(),
             config,
             next_id: AtomicU64::new(1),
             order: Mutex::new(CommitOrder {
@@ -442,11 +380,6 @@ impl SsiManager {
     /// The serial table (diagnostics and tests).
     pub fn serial(&self) -> &SerialTable {
         &self.serial
-    }
-
-    /// Number of registry shards (diagnostics).
-    pub fn graph_shards(&self) -> usize {
-        self.reg.by_id.len()
     }
 
     // ------------------------------------------------------------------

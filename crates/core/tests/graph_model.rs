@@ -1,17 +1,15 @@
-//! Model test for the sharded conflict graph: randomized
+//! Model test for the conflict graph's determinism: randomized
 //! begin/read/write/commit/abort sequences are driven against two
-//! [`SsiManager`]s that differ only in `graph_shards` — the default 16-way
-//! sharded registry and the `--graph-shards 1` single-map reference (every
-//! registry operation funnels through one mutex, the pre-sharding shape).
-//! Every operation must produce the **identical verdict** (commit vs. the
-//! same serialization-failure kind), every record the same doomed flag, and
-//! the run the same conflict/dangerous-structure/abort/summarization counts.
+//! [`SsiManager`]s built from the same `SsiConfig::tiny()`, whose
+//! `RandomState` maps draw different hash seeds. Every operation must produce
+//! the **identical verdict** (commit vs. the same serialization-failure
+//! kind), every record the same doomed flag, and the run the same
+//! conflict/dangerous-structure/abort/summarization counts.
 //!
 //! The per-sxact edge sets are `BTreeSet`s precisely so victim selection is
-//! deterministic: if sharding ever leaked into candidate iteration order or
-//! lost a record behind the wrong shard, these sequences — which exercise
-//! write skew, pivots, read-only tracking, §6.1 cleanup, and §6.2
-//! summarization (via `SsiConfig::tiny`) — would diverge.
+//! deterministic: if hash iteration order ever leaked into candidate order,
+//! these sequences — which exercise write skew, pivots, read-only tracking,
+//! §6.1 cleanup, and §6.2 summarization — would diverge.
 
 use std::collections::HashMap;
 
@@ -89,16 +87,12 @@ struct World {
 }
 
 impl World {
-    fn new(graph_shards: usize) -> World {
-        let config = SsiConfig {
-            graph_shards,
-            // tiny(): forces §6.1 cleanup and §6.2 summarization on these
-            // short sequences, so the removal protocol is exercised too.
-            ..SsiConfig::tiny()
-        };
+    fn new() -> World {
         World {
             tm: TxnManager::new(),
-            ssi: SsiManager::new(config),
+            // tiny(): forces §6.1 cleanup and §6.2 summarization on these
+            // short sequences, so the removal protocol is exercised too.
+            ssi: SsiManager::new(SsiConfig::tiny()),
             live: std::array::from_fn(|_| None),
             writers: HashMap::new(),
         }
@@ -206,10 +200,8 @@ impl World {
 }
 
 fn run_and_compare(ops: &[Op]) {
-    let mut sharded = World::new(16);
-    let mut reference = World::new(1);
-    assert_eq!(sharded.ssi.graph_shards(), 16);
-    assert_eq!(reference.ssi.graph_shards(), 1);
+    let mut sharded = World::new();
+    let mut reference = World::new();
     for (i, &op) in ops.iter().enumerate() {
         let vs = sharded.apply(op);
         let vr = reference.apply(op);
@@ -281,17 +273,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn sharded_graph_matches_single_shard_reference(
+    fn verdicts_do_not_depend_on_hash_order(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
         run_and_compare(&ops);
     }
 }
 
-/// The classic write-skew sequence must behave identically at any shard
-/// count — pinned (non-random) regression alongside the property.
+/// The classic write-skew sequence must behave identically in both managers
+/// — pinned (non-random) regression alongside the property.
 #[test]
-fn write_skew_verdicts_identical_across_shard_counts() {
+fn write_skew_verdicts_identical_across_managers() {
     let ops = [
         Op::Begin { slot: 0, ro: false },
         Op::Begin { slot: 1, ro: false },
@@ -308,7 +300,7 @@ fn write_skew_verdicts_identical_across_shard_counts() {
 }
 
 /// Heavy churn through one hot object: exercises cleanup and summarization
-/// (tiny config) under both shard counts.
+/// (tiny config) in both managers.
 #[test]
 fn hot_object_churn_verdicts_identical() {
     let mut ops = Vec::new();

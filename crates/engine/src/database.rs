@@ -162,8 +162,6 @@ pub struct StatsReport {
     pub ssi_safe_snapshots: u64,
     /// Committed transactions summarized under memory pressure.
     pub ssi_summarized: u64,
-    /// Number of conflict-graph registry shards.
-    pub ssi_graph_shards: usize,
     /// SIREAD lock acquisitions.
     pub siread_acquisitions: u64,
     /// SIREAD granularity promotions (tuple→page, page→relation).
@@ -450,7 +448,6 @@ impl StatsReport {
             ($($f:ident),*) => {
                 StatsReport {
                     $($f: self.$f.saturating_sub(baseline.$f),)*
-                    ssi_graph_shards: self.ssi_graph_shards,
                     siread_locks: self.siread_locks,
                     txn_id_shards: self.txn_id_shards,
                     cluster_shards: self.cluster_shards,
@@ -503,7 +500,7 @@ impl std::fmt::Display for StatsReport {
         writeln!(
             f,
             "ssi    : conflicts {}  dangerous {}  self-aborts {}  doomed {}  \
-             summary-aborts {}  safe-snapshots {}  summarized {}  graph-shards {}",
+             summary-aborts {}  safe-snapshots {}  summarized {}",
             self.ssi_conflicts_flagged,
             self.ssi_dangerous_structures,
             self.ssi_aborts_self,
@@ -511,7 +508,6 @@ impl std::fmt::Display for StatsReport {
             self.ssi_summary_aborts,
             self.ssi_safe_snapshots,
             self.ssi_summarized,
-            self.ssi_graph_shards,
         )?;
         writeln!(
             f,
@@ -1350,7 +1346,6 @@ impl Database {
             ssi_summary_aborts: s.summary_aborts.get(),
             ssi_safe_snapshots: s.safe_immediate.get() + s.safe_established.get(),
             ssi_summarized: s.summarized.get(),
-            ssi_graph_shards: ssi.graph_shards(),
             siread_acquisitions: siread.acquisitions.get(),
             siread_promotions: siread.promotions.get(),
             siread_locks: parts.iter().map(|p| p.locks).sum(),

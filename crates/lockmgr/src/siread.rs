@@ -92,7 +92,6 @@
 //! it before a commit returns; release and consolidation flush whatever is
 //! left), so a counter read between two transactions is exact.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -266,7 +265,7 @@ impl MultiGuard<'_> {
 /// The SIREAD-only predicate lock manager.
 pub struct SireadLockManager {
     partitions: Box<[PartitionSlot]>,
-    owners: RwLock<HashMap<OwnerId, OwnerRef>>,
+    owners: RwLock<FastMap<OwnerId, OwnerRef>>,
     /// Presence filter over every pending (unpublished) read-set target,
     /// probed by writers before the partition table.
     filter: PresenceFilter,
@@ -330,7 +329,7 @@ impl SireadLockManager {
                     contended: Counter::new(),
                 })
                 .collect(),
-            owners: RwLock::new(HashMap::new()),
+            owners: RwLock::new(FastMap::default()),
             filter: PresenceFilter::new(PARTITIONS),
             summarized_targets: AtomicU64::new(0),
             count_from: config
@@ -696,7 +695,7 @@ impl SireadLockManager {
     }
 
     fn busiest_relation(ol: &OwnerLocks) -> Option<RelId> {
-        let mut counts: HashMap<RelId, usize> = HashMap::new();
+        let mut counts: FastMap<RelId, usize> = FastMap::default();
         for t in ol.targets.iter().chain(ol.pending.iter()) {
             if t.granularity() > 0 {
                 *counts.entry(t.relation()).or_insert(0) += 1;

@@ -18,12 +18,14 @@ fn same_seed_replays_byte_identical() {
         ("repl", 5),
         ("cluster", 4),
         ("pivot", 2),
+        ("pool", 31),
     ] {
         let go = |name: &str| match name {
             "mix" => scenario::mix(seed, 1),
             "crash" => scenario::crash(seed, 1),
             "repl" => scenario::repl(seed, 1),
             "cluster" => scenario::cluster(seed, 1),
+            "pool" => scenario::pool(seed, 1),
             _ => scenario::pivot(seed, 1, false),
         };
         let a = go(name);
@@ -39,6 +41,26 @@ fn same_seed_replays_byte_identical() {
         let ta: Vec<String> = a.run.trace.iter().map(|e| e.to_string()).collect();
         let tb: Vec<String> = b.run.trace.iter().map(|e| e.to_string()).collect();
         assert_eq!(ta, tb, "{name}/{seed}: traces differ");
+    }
+}
+
+/// `pool` seed 31 replayed two ways while writers walked a `RandomState`
+/// owner directory to force-publish readers; one pair can agree by chance.
+#[test]
+fn pool_seed_31_replays_byte_identical_ten_times() {
+    pgssi_sim::runner::quiet_sim_panics();
+    let replay = || {
+        let o = scenario::pool(31, 1);
+        let trace: Vec<String> = o.run.trace.iter().map(|e| e.to_string()).collect();
+        (o.run.steps, o.run.vnow_ns, trace)
+    };
+    let first = replay();
+    for run in 1..10 {
+        let again = replay();
+        assert!(
+            again == first,
+            "run {run}: steps, virtual clock or trace differ"
+        );
     }
 }
 
@@ -154,6 +176,21 @@ fn cluster_seed_27665_stays_red_until_cross_shard_skew_is_closed() {
          cross-shard skew was fixed, re-pin it as a passing seed: {:?}",
         out.violations
     );
+}
+
+/// Two more cross-shard-skew seeds from the 0..65536 sweep, pinned red like
+/// 27665 so a schedule shift cannot hide them.
+#[test]
+fn cluster_seeds_18637_and_65394_stay_red_until_cross_shard_skew_is_closed() {
+    for seed in [18637, 65394] {
+        let out = run_scenario("cluster", seed, 1, false);
+        assert!(
+            out.violations.iter().any(|v| v.contains("cycle")),
+            "cluster seed {seed} no longer reports the merged-graph cycle; if \
+             cross-shard skew was fixed, re-pin it as a passing seed: {:?}",
+            out.violations
+        );
+    }
 }
 
 /// Crash fault-soundness: every crash seed reboots the engine from the
