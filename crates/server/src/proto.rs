@@ -214,6 +214,16 @@ fn one_arg<'a>(mut tokens: impl Iterator<Item = &'a str>, err: &str) -> Result<S
     }
 }
 
+/// Whether `line` is a `BEGIN`, tokenised as [`parse`] does: its first
+/// whitespace token, compared ASCII case-insensitively. Its options are not
+/// checked (a malformed `BEGIN` is still one), so the client and the server
+/// cannot disagree about which line opens a transaction.
+pub fn is_begin(line: &str) -> bool {
+    line.split_whitespace()
+        .next()
+        .is_some_and(|verb| verb.eq_ignore_ascii_case("BEGIN"))
+}
+
 /// Parse one request line. The tokens are walked in place and verbs matched
 /// without case folding, so a `GET`/`PUT`/`DEL` of integer values allocates
 /// only its table name (its values land in an inline [`Row`]).
@@ -285,6 +295,26 @@ mod tests {
             panic!()
         };
         assert!(s.read_only && s.deferrable);
+    }
+
+    #[test]
+    fn is_begin_agrees_with_parse() {
+        for line in [
+            "BEGIN",
+            "begin serializable",
+            "  Begin READ ONLY",
+            "BEGINX",
+            "GET kv 1",
+            "",
+        ] {
+            assert_eq!(
+                is_begin(line),
+                matches!(parse(line), Ok(Command::Begin(_))),
+                "{line:?}"
+            );
+        }
+        assert!(is_begin("  Begin READ ONLY"));
+        assert!(!is_begin("BEGINX"));
     }
 
     #[test]

@@ -28,14 +28,17 @@
 //! [`TcpClient`] is the matching client: the same line protocol over a socket,
 //! speaking [`Transport`] so harnesses can swap it for a
 //! [`SessionHandle`](crate::SessionHandle) without code changes. Its `send`
-//! writes through when the connection is idle and coalesces behind a request
-//! already in flight (see [`Transport::send`]), so a transaction sent line by
-//! line and then read costs two writes, and [`Transport::pipeline`] one.
+//! writes through when the connection is idle, coalesces behind a request
+//! already in flight, and holds a lone `BEGIN` until its transaction's next
+//! flush (see [`Transport::send`]), so a transaction sent line by line and
+//! then read costs one write, as does [`Transport::pipeline`].
 //!
 //! [`ServerConfig::workers`]: pgssi_common::ServerConfig::workers
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,6 +49,7 @@ use pgssi_engine::ShardedDatabase;
 
 use crate::lines::{LineReader, LineWriter};
 use crate::pool::{SessionId, SessionPool};
+use crate::proto;
 use crate::transport::Transport;
 use crate::wire::{Duplex, ResponseSink, Server, WireTask};
 
@@ -66,29 +70,20 @@ impl Server {
         let local_addr = listener
             .local_addr()
             .map_err(|e| io_disconnected("TCP local_addr failed", e))?;
-        // Non-blocking accept so shutdown is a flag check, not a poke from a
-        // sacrificial connection.
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_disconnected("TCP set_nonblocking failed", e))?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let pool = Arc::clone(&self.pool);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Capacity errors drop the stream: the client sees
-                            // EOF, exactly like a refused backend.
-                            let _ = serve_connection(&pool, stream);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
+                accept_loop(
+                    &stop,
+                    || listener.accept().map(|(stream, _)| stream),
+                    |stream| {
+                        // Capacity errors drop the stream: the client sees
+                        // EOF, exactly like a refused backend.
+                        let _ = serve_connection(&pool, stream);
+                    },
+                );
             })
         };
         Ok(TcpFrontEnd {
@@ -96,6 +91,45 @@ impl Server {
             stop,
             accept_thread: Some(accept_thread),
         })
+    }
+}
+
+/// How long the accept loop backs off after an `accept` failure that is not
+/// the client's doing (EMFILE, ENFILE, ENOBUFS, ENOMEM): time for closing
+/// sessions to hand descriptors and buffers back.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Hand every connection `accept` yields to `serve`, until `stop` is set.
+/// `accept` blocks; [`TcpFrontEnd`] sets `stop` and then wakes it with a
+/// connection of its own, which is dropped unserved.
+///
+/// No `accept` error ends the loop, as none ends PostgreSQL's postmaster: a
+/// client that hung up before it was taken (`ConnectionAborted`) or a signal
+/// (`Interrupted`) is retried at once; anything else, resource exhaustion
+/// above all, is logged and retried after [`ACCEPT_BACKOFF`]. Breaking out
+/// would leave a front-end that looks alive and accepts nothing.
+fn accept_loop<S>(
+    stop: &AtomicBool,
+    mut accept: impl FnMut() -> io::Result<S>,
+    mut serve: impl FnMut(S),
+) {
+    loop {
+        let accepted = accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(conn) => serve(conn),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => {
+                eprintln!("pgssi-server: could not accept a new connection: {e}");
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
     }
 }
 
@@ -217,8 +251,8 @@ fn serve(pool: &SessionPool, sid: SessionId, duplex: &Duplex, mut input: impl Re
 }
 
 /// Handle on a running TCP accept loop. Dropping it (or calling
-/// [`TcpFrontEnd::shutdown`]) stops accepting; established connections live
-/// until their clients hang up.
+/// [`TcpFrontEnd::shutdown`]) stops accepting and closes the listening
+/// socket; established connections live until their clients hang up.
 pub struct TcpFrontEnd {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -237,11 +271,28 @@ impl TcpFrontEnd {
     }
 
     fn stop_accepting(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(thread) = self.accept_thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // The loop is blocked in `accept`: connect once to wake it. Should
+        // that fail, the thread is left to end at the next client's connect
+        // rather than hang this call.
+        if TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_secs(1)).is_ok() {
+            let _ = thread.join();
         }
     }
+}
+
+/// Where a connect reaches a listener bound to `addr`: a wildcard bind
+/// (`0.0.0.0`, `::`) is reached on the loopback address of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 impl Drop for TcpFrontEnd {
@@ -279,7 +330,8 @@ impl<R: Read, W: Write> Client<R, W> {
     }
 
     /// Queue `lines`; write them (and anything queued before) at once if
-    /// `write_now`, if the connection is idle, or if too much is queued.
+    /// `write_now`, if the connection is idle and the lines are not a lone
+    /// `BEGIN`, or if too much is queued.
     fn send_all(&self, lines: &[&str], write_now: bool) -> Result<()> {
         let mut out = self.out.lock();
         for line in lines {
@@ -289,8 +341,12 @@ impl<R: Read, W: Write> Client<R, W> {
         // the caller may be about to watch this request take effect from
         // elsewhere: write through. Behind a request in flight, the caller
         // is pipelining and will turn to read: ride along with that flush.
+        // A lone `BEGIN` has no effect anyone can watch before its
+        // transaction's next statement, so it is held like a pipelined line
+        // and leaves with the rest of its transaction.
         let idle = self.in_flight.fetch_add(lines.len(), Ordering::SeqCst) == 0;
-        if write_now || idle || out.pending() > MAX_UNSENT {
+        let held = matches!(lines, [line] if proto::is_begin(line));
+        if write_now || (idle && !held) || out.pending() > MAX_UNSENT {
             out.flush()
                 .map_err(|e| io_disconnected("TCP send failed", e))?;
         }
@@ -508,13 +564,12 @@ mod tests {
     ];
 
     #[test]
-    fn sends_write_through_when_idle_and_coalesce_behind_a_request_in_flight() {
-        let (client, calls) = counting_client(6);
+    fn a_lone_begin_is_held_and_other_idle_sends_write_through() {
+        let (client, calls) = counting_client(8);
         client.send(TXN[0]).unwrap();
-        assert_eq!(
-            calls.taken(),
-            ["BEGIN\n"],
-            "an idle connection's send is on the wire when it returns"
+        assert!(
+            calls.taken().is_empty(),
+            "a lone BEGIN waits for its transaction's next flush"
         );
         for line in &TXN[1..] {
             client.send(line).unwrap();
@@ -523,16 +578,26 @@ mod tests {
         assert_eq!(client.recv().unwrap(), "OK");
         assert_eq!(
             calls.taken(),
-            ["GET kv 1\nGET kv 2\nGET kv 3\nGET kv 4\nCOMMIT\n"],
-            "the first receive flushes the rest in one write"
+            ["BEGIN\nGET kv 1\nGET kv 2\nGET kv 3\nGET kv 4\nCOMMIT\n"],
+            "the first receive writes the whole transaction at once"
         );
         for _ in 1..6 {
             assert_eq!(client.recv().unwrap(), "OK");
         }
         assert!(calls.taken().is_empty());
-        // Everything answered: the connection is idle again.
+        // Everything answered: the connection is idle again, and any other
+        // verb is on the wire when `send` returns.
+        client.send("PUT kv 1 1").unwrap();
+        assert_eq!(calls.taken(), ["PUT kv 1 1\n"]);
+        assert_eq!(client.recv().unwrap(), "OK");
+        // `Transport::roundtrip`: the held BEGIN leaves with the receive.
         client.send("BEGIN").unwrap();
-        assert_eq!(calls.taken(), ["BEGIN\n"]);
+        assert_eq!(client.recv().unwrap(), "OK");
+        assert_eq!(
+            calls.taken(),
+            ["BEGIN\n"],
+            "a BEGIN round trip is one write"
+        );
     }
 
     #[test]
@@ -545,6 +610,42 @@ mod tests {
             assert_eq!(client.recv().unwrap(), "OK");
         }
         assert_eq!(calls.taken().len(), 6);
+    }
+
+    /// No `accept` error stops the loop; only the stop flag does, and the
+    /// connection that woke it is not served.
+    #[test]
+    fn accept_errors_do_not_stop_the_loop() {
+        const EMFILE: i32 = 24;
+        let stop = AtomicBool::new(false);
+        let mut script: std::collections::VecDeque<io::Result<u32>> = [
+            Err(io::ErrorKind::ConnectionAborted.into()),
+            Err(io::Error::from_raw_os_error(EMFILE)),
+            Ok(1),
+            Err(io::ErrorKind::Interrupted.into()),
+            Ok(2),
+        ]
+        .into();
+        let mut served = Vec::new();
+        accept_loop(
+            &stop,
+            || {
+                script.pop_front().unwrap_or_else(|| {
+                    stop.store(true, Ordering::SeqCst);
+                    Ok(99)
+                })
+            },
+            |conn| served.push(conn),
+        );
+        assert_eq!(served, [1, 2]);
+    }
+
+    #[test]
+    fn wake_addr_reaches_a_wildcard_bind_on_loopback() {
+        let at = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(wake_addr(at("0.0.0.0:5433")), at("127.0.0.1:5433"));
+        assert_eq!(wake_addr(at("[::]:5433")), at("[::1]:5433"));
+        assert_eq!(wake_addr(at("10.1.2.3:5433")), at("10.1.2.3:5433"));
     }
 
     #[test]

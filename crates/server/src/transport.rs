@@ -18,9 +18,18 @@ pub trait Transport: Send + Sync {
     /// handle still awaits its response — so "send, then watch the effect
     /// from another session" works — and otherwise no later than the next
     /// receive call (`recv`, `try_recv`, `roundtrip`, `pipeline`) or the
-    /// drop of this handle. A [`TcpClient`](crate::TcpClient) uses the
-    /// latitude to put the lines queued behind an in-flight request into one
-    /// `write`; a [`SessionHandle`](crate::SessionHandle) delivers at once.
+    /// drop of this handle.
+    ///
+    /// One exception: a `BEGIN` ([`proto::is_begin`](crate::proto::is_begin))
+    /// may be held even on an idle handle, because nothing another session
+    /// can watch happens before its transaction's next statement. It counts
+    /// as awaiting its response, so the lines sent after it are held too,
+    /// and all of them leave together at the next receive call (or drop).
+    /// Until then `ACTIVITY` shows the session idle, with no transaction.
+    ///
+    /// A [`TcpClient`](crate::TcpClient) uses the latitude to put a whole
+    /// transaction sent line by line into one `write`; a
+    /// [`SessionHandle`](crate::SessionHandle) delivers every line at once.
     fn send(&self, line: &str) -> Result<()>;
 
     /// Blocking receive of the next response line.

@@ -617,6 +617,87 @@ fn tcp_disconnect_rolls_back_open_transaction() {
     server.shutdown();
 }
 
+/// A transaction sent line by line and then read reaches the server in one
+/// `read`: the client holds its lone `BEGIN` and writes it with the lines
+/// after it at the first receive. One read of slack for a segment the kernel
+/// happens to split. Whether a `BEGIN` written alone shares the server's
+/// read with the next write depends on which thread runs first, so the
+/// first transaction also gives the server 100 ms to receive a lone
+/// `BEGIN`, and it must receive nothing.
+#[test]
+fn a_line_by_line_transaction_is_one_server_read() {
+    const N: u64 = 50;
+    let server = kv_server(1, 4);
+    let front = server.listen("127.0.0.1:0").unwrap();
+    let c = TcpClient::connect(front.local_addr()).unwrap();
+    let stats = || server.db().stats_report();
+    let (reads_before, requests_before) = {
+        let s = stats();
+        (s.session_socket_reads, s.session_requests)
+    };
+    for i in 0..N {
+        c.send("BEGIN").unwrap();
+        if i == 0 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(100);
+            while std::time::Instant::now() < deadline {
+                assert_eq!(
+                    stats().session_requests,
+                    requests_before,
+                    "a lone BEGIN reached the server"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        for line in [
+            format!("PUT kv {i} {i}"),
+            format!("GET kv {i}"),
+            "COMMIT".into(),
+        ] {
+            c.send(&line).unwrap();
+        }
+        let replies: Vec<String> = (0..4).map(|_| c.recv().unwrap()).collect();
+        assert_eq!(replies, ["OK", "OK", &format!("ROW {i} {i}"), "OK"]);
+    }
+    let reads = stats().session_socket_reads - reads_before;
+    assert!(reads <= N + 1, "{reads} server reads for {N} transactions");
+    drop(c);
+    front.shutdown();
+    server.shutdown();
+}
+
+/// `TcpFrontEnd::shutdown` wakes the blocked accept at once, whether or not a
+/// connection is live, and the port is closed afterwards.
+#[test]
+fn front_end_shutdown_is_prompt_and_closes_the_port() {
+    for live_client in [false, true] {
+        let server = kv_server(1, 4);
+        let front = server.listen("127.0.0.1:0").unwrap();
+        let addr = front.local_addr();
+        let client = live_client.then(|| {
+            let c = TcpClient::connect(addr).unwrap();
+            assert_eq!(c.roundtrip("BEGIN").unwrap(), "OK");
+            c
+        });
+        let start = std::time::Instant::now();
+        front.shutdown();
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "shutdown took {took:?} (live client: {live_client})"
+        );
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "a connect after shutdown must be refused"
+        );
+        // An established connection outlives the listener.
+        if let Some(c) = &client {
+            assert_eq!(c.roundtrip("COMMIT").unwrap(), "OK");
+        }
+        drop(client);
+        server.shutdown();
+    }
+}
+
 /// Concurrent TCP clients running the counter workload: real sockets must
 /// not lose updates either.
 #[test]
