@@ -15,9 +15,8 @@
 //! so the sweep additionally pays kernel socket wakeups and line framing.
 //!
 //! The sweep leans on the transaction manager: begins draw txids from
-//! per-shard blocks and snapshots clone an epoch-cached snapshot, so
-//! `begin`+`snapshot` do not serialize on one mutex (`--stats` prints the
-//! snapshot-cache hit rate).
+//! per-shard blocks and a snapshot is one load of the commit frontier, so
+//! `begin`+`snapshot` do not serialize on one mutex.
 //!
 //! ```sh
 //! cargo run --release -p pgssi-bench --bin fig_sessions \
@@ -220,8 +219,8 @@ fn main() {
          transport: {wire}\n"
     );
     println!(
-        "{:>10}  {:>10}  {:>9}  {:>10}  {:>13}",
-        "sessions", "txn/s", "aborts", "snap-hit%", "worker-parks"
+        "{:>10}  {:>10}  {:>9}  {:>13}",
+        "sessions", "txn/s", "aborts", "worker-parks"
     );
 
     for &sessions in &sweep {
@@ -234,15 +233,8 @@ fn main() {
         let (committed, aborted, elapsed) =
             run_sweep_cell(connect.as_ref(), sessions, rows, duration, 42);
         let after = server.db().stats_report();
-        let hits = after.txn_snapshot_hits - before.txn_snapshot_hits;
-        let rebuilds = after.txn_snapshot_full_rebuilds - before.txn_snapshot_full_rebuilds;
-        let hit_rate = if hits + rebuilds == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / (hits + rebuilds) as f64
-        };
         println!(
-            "{sessions:>10}  {:>10.0}  {aborted:>9}  {hit_rate:>9.1}%  {:>13}",
+            "{sessions:>10}  {:>10.0}  {aborted:>9}  {:>13}",
             committed as f64 / elapsed.as_secs_f64(),
             after.session_worker_parks - before.session_worker_parks,
         );
@@ -250,10 +242,9 @@ fn main() {
 
     println!("\nexpected shape: throughput holds (or grows into the worker budget) as");
     println!("sessions far exceed workers — the pool multiplexes idle sessions for free,");
-    println!("and the sharded txid allocator + incrementally-maintained snapshot keep");
-    println!("begin/snapshot off any single mutex (snap-hit% should sit at ~100,");
-    println!("since only cold starts walk the shards). --tcp adds a");
-    println!("per-message socket round trip but the curve's shape should survive it.");
+    println!("and the sharded txid allocator + one-load snapshot keep begin/snapshot");
+    println!("off any single mutex. --tcp adds a per-message socket round trip but");
+    println!("the curve's shape should survive it.");
 
     args.print_stats("SSI", server.db().shard(0));
     args.print_latency("SSI", server.db().shard(0));

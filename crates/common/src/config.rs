@@ -100,17 +100,17 @@ impl SsiConfig {
     }
 }
 
-/// Transaction-manager sharding knobs (txid allocation and snapshot caching).
+/// Transaction-manager sharding knobs (txid allocation).
 ///
 /// The seed `TxnManager` funneled every `begin`/`snapshot`/`commit` through one
 /// mutex; these knobs size its replacement: txids are handed out in per-shard
-/// blocks carved off a single atomic, and `snapshot()` serves clones of an
-/// epoch-cached snapshot that commits/aborts invalidate.
+/// blocks carved off a single atomic. (`snapshot()` is one load of the commit
+/// frontier and needs no knob.)
 #[derive(Clone, Debug)]
 pub struct TxnConfig {
     /// Number of txid-allocation shards. `begin` takes only its (thread-affine)
-    /// shard's mutex plus one id-striped active-set mutex, so begins on
-    /// different shards never contend; `1` is a single allocation point.
+    /// shard's mutex, so begins on different shards never contend; `1` is a
+    /// single allocation point.
     /// Txid blocks stay: `id_shards = 1, txid_block = 1` is +26 %
     /// `lat_p50_us` on the observatory's `scan-update-ssi` (17.8 vs 14.1 µs,
     /// 4 of 4 rounds) and −6.5 % `tps` on `cluster-cross` (4 of 4), though
@@ -118,9 +118,8 @@ pub struct TxnConfig {
     pub id_shards: usize,
     /// Size of the txid block a shard reserves from the global atomic frontier
     /// when its current block runs out. Larger blocks mean fewer touches of
-    /// the shared cache line, but each partially-consumed block's unissued ids
-    /// ride along in snapshot `xip` lists (they must read as in-progress).
-    /// Kept by the same measurement as [`TxnConfig::id_shards`].
+    /// the shared cache line. Kept by the same measurement as
+    /// [`TxnConfig::id_shards`].
     pub txid_block: u64,
 }
 
@@ -128,9 +127,8 @@ impl Default for TxnConfig {
     fn default() -> Self {
         TxnConfig {
             // Follow the machine: sharding only pays where threads actually
-            // run in parallel, while every reserved-but-unissued block id
-            // rides along in snapshot xip lists — so a single-core box gets
-            // one shard (near-zero xip padding) and a big box gets up to 8.
+            // run in parallel, so a single-core box gets one shard and a big
+            // box gets up to 8.
             id_shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4)
@@ -230,7 +228,7 @@ impl WalConfig {
 pub struct EngineConfig {
     /// SSI / lock-manager tuning.
     pub ssi: SsiConfig,
-    /// Transaction-manager sharding (txid blocks, snapshot cache).
+    /// Transaction-manager sharding (txid blocks).
     pub txn: TxnConfig,
     /// Durable-WAL placement.
     pub wal: WalConfig,

@@ -1,66 +1,37 @@
 //! MVCC snapshots.
 //!
-//! A snapshot captures "the set of transactions whose effects are visible" (paper
-//! §5.1) the way PostgreSQL represents it: a `[xmin, xmax)` window plus the list of
-//! transactions that were in progress when the snapshot was taken. It additionally
-//! records the commit-sequence-number frontier (`csn`), which the SSI core uses for
-//! every "committed before this snapshot?" test (paper §4.1).
+//! A snapshot captures "the set of transactions whose effects are visible"
+//! (paper §5.1) as one number: the commit-sequence frontier `csn` when it was
+//! taken. A transaction that committed with sequence number `c` is visible
+//! iff `c < csn`. PostgreSQL describes that instant twice — the xid list
+//! (`xmin`, `xmax`, `xip`) for MVCC, and `SerCommitSeqNo` for SSI's
+//! "committed before this snapshot?" (§4.1); the clog here stores every
+//! commit's CSN, so the frontier alone answers both. `pgssi_storage::txn`
+//! argues why reading the frontier is a consistent cut.
 
 use crate::ids::{CommitSeqNo, TxnId};
 
-/// An MVCC snapshot.
+/// An MVCC snapshot: the commit frontier at snapshot time.
 ///
-/// Visibility rule for a committed transaction `t`:
-/// * `t < xmin` → visible (committed before every in-progress transaction),
-/// * `t >= xmax` → invisible (started at or after snapshot time),
-/// * otherwise invisible iff `t` is in `xip` (was still running at snapshot time).
-///
-/// Whether `t` actually committed is *not* recorded here; callers consult the commit
-/// log. This mirrors PostgreSQL, where `XidInMVCCSnapshot` and clog lookups are
-/// separate steps.
-#[derive(Clone, PartialEq, Eq)]
+/// Whether a transaction committed, and with which CSN, is *not* recorded
+/// here; callers consult the commit log, as PostgreSQL's visibility checks
+/// consult clog separately from the snapshot.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// All transaction ids `< xmin` were finished when the snapshot was taken.
-    pub xmin: TxnId,
-    /// First transaction id not yet assigned at snapshot time.
-    pub xmax: TxnId,
-    /// Transactions in `[xmin, xmax)` that were still in progress, sorted ascending.
-    pub xip: Vec<TxnId>,
-    /// Commit-sequence frontier: every transaction with `commit_csn < csn` committed
-    /// before this snapshot was taken, and no others did.
+    /// Commit-sequence frontier: every transaction with `commit_csn < csn`
+    /// committed before this snapshot was taken, and no others did.
     pub csn: CommitSeqNo,
+    /// Always empty: the xid list is gone. Kept only because the observatory
+    /// benchmark's storage probe reads `xip.len()`; zero bytes, so the
+    /// snapshot stays one number.
+    pub xip: [TxnId; 0],
 }
 
 impl Snapshot {
-    /// A snapshot that sees only frozen (bootstrap) data.
-    pub fn empty() -> Snapshot {
-        Snapshot {
-            xmin: TxnId::FIRST_NORMAL,
-            xmax: TxnId::FIRST_NORMAL,
-            xip: Vec::new(),
-            csn: CommitSeqNo::FIRST,
-        }
-    }
-
-    /// True if `txid` was still in progress (or unborn) at snapshot time, i.e. its
-    /// effects must NOT be visible even if it has since committed.
-    ///
-    /// The frozen id is never in-progress; invalid ids are treated as in-progress so
-    /// that garbage never becomes visible.
-    pub fn is_in_progress(&self, txid: TxnId) -> bool {
-        if txid.is_frozen() {
-            return false;
-        }
-        if !txid.is_valid() {
-            return true;
-        }
-        if txid < self.xmin {
-            return false;
-        }
-        if txid >= self.xmax {
-            return true;
-        }
-        self.xip.binary_search(&txid).is_ok()
+    /// The snapshot whose frontier is `csn`.
+    #[inline]
+    pub const fn at(csn: CommitSeqNo) -> Snapshot {
+        Snapshot { csn, xip: [] }
     }
 
     /// True if a transaction that committed with sequence number `csn` committed
@@ -73,11 +44,7 @@ impl Snapshot {
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Snapshot[{}..{}, xip:{:?}, {:?}]",
-            self.xmin.0, self.xmax.0, self.xip, self.csn
-        )
+        write!(f, "Snapshot[{:?}]", self.csn)
     }
 }
 
@@ -85,58 +52,12 @@ impl std::fmt::Debug for Snapshot {
 mod tests {
     use super::*;
 
-    fn snap(xmin: u64, xmax: u64, xip: &[u64], csn: u64) -> Snapshot {
-        Snapshot {
-            xmin: TxnId(xmin),
-            xmax: TxnId(xmax),
-            xip: xip.iter().map(|&x| TxnId(x)).collect(),
-            csn: CommitSeqNo(csn),
-        }
-    }
-
-    #[test]
-    fn before_xmin_is_not_in_progress() {
-        let s = snap(10, 20, &[12, 15], 5);
-        assert!(!s.is_in_progress(TxnId(9)));
-        assert!(!s.is_in_progress(TxnId(2)));
-    }
-
-    #[test]
-    fn at_or_after_xmax_is_in_progress() {
-        let s = snap(10, 20, &[], 5);
-        assert!(s.is_in_progress(TxnId(20)));
-        assert!(s.is_in_progress(TxnId(100)));
-    }
-
-    #[test]
-    fn xip_members_are_in_progress_others_not() {
-        let s = snap(10, 20, &[12, 15], 5);
-        assert!(s.is_in_progress(TxnId(12)));
-        assert!(s.is_in_progress(TxnId(15)));
-        assert!(!s.is_in_progress(TxnId(11)));
-        assert!(!s.is_in_progress(TxnId(19)));
-    }
-
-    #[test]
-    fn frozen_and_invalid_ids() {
-        let s = snap(10, 20, &[], 5);
-        assert!(!s.is_in_progress(TxnId::FROZEN));
-        assert!(s.is_in_progress(TxnId::INVALID));
-    }
-
     #[test]
     fn committed_before_respects_frontier() {
-        let s = snap(10, 20, &[], 5);
+        let s = Snapshot::at(CommitSeqNo(5));
         assert!(s.committed_before(CommitSeqNo(4)));
         assert!(!s.committed_before(CommitSeqNo(5)));
         assert!(!s.committed_before(CommitSeqNo(6)));
         assert!(!s.committed_before(CommitSeqNo::INVALID));
-    }
-
-    #[test]
-    fn empty_snapshot_sees_only_frozen() {
-        let s = Snapshot::empty();
-        assert!(!s.is_in_progress(TxnId::FROZEN));
-        assert!(s.is_in_progress(TxnId::FIRST_NORMAL));
     }
 }

@@ -191,12 +191,11 @@ pub struct StatsReport {
     pub s2pl_deadlocks: u64,
     /// Transactions (and subtransactions) begun by the txn manager.
     pub txn_begins: u64,
-    /// Snapshot requests served from the maintained snapshot cache.
+    /// Always 0: a snapshot is one load, with no cache to hit. Kept only
+    /// because the observatory benchmark reads it.
     pub txn_snapshot_hits: u64,
-    /// Writing finishes applied to the cached snapshot copy-on-write.
-    pub txn_snapshot_incremental: u64,
-    /// Snapshot requests that walked every allocation shard from scratch
-    /// (cold start; ≈ 0 in steady state).
+    /// Always 0, as [`StatsReport::txn_snapshot_hits`]. Kept only because the
+    /// observatory benchmark reads it.
     pub txn_snapshot_full_rebuilds: u64,
     /// Txid blocks carved off the global frontier.
     pub txn_id_blocks: u64,
@@ -374,7 +373,6 @@ macro_rules! stats_counters {
             s2pl_deadlocks,
             txn_begins,
             txn_snapshot_hits,
-            txn_snapshot_incremental,
             txn_snapshot_full_rebuilds,
             txn_id_blocks,
             txn_wait_reports,
@@ -425,16 +423,6 @@ impl StatsReport {
             0.0
         } else {
             self.repl_lag_records as f64 / self.repl_catch_ups as f64
-        }
-    }
-
-    /// Fraction of snapshot requests served from the maintained cache.
-    pub fn snapshot_cache_hit_rate(&self) -> f64 {
-        let total = self.txn_snapshot_hits + self.txn_snapshot_full_rebuilds;
-        if total == 0 {
-            0.0
-        } else {
-            self.txn_snapshot_hits as f64 / total as f64
         }
     }
 
@@ -537,16 +525,8 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "txn    : begins {}  snapshot-hits {}  incremental {}  full-rebuilds {} \
-             (hit-rate {:.1}%)  txid-blocks {}  id-shards {}  wait-reports {}",
-            self.txn_begins,
-            self.txn_snapshot_hits,
-            self.txn_snapshot_incremental,
-            self.txn_snapshot_full_rebuilds,
-            100.0 * self.snapshot_cache_hit_rate(),
-            self.txn_id_blocks,
-            self.txn_id_shards,
-            self.txn_wait_reports,
+            "txn    : begins {}  txid-blocks {}  id-shards {}  wait-reports {}",
+            self.txn_begins, self.txn_id_blocks, self.txn_id_shards, self.txn_wait_reports,
         )?;
         writeln!(
             f,
@@ -733,23 +713,17 @@ impl DbInner {
     }
 
     /// The one abort path, ROLLBACK and ROLLBACK PREPARED alike: the clog
-    /// abort (writeless: no snapshot-cache invalidation), then the SSI abort
-    /// publishing its resolution in-section, then the 2PL locks and the
-    /// vacuum-horizon entry. Callers count the abort — a deferrable begin's
-    /// discarded unsafe snapshot is not one.
+    /// abort, then the SSI abort publishing its resolution in-section, then
+    /// the 2PL locks and the vacuum-horizon entry. Callers count the abort —
+    /// a deferrable begin's discarded unsafe snapshot is not one.
     pub fn abort_txn(
         &self,
         txid: TxnId,
         xids: &[TxnId],
         ssi: Option<(&SsiManager, &SxactHandle)>,
-        wrote: bool,
         s2pl_owner: Option<u64>,
     ) {
-        if wrote {
-            self.tm.abort(xids);
-        } else {
-            self.tm.abort_readonly(xids);
-        }
+        self.tm.abort(xids);
         if let Some((mgr, sx)) = ssi {
             mgr.abort(sx, |txid| self.wal.publish_abort(self, txid));
         }
@@ -1276,7 +1250,7 @@ impl Database {
                     // The retry loop's discarded txid never wrote anything;
                     // its snapshot must stop pinning the vacuum horizon.
                     let ssi = Some((&*ssi.mgr, &ssi.sx));
-                    self.inner.abort_txn(txid, &[txid], ssi, false, None);
+                    self.inner.abort_txn(txid, &[txid], ssi, None);
                     self.inner.stats.deferrable_retries.bump();
                 }
             }
@@ -1360,9 +1334,8 @@ impl Database {
             s2pl_waits: self.inner.s2pl.waits.get(),
             s2pl_deadlocks: self.inner.s2pl.deadlocks.get(),
             txn_begins: self.inner.tm.stats.begins.get(),
-            txn_snapshot_hits: self.inner.tm.stats.snapshot_hits.get(),
-            txn_snapshot_incremental: self.inner.tm.stats.snapshot_incremental.get(),
-            txn_snapshot_full_rebuilds: self.inner.tm.stats.snapshot_full_rebuilds.get(),
+            txn_snapshot_hits: 0,
+            txn_snapshot_full_rebuilds: 0,
             txn_id_blocks: self.inner.tm.stats.txid_blocks.get(),
             txn_id_shards: self.inner.tm.shard_count(),
             txn_wait_reports: self.inner.tm.stats.wait_reports.get(),
@@ -1503,7 +1476,6 @@ impl Database {
             rec.txid,
             &rec.xids,
             rec.sx.as_ref().map(|sx| (&*ssi, sx)),
-            rec.wrote,
             rec.s2pl_owner,
         );
         self.inner.stats.aborts.bump();

@@ -60,7 +60,6 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pgssi_common::stats::Counter;
@@ -82,10 +81,8 @@ pub enum WalRecord {
         csn: CommitSeqNo,
         /// §8.4 payload: the post-commit snapshot (the follower's candidate)
         /// and the commit digest, captured together in the master's
-        /// commit-order critical section. The snapshot is a shared handle to
-        /// the transaction manager's maintained snapshot — no `xip` copy is
-        /// made on the commit path.
-        meta: (Arc<Snapshot>, CommitDigest),
+        /// commit-order critical section.
+        meta: (Snapshot, CommitDigest),
     },
     /// A serializable read/write transaction finished without a data-bearing
     /// commit record (it aborted, or committed without writing): followers
@@ -203,7 +200,7 @@ impl WalStream {
                 WalRecord::Commit {
                     txid: digest.txid,
                     csn: digest.commit_csn,
-                    meta: (db.tm.snapshot_arc(), digest),
+                    meta: (db.tm.snapshot(), digest),
                 },
             );
         } else if digest.serializable {
@@ -257,7 +254,7 @@ impl WalStream {
 /// A candidate safe snapshot the follower is still deciding (§8.4): safe once
 /// every transaction in `pending` has resolved harmlessly.
 struct Candidate {
-    snapshot: Arc<Snapshot>,
+    snapshot: Snapshot,
     pending: HashSet<TxnId>,
     /// Whether the pending set was non-empty at creation — if so, the §7.2
     /// marker protocol would never have marked this snapshot.
@@ -283,7 +280,7 @@ struct ReplicaState {
     /// be vacuumed (they predate this replica's feedback pin), so backlog
     /// candidates below it are discarded rather than served.
     floor: CommitSeqNo,
-    latest_safe: Option<Arc<Snapshot>>,
+    latest_safe: Option<Snapshot>,
     /// Outstanding candidates, oldest first. Bounded: each candidate waits
     /// only for transactions already running at its creation, so it either
     /// promotes or dies within one transaction lifetime of arriving.
@@ -366,7 +363,7 @@ impl Replica {
         // `active_snapshots` entry: the standing feedback pin (which only
         // moves under this lock) covers the snapshot until then.
         let st = self.applied.lock();
-        let snapshot = st.latest_safe.clone()?;
+        let snapshot = st.latest_safe?;
         let txn = self.query_at(snapshot);
         drop(st);
         Some(txn)
@@ -402,7 +399,7 @@ impl Replica {
         self.applied.lock().candidates.len()
     }
 
-    fn query_at(&self, snapshot: Arc<Snapshot>) -> Transaction {
+    fn query_at(&self, snapshot: Snapshot) -> Transaction {
         let inner = &self.master.inner;
         let txid = inner.tm.begin();
         // Pins the vacuum horizon at the (old) safe snapshot for the
@@ -410,7 +407,7 @@ impl Replica {
         // to this registration); `Transaction`'s drop/rollback paths release
         // both the txid and this entry even when the query panics.
         inner.active_snapshots.lock().insert(txid, snapshot.csn);
-        self.make_query(txid, (*snapshot).clone())
+        self.make_query(txid, snapshot)
     }
 
     fn make_query(&self, txid: TxnId, snapshot: Snapshot) -> Transaction {

@@ -223,13 +223,8 @@ impl Transaction {
             return;
         }
         let xids = all_xids(&self.txid, &self.subxids);
-        self.db.abort_txn(
-            self.txid,
-            &xids,
-            self.ssi_ref(),
-            self.wrote,
-            self.s2pl_owner(),
-        );
+        self.db
+            .abort_txn(self.txid, &xids, self.ssi_ref(), self.s2pl_owner());
         self.db.stats.aborts.bump();
         self.finished = true;
     }
@@ -1029,9 +1024,8 @@ impl Transaction {
     /// the transaction is rolled back and the error returned for retry.
     ///
     /// Transactions that wrote nothing finish through
-    /// [`pgssi_storage::TxnManager::commit_readonly`], which neither advances
-    /// the commit frontier nor invalidates the snapshot cache — the
-    /// read-mostly fast path the session front-end leans on.
+    /// [`pgssi_storage::TxnManager::commit_readonly`], which does not advance
+    /// the commit frontier.
     pub fn commit(mut self) -> Result<()> {
         self.ensure_active()?;
         let span = self.db.stats.commit_ns.start();

@@ -556,18 +556,16 @@ fn hash_index_equality_and_relation_fallback() {
 }
 
 /// Writeless transactions (any isolation level) commit through the
-/// non-advancing read-only path: they neither move the commit frontier nor
-/// invalidate the snapshot cache, so bursts of read transactions between
-/// writes are served from cached snapshots.
+/// non-advancing read-only path: they do not move the commit frontier, so
+/// bursts of read transactions between writes all take the same snapshot.
 #[test]
-fn writeless_commits_keep_the_snapshot_cache_warm() {
+fn writeless_commits_do_not_advance_the_frontier() {
     let db = db_with_kv();
     let mut w = db.begin(IsolationLevel::Serializable);
     put(&mut w, 1, 10);
     w.commit().unwrap();
 
     let frontier = db.txn_manager().frontier();
-    let refreshes_before = db.stats_report().txn_snapshot_incremental;
     for iso in [
         IsolationLevel::Serializable,
         IsolationLevel::RepeatableRead,
@@ -579,24 +577,13 @@ fn writeless_commits_keep_the_snapshot_cache_warm() {
             r.commit().unwrap();
         }
     }
-    let report = db.stats_report();
     assert_eq!(
         db.txn_manager().frontier(),
         frontier,
         "read transactions must not advance the commit frontier"
     );
-    assert_eq!(
-        report.txn_snapshot_incremental, refreshes_before,
-        "read-only commits must not pay even the incremental cache refresh"
-    );
-    assert!(report.txn_snapshot_hits > 0);
-    assert!(
-        report.txn_snapshot_full_rebuilds <= 1,
-        "steady state must never walk the shards ({} full rebuilds)",
-        report.txn_snapshot_full_rebuilds
-    );
 
-    // A writing commit refreshes the cache, and later snapshots observe it.
+    // A writing commit advances the frontier, and later snapshots observe it.
     let mut w = db.begin(IsolationLevel::Serializable);
     w.update("kv", &key(1), row![1, 11]).unwrap();
     w.commit().unwrap();

@@ -34,7 +34,8 @@ struct RacerObs {
 /// the positional invariant the atomic capture guarantees: every commit
 /// record that sits in the stream *between* a racer's begin and that racer's
 /// own commit record names the racer in its `concurrent_rw`, and ships a
-/// snapshot that sees the racer as in progress.
+/// snapshot that does not see the racer: the racer's commit CSN is not below
+/// the shipped frontier.
 ///
 /// Why that is exactly the follower's soundness condition: every WAL append
 /// runs inside the SSI commit-order critical section, so stream positions
@@ -142,12 +143,15 @@ fn commit_metadata_names_every_inflight_serializable_rw() {
                     obs.txid,
                     obs.wal_len_after_begin,
                 );
+                let sees_racer = matches!(
+                    db.txn_manager().status(obs.txid),
+                    pgssi_storage::TxnStatus::Committed(c) if snapshot.committed_before(c)
+                );
                 assert!(
-                    snapshot.is_in_progress(obs.txid),
+                    !sees_racer,
                     "round {round}: the snapshot shipped at stream position {pos} already sees \
                      serializable r/w {:?}, in flight over [{}, {cpos})",
-                    obs.txid,
-                    obs.wal_len_after_begin,
+                    obs.txid, obs.wal_len_after_begin,
                 );
             }
         }

@@ -29,9 +29,8 @@
 //!
 //! Underneath, the reworked `TxnManager` makes the many-session shape cheap:
 //! txids come from per-shard blocks (each session is pinned to a shard via
-//! [`Database::begin_with_on_shard`]) and snapshots are served from an
-//! epoch-cached snapshot that only commits/aborts invalidate, so
-//! `begin`+`snapshot` no longer serialize on one mutex.
+//! [`Database::begin_with_on_shard`]) and a snapshot is one load of the
+//! commit frontier, so `begin`+`snapshot` no longer serialize on one mutex.
 //!
 //! [`Database`]: pgssi_engine::Database
 //! [`Database::begin_with_on_shard`]: pgssi_engine::Database::begin_with_on_shard

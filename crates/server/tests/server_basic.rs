@@ -245,7 +245,7 @@ fn concurrent_sessions_do_not_lose_updates() {
 
 /// The acceptance shape: 1024 logical sessions on 4 workers, pipelined
 /// transactions, no deadlock and real throughput. Also checks the session
-/// and snapshot-cache counters surface through `stats_report`.
+/// counters surface through `stats_report`.
 #[test]
 fn a_thousand_sessions_on_four_workers() {
     let server = kv_server(4, 1100);
@@ -293,10 +293,6 @@ fn a_thousand_sessions_on_four_workers() {
     assert_eq!(report.sessions_opened, 1025);
     assert!(report.session_requests >= 1024 * 3);
     assert_eq!(report.session_requests, report.session_executed);
-    assert!(
-        report.txn_snapshot_hits > 0,
-        "read bursts between commits must hit the snapshot cache"
-    );
     drop(sessions);
     drop(setup);
     Arc::try_unwrap(Arc::new(server)).ok().unwrap().shutdown();

@@ -17,8 +17,7 @@
 //!   record every committed transaction, then check the TLA+-style SSI
 //!   properties (snapshot reads, first-committer-wins, serialization-graph
 //!   acyclicity) plus engine oracles (recovery ≡ independent prefix replay,
-//!   maintained snapshot ≡ rebuilt snapshot, atomic capture of shipped
-//!   replication metadata).
+//!   atomic capture of shipped replication metadata).
 //! - [`runner`] — dispatch and reporting; the `sim_ssi` binary drives seed
 //!   sweeps from the command line and prints a replay line for any failure.
 //!

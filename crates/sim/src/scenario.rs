@@ -270,9 +270,8 @@ fn run_deferrable(db: &Database, hist: &History, keys: &[i64], label: String) ->
 }
 
 /// Post-run checks shared by the history-recording scenarios: scheduler
-/// health, panics, history invariants, and the maintained-vs-rebuilt
-/// snapshot oracle.
-fn common_checks(db: &Database, hist: &History, run: &SimRun, violations: &mut Vec<String>) {
+/// health, panics, and history invariants.
+fn common_checks(hist: &History, run: &SimRun, violations: &mut Vec<String>) {
     if let Some(f) = &run.failed {
         violations.push(format!("scheduler: {f}"));
     }
@@ -280,33 +279,6 @@ fn common_checks(db: &Database, hist: &History, run: &SimRun, violations: &mut V
         violations.push(format!("unexpected panic: {p}"));
     }
     violations.extend(history::check(&hist.take()));
-    // The maintained snapshot must be observationally identical to a fresh
-    // shard-walk rebuild taken in the same `finish` critical section: same
-    // commit frontier, same in-progress verdict for every id. The one
-    // permitted divergence is writeless-finished ids — `commit_readonly` /
-    // `abort_readonly` skip the cache refresh by design (their ids appear in
-    // no tuple header, so the stale verdict is unobservable) — recognizable
-    // as maintained-says-in-progress ids the clog has already finalized.
-    let tm = db.txn_manager();
-    let (maintained, rebuilt) = tm.snapshot_and_rebuild();
-    if maintained.csn != rebuilt.csn || maintained.xmax > rebuilt.xmax {
-        violations.push(format!(
-            "snapshot oracle: maintained {maintained:?} != rebuilt {rebuilt:?}"
-        ));
-        return;
-    }
-    for id in TxnId::FIRST_NORMAL.0..rebuilt.xmax.0 + 2 {
-        let t = TxnId(id);
-        let (m, r) = (maintained.is_in_progress(t), rebuilt.is_in_progress(t));
-        if m == r || (m && !r && tm.status(t) != TxnStatus::InProgress) {
-            continue;
-        }
-        violations.push(format!(
-            "snapshot oracle: txid {id} in-progress per {} only \
-             (maintained {maintained:?}, rebuilt {rebuilt:?})",
-            if m { "maintained" } else { "rebuilt" }
-        ));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,7 +349,7 @@ pub fn mix(seed: u64, scale: u32) -> Outcome {
     }
     let run = Scheduler::run(sim_config(seed, &plan), roots);
     let mut violations = Vec::new();
-    common_checks(&db, &hist, &run, &mut violations);
+    common_checks(&hist, &run, &mut violations);
     // With wake-ups dropped on purpose the deadline is the designed way out.
     let lost = lost_wakeups.load(Ordering::Relaxed);
     if lost > 0 && plan.drop_wakeup_permille == 0 {
@@ -713,7 +685,11 @@ pub fn repl(seed: u64, scale: u32) -> Outcome {
                      racer txid {txid} (in flight over [{begin_len}, {cpos})) as concurrent"
                 ));
             }
-            if !snapshot.is_in_progress(TxnId(txid)) {
+            let sees_racer = matches!(
+                db.txn_manager().status(TxnId(txid)),
+                TxnStatus::Committed(c) if snapshot.committed_before(c)
+            );
+            if sees_racer {
                 violations.push(format!(
                     "capture race: the snapshot shipped at stream position {pos} already \
                      sees racer txid {txid}, in flight over [{begin_len}, {cpos})"
@@ -822,7 +798,7 @@ pub fn pivot(seed: u64, scale: u32, emulate: bool) -> Outcome {
     }
     let run = Scheduler::run(sim_config(seed, &plan), roots);
     let mut violations = Vec::new();
-    common_checks(&db, &hist, &run, &mut violations);
+    common_checks(&hist, &run, &mut violations);
     Outcome {
         run,
         violations,

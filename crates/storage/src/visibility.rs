@@ -14,6 +14,14 @@
 //! [`check_mvcc`] reports these as [`VisEvent`]s; the SSI core decides whether the
 //! writer was a serializable transaction and whether the edge forms a dangerous
 //! structure.
+//!
+//! "Had not committed when the reader took its snapshot" is one comparison:
+//! the writer's clog CSN against the snapshot's frontier ([`Snapshot`] is
+//! that one number). PostgreSQL asks `XidInMVCCSnapshot` of an xid list
+//! instead; the answer is the same because the transaction manager writes a
+//! commit's clog entries before it moves the frontier past them
+//! (`crate::txn`), so an xid can never turn "committed before S" after S was
+//! taken.
 
 use pgssi_common::{Snapshot, TxnId};
 
@@ -116,21 +124,24 @@ enum XidView {
     Aborted,
 }
 
+/// One clog read and one comparison: a committed xid is concurrent iff its
+/// commit CSN is at or past the snapshot's frontier. Frozen (checkpoint
+/// image) rows are visible to every snapshot, even one whose frontier is
+/// still [`CommitSeqNo::FIRST`](pgssi_common::CommitSeqNo::FIRST) — the CSN
+/// the clog reports for `FROZEN` — on a database that replayed nothing.
 fn classify(xid: TxnId, snap: &Snapshot, clog: &CommitLog, own: &dyn OwnXids) -> XidView {
+    if xid.is_frozen() {
+        return XidView::VisibleCommitted;
+    }
     if own.is_mine(xid) {
         return XidView::Mine;
     }
     match clog.status(xid) {
         TxnStatus::Aborted => XidView::Aborted,
         TxnStatus::InProgress => XidView::ConcurrentInProgress,
-        TxnStatus::Committed(_) => {
-            if snap.is_in_progress(xid) {
-                // Committed now, but was running (or unborn) at snapshot time.
-                XidView::ConcurrentCommitted
-            } else {
-                XidView::VisibleCommitted
-            }
-        }
+        TxnStatus::Committed(c) if snap.committed_before(c) => XidView::VisibleCommitted,
+        // Committed now, but was running (or unborn) at snapshot time.
+        TxnStatus::Committed(_) => XidView::ConcurrentCommitted,
     }
 }
 

@@ -38,7 +38,7 @@ fn finish(tm: &TxnManager, x: TxnId, how: usize) {
             tm.commit_readonly(&[x]);
         }
         2 => tm.abort(&[x]),
-        _ => tm.abort_readonly(&[x]),
+        _ => tm.abort_sub(x),
     }
 }
 
