@@ -15,7 +15,8 @@
 //! * a small **commit-order mutex** guards only begin/commit/abort *membership*
 //!   (the active set and the committed-in-order queue) and the §6.1 horizon
 //!   computation. The hot conflict paths (`on_read`, `on_write`,
-//!   `on_mvcc_events`) never touch it.
+//!   `on_mvcc_events`) never touch it. Its active set is the only registry
+//!   of serializable snapshots ([`SsiManager::snapshot_horizon`]).
 //!
 //! And the owning transaction does not go through the registry at all: it
 //! holds a [`SxactHandle`] (next section).
@@ -31,9 +32,10 @@
 //! txid of an MVCC event, a read-only tracker). A transaction nobody
 //! conflicts with therefore touches, in order:
 //!
-//! * at **begin**: the commit-order mutex (snapshot, active-set insertion,
-//!   and for a read-only transaction the §4.2 tracker registration), then —
-//!   outside it — its registry entries and its owner-directory entry;
+//! * at **begin**: its own record, allocated before the mutex; the
+//!   commit-order mutex (snapshot, active-set insertion, and for a read-only
+//!   transaction the §4.2 tracker registration); then — outside it — its
+//!   registry entries and its owner-directory entry;
 //! * per **read**: one atomic of its own record (the safety flag), its own
 //!   owner mutex and read set, and the lock manager's filter word;
 //! * per **write**: the SIREAD partitions of the written target's check
@@ -41,7 +43,7 @@
 //! * at **commit**: its own record's lock (precommit — vacuous without an
 //!   in-edge), then the commit-order mutex with its record's lock taken once
 //!   inside it, its owner mutex once more to hand over its counter tallies,
-//!   and the registry/directory removals when cleanup frees it.
+//!   and the registry/directory removals when a later §6.1 cleanup frees it.
 //!
 //! No condvar is touched: both wake-ups on the finish path are gated on a
 //! registered waiter. [`SsiManager::wait_for_safety`] counts itself into
@@ -71,7 +73,7 @@
 //! 2. **per-record edge locks**: at most two held at once, always acquired in
 //!    ascending [`SxactId`] order ([`crate::sxact::lock_pair`]). Holding the
 //!    order mutex, records may be locked **one at a time** (commit's own
-//!    record, the CSN fold into each in-source, read-only tracking, cleanup's
+//!    record, the CSN fold into each in-source, read-only tracking, abort's
 //!    peer fix-ups); never hold one record's lock while acquiring another
 //!    outside `lock_pair`.
 //! 3. **registry shard mutexes** (`registry.rs`): leaf-level; insertion and
@@ -104,16 +106,20 @@
 //! under the record's lock — from here flaggers fall back to the
 //! vanished-record paths, which are guaranteed to see the folded csn; (3) fix
 //! up peers' edge sets (degrading edges to summary flags for §6.2); (4) remove
-//! the registry entries. A peer's edge set therefore only names ids that are
-//! still resolvable, and a failed lookup means the record was provably
-//! irrelevant (cleaned) or its information had already been folded.
+//! the registry entries (`Edges::take`, then `SsiManager::unlink`). A peer's
+//! edge set therefore only names ids that are still resolvable, and a failed
+//! lookup means the record was provably irrelevant (cleaned) or its
+//! information had already been folded.
 //!
-//! §6.2's O(degree) summarization walk runs *outside* the commit-order mutex:
-//! commit only pops the over-limit records from the committed queue under the
-//! mutex and degrades their edges afterwards, so huge conflict fan-out cannot
-//! stall concurrent begins/commits. A summarized transaction's serial-table
-//! entry lives until the §6.1 horizon passes its commit, swept with the
-//! summarized SIREAD locks after each commit or abort.
+//! §6.1's frees and §6.2's summarization walks — O(degree) each — run
+//! *outside* the commit-order mutex: a commit or abort only pops them from
+//! the committed queue under the mutex and removes them afterwards, so a
+//! burst of frees or a huge conflict fan-out cannot stall concurrent
+//! begins/commits. Delaying a §6.1 free is conservative like delaying its
+//! SIREAD release: the record committed before every active snapshot, so no
+//! active transaction can flag a new edge to it. A summarized transaction's
+//! serial-table entry lives until the §6.1 horizon passes its commit, swept
+//! with the summarized SIREAD locks after each commit or abort.
 //!
 //! Every commit — single-phase or COMMIT PREPARED — goes through
 //! [`SsiManager::commit`], and every abort through [`SsiManager::abort`]. What
@@ -137,7 +143,7 @@
 //! retry rules: nothing is aborted until `T3` commits; prefer the pivot `T2`;
 //! never abort a prepared transaction.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -262,14 +268,18 @@ struct CommitOrder {
     safety_waiters: usize,
 }
 
-/// SIREAD-table and serial-table mutations decided under graph locks but
-/// executed after they are released, so whole-table work never extends a
-/// critical section. Everything collected here *removes* state, and removing
-/// it late is conservative: the worst case is a spurious rw-conflict flag,
-/// never a missed one. (§6.2 consolidation instead runs *before* the record
-/// becomes unresolvable — see the module docs' removal protocol.)
+/// Removals decided under the commit-order mutex and run after it
+/// ([`SsiManager::run_deferred`]). Everything here *removes* state, and
+/// removing it late is conservative: the worst case is a spurious
+/// rw-conflict flag, never a missed one. (§6.2 consolidation instead runs
+/// *before* the record becomes unresolvable — see the module docs' removal
+/// protocol.)
 #[derive(Default)]
 struct DeferredLockOps {
+    /// Committed records popped by §6.1 cleanup, to free.
+    freed: Vec<SxRef>,
+    /// Committed records beyond `max_committed_sxacts`, to summarize (§6.2).
+    summarize: Vec<SxRef>,
     /// Owners whose SIREAD locks should be released wholesale.
     release_owners: Vec<u64>,
     /// Run the §6.1 sweeps of summarized state — SIREAD locks and serial-table
@@ -277,15 +287,28 @@ struct DeferredLockOps {
     drop_summarized_before: Option<CommitSeqNo>,
 }
 
-impl DeferredLockOps {
-    fn run(self, siread: &SireadLockManager, serial: &SerialTable) {
-        for o in self.release_owners {
-            siread.release_owner(o);
+/// A removed record's edge sets, taken under its lock with the `gone`
+/// tombstone, for [`SsiManager::unlink`].
+struct Edges {
+    outs: BTreeSet<SxactId>,
+    ins: BTreeSet<SxactId>,
+    possible_unsafe: BTreeSet<SxactId>,
+    aliases: Vec<TxnId>,
+}
+
+impl Edges {
+    /// Tombstone the record and take its edges; `None` if it is already gone.
+    fn take(g: &mut SxactMut) -> Option<Edges> {
+        if g.gone {
+            return None;
         }
-        if let Some(h) = self.drop_summarized_before {
-            siread.drop_old_committed_before(h);
-            serial.truncate_before(h);
-        }
+        g.gone = true;
+        Some(Edges {
+            outs: std::mem::take(&mut g.out_conflicts),
+            ins: std::mem::take(&mut g.in_conflicts),
+            possible_unsafe: std::mem::take(&mut g.possible_unsafe),
+            aliases: std::mem::take(&mut g.alias_txids),
+        })
     }
 }
 
@@ -401,11 +424,13 @@ impl SsiManager {
     /// SSI overhead at all.
     ///
     /// Only what must be atomic with the snapshot happens under the mutex:
-    /// the snapshot itself, the active-set insertion (cleanup's horizon and
-    /// later read-only begins find the record there, by `Arc`), and — for a
-    /// read-only transaction that has writers to watch — the §4.2 tracker
-    /// registration together with the registry entry a committing writer's
-    /// `resolve_ro_tracking` resolves the tracker id through. Everything
+    /// the snapshot itself, the active-set insertion (cleanup's horizon, the
+    /// vacuum horizon and later read-only begins find the record there, by
+    /// `Arc`), and — for a read-only transaction that has writers to watch —
+    /// the §4.2 tracker registration together with the registry entry a
+    /// committing writer's `resolve_ro_tracking` resolves the tracker id
+    /// through. The record is built before the mutex, so ids need not
+    /// follow begin order (only `lock_pair` compares them). Everything
     /// else (the registry entry in the common case, the SIREAD owner
     /// registration, tracing) waits until the mutex is dropped: no peer can
     /// learn this transaction's ids before it has read or written something,
@@ -417,16 +442,18 @@ impl SsiManager {
         declared_read_only: bool,
         deferrable: bool,
     ) -> SxactHandle {
-        let mut order = self.lock_order();
-        let snapshot_csn = acquire_snapshot();
         let id = SxactId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let rec = Arc::new(Sxact::new(
+        let mut rec = Arc::new(Sxact::new(
             id,
             txid,
-            snapshot_csn,
+            CommitSeqNo::INVALID,
             declared_read_only,
             deferrable,
         ));
+        let mut order = self.lock_order();
+        Arc::get_mut(&mut rec)
+            .expect("the record is not shared before it is registered")
+            .snapshot_csn = acquire_snapshot();
         let mut tracked = false;
         if declared_read_only && self.config.enable_read_only_opt {
             let rw: Vec<SxRef> = order
@@ -1295,8 +1322,7 @@ impl SsiManager {
                 || g.summary_conflict_out
                 || g.earliest_out_conflict_commit != CommitSeqNo::MAX;
             // If we were a read-only transaction still being tracked.
-            let watched: Vec<SxactId> =
-                std::mem::take(&mut g.possible_unsafe).into_iter().collect();
+            let watched = std::mem::take(&mut g.possible_unsafe);
             (
                 in_sources,
                 g.summary_conflict_in,
@@ -1349,14 +1375,9 @@ impl SsiManager {
         for r in trackers {
             self.resolve_ro_tracking(r, sx, Some(my_earliest), &mut ops);
         }
-        for w in watched {
-            if let Some(wx) = self.reg.get(w) {
-                wx.lock().ro_trackers.remove(&sx);
-            }
-        }
+        self.unhook_tracker(sx, &watched);
         order.committed.push_back(Arc::clone(me));
         self.cleanup_locked(&mut order, &mut ops);
-        let excess = self.pop_excess_committed(&mut order);
         let wake = order.safety_waiters > 0;
         drop(order);
         self.stats.commit_order_ns.record_elapsed(section);
@@ -1366,12 +1387,10 @@ impl SsiManager {
         if let Some(owner) = &handle.owner {
             self.siread.flush_tallies(owner);
         }
-        // The O(degree) summarization walks and whole-table SIREAD work run
-        // after the commit-order mutex is released.
-        for rec in excess {
-            self.summarize_record(&rec);
-        }
-        ops.run(&self.siread, &self.serial);
+        // The O(degree) §6.1 frees and §6.2 summarization walks, and the
+        // whole-table SIREAD work, run after the commit-order mutex is
+        // released.
+        self.run_deferred(ops);
         self.wake_safety_waiters(wake);
         Ok(csn)
     }
@@ -1403,50 +1422,28 @@ impl SsiManager {
         let sx = me.id;
         let mut ops = DeferredLockOps::default();
         let mut order = self.lock_order();
-        let (outs, ins, poss, trackers, aliases) = {
+        let (edges, trackers) = {
             let mut g = me.lock();
-            if g.gone {
+            let Some(edges) = Edges::take(&mut g) else {
                 return;
-            }
+            };
             me.set_phase(Phase::Aborted);
-            g.gone = true;
-            (
-                std::mem::take(&mut g.out_conflicts),
-                std::mem::take(&mut g.in_conflicts),
-                std::mem::take(&mut g.possible_unsafe),
-                std::mem::take(&mut g.ro_trackers),
-                std::mem::take(&mut g.alias_txids),
-            )
+            (edges, std::mem::take(&mut g.ro_trackers))
         };
         order.active.remove(&sx);
         self.tracer.record(me.txid.0, TraceTag::Abort, 0);
         if !me.declared_read_only {
             publish(me.txid);
         }
-        for o in &outs {
-            if let Some(ox) = self.reg.get(*o) {
-                ox.lock().in_conflicts.remove(&sx);
-            }
-        }
-        for i in &ins {
-            if let Some(ix) = self.reg.get(*i) {
-                ix.lock().out_conflicts.remove(&sx);
-            }
-        }
-        for w in &poss {
-            if let Some(wx) = self.reg.get(*w) {
-                wx.lock().ro_trackers.remove(&sx);
-            }
-        }
+        self.unlink(me, edges, false);
         for r in trackers {
             self.resolve_ro_tracking(r, sx, None, &mut ops);
         }
-        self.reg.remove(sx, me.txid, &aliases);
         self.cleanup_locked(&mut order, &mut ops);
         let wake = order.safety_waiters > 0;
         drop(order);
-        self.siread.release_owner(sx.0);
-        ops.run(&self.siread, &self.serial);
+        ops.release_owners.push(sx.0);
+        self.run_deferred(ops);
         self.wake_safety_waiters(wake);
     }
 
@@ -1466,7 +1463,7 @@ impl SsiManager {
             Some(e) => e != CommitSeqNo::MAX && e < rx.snapshot_csn,
             None => false,
         };
-        let mut unhook: Vec<SxactId> = Vec::new();
+        let mut unhook = BTreeSet::new();
         {
             let mut g = rx.lock();
             if g.gone {
@@ -1478,7 +1475,7 @@ impl SsiManager {
                     rx.set_ro_unsafe();
                     self.stats.unsafe_snapshots.bump();
                 }
-                unhook = std::mem::take(&mut g.possible_unsafe).into_iter().collect();
+                unhook = std::mem::take(&mut g.possible_unsafe);
             } else if g.possible_unsafe.is_empty() && !rx.ro_unsafe() && !rx.ro_safe() {
                 rx.set_ro_safe();
                 self.stats.safe_established.bump();
@@ -1489,9 +1486,15 @@ impl SsiManager {
         }
         // Peer unhooking happens after `r`'s lock is released (one record lock
         // at a time outside lock_pair — see the module docs).
-        for other in unhook {
-            if let Some(ox) = self.reg.get(other) {
-                ox.lock().ro_trackers.remove(&r);
+        self.unhook_tracker(r, &unhook);
+    }
+
+    /// Remove read-only transaction `r` from the tracker sets of the writers
+    /// it `watched` (§4.2).
+    fn unhook_tracker(&self, r: SxactId, watched: &BTreeSet<SxactId>) {
+        for w in watched {
+            if let Some(wx) = self.reg.get(*w) {
+                wx.lock().ro_trackers.remove(&r);
             }
         }
     }
@@ -1643,30 +1646,40 @@ impl SsiManager {
     // Memory management (§6)
     // ------------------------------------------------------------------
 
-    /// Free committed records older than every active transaction's snapshot
-    /// (§6.1): no active transaction can be concurrent with them, so neither
-    /// their locks nor their edges can matter again. Runs under the
-    /// commit-order mutex; the SIREAD releases and the summarized-lock sweep
-    /// are deferred into `ops` (delaying a release is conservative — a record
-    /// freed here committed before every active snapshot, so a probe that
-    /// still sees its owner id finds no record and correctly treats it as no
-    /// conflict).
-    fn cleanup_locked(&self, order: &mut CommitOrder, ops: &mut DeferredLockOps) {
-        let horizon = order
+    /// Oldest snapshot of an active or prepared serializable transaction
+    /// (`MAX` if none). Callers hold the commit-order mutex.
+    fn horizon_locked(order: &CommitOrder) -> CommitSeqNo {
+        order
             .active
             .values()
             .map(|a| a.snapshot_csn)
             .min()
-            .unwrap_or(CommitSeqNo::MAX);
+            .unwrap_or(CommitSeqNo::MAX)
+    }
+
+    /// Pop the committed records older than every active transaction's
+    /// snapshot (§6.1): no active transaction can be concurrent with them, so
+    /// neither their locks nor their edges can matter again. Then pop those
+    /// beyond `max_committed_sxacts` (§6.2). Runs under the commit-order
+    /// mutex and only pops; `ops` frees, summarizes and sweeps after it (a
+    /// probe that still finds a popped record sees it committed before its
+    /// snapshot).
+    fn cleanup_locked(&self, order: &mut CommitOrder, ops: &mut DeferredLockOps) {
+        let horizon = Self::horizon_locked(order);
         while let Some(front) = order.committed.front() {
             let done = front.commit_csn().map(|c| c < horizon).unwrap_or(true);
             if !done {
                 break;
             }
             let rec = order.committed.pop_front().expect("front checked above");
-            self.drop_committed_record(&rec, ops);
+            ops.freed.push(rec);
             self.stats.cleaned.bump();
         }
+        let excess = order
+            .committed
+            .len()
+            .saturating_sub(self.config.max_committed_sxacts);
+        ops.summarize.extend(order.committed.drain(..excess));
         ops.drop_summarized_before = Some(horizon);
         // §6.1: when only read-only transactions remain active, no committed
         // transaction's SIREAD locks can ever be needed again (no one can write).
@@ -1677,105 +1690,96 @@ impl SsiManager {
         }
     }
 
-    /// §6.1 removal (no information outlives the record). Follows the removal
-    /// protocol: tombstone under the record's lock, peer fix-ups, then the
-    /// registry entries.
-    fn drop_committed_record(&self, rec: &SxRef, ops: &mut DeferredLockOps) {
-        let (outs, ins, aliases) = {
-            let mut g = rec.lock();
-            if g.gone {
-                return;
-            }
-            g.gone = true;
-            (
-                std::mem::take(&mut g.out_conflicts),
-                std::mem::take(&mut g.in_conflicts),
-                std::mem::take(&mut g.alias_txids),
-            )
-        };
-        for o in &outs {
-            if let Some(ox) = self.reg.get(*o) {
-                ox.lock().in_conflicts.remove(&rec.id);
+    /// Execute `ops` once the commit-order mutex is released: free the §6.1
+    /// records (no information outlives them — an in-source's bound already
+    /// holds their commit CSN, folded at their commit), summarize the §6.2
+    /// ones, then the SIREAD releases and the summarized-state sweeps.
+    fn run_deferred(&self, ops: DeferredLockOps) {
+        for rec in &ops.freed {
+            // Its own lock is dropped before `unlink` locks the peers.
+            let edges = Edges::take(&mut rec.lock());
+            if let Some(edges) = edges {
+                self.unlink(rec, edges, false);
+                self.siread.release_owner(rec.id.0);
             }
         }
-        for i in &ins {
-            if let Some(ix) = self.reg.get(*i) {
-                ix.lock().out_conflicts.remove(&rec.id);
-                // Its commit CSN was already folded into the peer's
-                // earliest_out_conflict_commit at commit time.
-            }
+        for rec in &ops.summarize {
+            self.summarize_record(rec);
         }
-        self.reg.remove(rec.id, rec.txid, &aliases);
-        ops.release_owners.push(rec.id.0);
+        for o in ops.release_owners {
+            self.siread.release_owner(o);
+        }
+        if let Some(h) = ops.drop_summarized_before {
+            self.siread.drop_old_committed_before(h);
+            self.serial.truncate_before(h);
+        }
     }
 
-    /// Pop the oldest committed records beyond `max_committed_sxacts` (§6.2)
-    /// under the commit-order mutex; the caller summarizes them after
-    /// releasing it.
-    fn pop_excess_committed(&self, order: &mut CommitOrder) -> Vec<SxRef> {
-        let mut excess = Vec::new();
-        while order.committed.len() > self.config.max_committed_sxacts {
-            let Some(oldest) = order.committed.pop_front() else {
-                break;
-            };
-            excess.push(oldest);
+    /// Steps (3)–(4) of the removal protocol, for abort, §6.1 cleanup and
+    /// §6.2 summarization alike: drop `rec` from its peers' edge sets and
+    /// read-only tracking, then its registry entries. `summarize` degrades
+    /// each dropped edge to the peer's summary flag (§6.2) instead of
+    /// forgetting it.
+    fn unlink(&self, rec: &Sxact, edges: Edges, summarize: bool) {
+        let id = rec.id;
+        for o in &edges.outs {
+            if let Some(ox) = self.reg.get(*o) {
+                let mut og = ox.lock();
+                og.in_conflicts.remove(&id);
+                og.summary_conflict_in |= summarize;
+            }
         }
-        excess
+        for i in &edges.ins {
+            if let Some(ix) = self.reg.get(*i) {
+                let mut ig = ix.lock();
+                ig.out_conflicts.remove(&id);
+                ig.summary_conflict_out |= summarize;
+            }
+        }
+        self.unhook_tracker(id, &edges.possible_unsafe);
+        self.reg.remove(id, rec.txid, &edges.aliases);
     }
 
     /// Summarize one committed record (§6.2): locks consolidate onto the dummy
     /// owner, the earliest out-conflict CSN goes to the serial table, and
     /// edges degrade to summary flags on the surviving peers. Runs with **no**
-    /// commit-order mutex held — this is the O(degree) walk that used to
-    /// extend the global critical section. Ordering per the removal protocol:
-    /// csn fold and serial entry first, then the tombstone, peers, registry.
+    /// commit-order mutex held. Ordering per the removal protocol: csn fold
+    /// and serial entry first, then the tombstone, peers, registry.
     fn summarize_record(&self, rec: &SxRef) {
         let commit_csn = rec.commit_csn().expect("summarizing an uncommitted record");
         // The summarized csn must be visible in the lock table before any
         // writer can observe the record's absence, or a real conflict with a
         // still-concurrent summarized reader would be skipped.
         self.siread.consolidate_owner(rec.id.0, commit_csn);
-        let (outs, ins, poss, aliases) = {
-            let mut g = rec.lock();
-            if g.gone {
-                return;
-            }
-            // Serial entries (top-level xid and each subxact alias, whose
-            // writes carry the subxid in tuple headers) are published before
-            // the tombstone, so the on_mvcc vanished path always finds them.
-            let e = g.earliest_out_conflict_commit;
-            for x in std::iter::once(&rec.txid).chain(&g.alias_txids) {
-                self.serial.record(*x, commit_csn, e);
-            }
-            g.gone = true;
-            (
-                std::mem::take(&mut g.out_conflicts),
-                std::mem::take(&mut g.in_conflicts),
-                std::mem::take(&mut g.possible_unsafe),
-                std::mem::take(&mut g.alias_txids),
-            )
-        };
-        for o in &outs {
-            if let Some(ox) = self.reg.get(*o) {
-                let mut og = ox.lock();
-                og.in_conflicts.remove(&rec.id);
-                og.summary_conflict_in = true;
-            }
+        let mut g = rec.lock();
+        if g.gone {
+            return;
         }
-        for i in &ins {
-            if let Some(ix) = self.reg.get(*i) {
-                let mut ig = ix.lock();
-                ig.out_conflicts.remove(&rec.id);
-                ig.summary_conflict_out = true;
-            }
+        // Serial entries (top-level xid and each subxact alias, whose writes
+        // carry the subxid in tuple headers) are published before the
+        // tombstone, so the on_mvcc vanished path always finds them.
+        let e = g.earliest_out_conflict_commit;
+        for x in std::iter::once(&rec.txid).chain(&g.alias_txids) {
+            self.serial.record(*x, commit_csn, e);
         }
-        for w in &poss {
-            if let Some(wx) = self.reg.get(*w) {
-                wx.lock().ro_trackers.remove(&rec.id);
-            }
-        }
-        self.reg.remove(rec.id, rec.txid, &aliases);
+        let edges = Edges::take(&mut g).expect("checked above");
+        drop(g);
+        self.unlink(rec, edges, true);
         self.stats.summarized.bump();
+    }
+
+    /// Oldest snapshot CSN of an active or prepared serializable transaction
+    /// (`MAX` if none): the serializable half of the engine's vacuum horizon.
+    pub fn snapshot_horizon(&self) -> CommitSeqNo {
+        Self::horizon_locked(&self.lock_order())
+    }
+
+    /// Top-level xids of every active or prepared serializable transaction,
+    /// sorted (crash recovery aborts them in a replayable order).
+    pub fn active_txids(&self) -> Vec<TxnId> {
+        let mut ids: Vec<TxnId> = self.lock_order().active.values().map(|a| a.txid).collect();
+        ids.sort_unstable();
+        ids
     }
 
     // ------------------------------------------------------------------
@@ -1802,10 +1806,5 @@ impl SsiManager {
     /// Total transaction records (bounded-memory assertions).
     pub fn record_count(&self) -> usize {
         self.reg.record_count()
-    }
-
-    /// Whether the given transaction id currently has a serializable record.
-    pub fn is_tracked(&self, txid: TxnId) -> bool {
-        self.reg.get_txid(txid).is_some()
     }
 }

@@ -618,8 +618,10 @@ pub(crate) struct DbInner {
     pub s2pl: S2plLockManager,
     /// Serializes uniqueness probes per key hash.
     pub unique_stripes: Vec<Mutex<()>>,
-    /// Snapshot CSN of every active snapshot-bearing transaction, for the
-    /// vacuum horizon.
+    /// Snapshot CSN of every active non-serializable transaction and of
+    /// every pin (a replica's feedback, a checkpoint's snapshot), for the
+    /// vacuum horizon. A serializable snapshot is registered only in the SSI
+    /// manager's active set ([`DbInner::snapshot_horizon`] reads both).
     pub active_snapshots: Mutex<HashMap<TxnId, CommitSeqNo>>,
     pub prepared: Mutex<HashMap<String, PreparedTxn>>,
     pub wal: WalStream,
@@ -700,22 +702,28 @@ impl DbInner {
 
     /// After [`DbInner::commit_txn`] and any lock it ran under: acknowledge
     /// only once the record is on stable storage (group commit batches the
-    /// fsync), and only then release the 2PL locks.
-    pub fn finish_commit(&self, txid: TxnId, lsn: Option<Lsn>, s2pl_owner: Option<u64>) {
+    /// fsync), and only then release the 2PL locks and `pinned`, the
+    /// transaction's `active_snapshots` entry (a non-serializable one's; the
+    /// SSI commit already dropped a serializable snapshot).
+    pub fn finish_commit(&self, pinned: Option<TxnId>, lsn: Option<Lsn>, s2pl_owner: Option<u64>) {
         if let Some(lsn) = lsn {
             self.dwal.wait_durable(lsn);
         }
         if let Some(owner) = s2pl_owner {
             self.s2pl.release_owner(owner);
         }
-        self.active_snapshots.lock().remove(&txid);
+        if let Some(txid) = pinned {
+            self.active_snapshots.lock().remove(&txid);
+        }
         self.stats.commits.bump();
     }
 
     /// The one abort path, ROLLBACK and ROLLBACK PREPARED alike: the clog
-    /// abort, then the SSI abort publishing its resolution in-section, then
-    /// the 2PL locks and the vacuum-horizon entry. Callers count the abort —
-    /// a deferrable begin's discarded unsafe snapshot is not one.
+    /// abort, then the SSI abort publishing its resolution in-section (which
+    /// also drops a serializable snapshot from the vacuum horizon), then the
+    /// 2PL locks and a non-serializable transaction's `active_snapshots`
+    /// entry. Callers count the abort — a deferrable begin's discarded unsafe
+    /// snapshot is not one.
     pub fn abort_txn(
         &self,
         txid: TxnId,
@@ -730,17 +738,22 @@ impl DbInner {
         if let Some(owner) = s2pl_owner {
             self.s2pl.release_owner(owner);
         }
-        self.active_snapshots.lock().remove(&txid);
+        if ssi.is_none() {
+            self.active_snapshots.lock().remove(&txid);
+        }
     }
 
-    /// Oldest snapshot CSN any active transaction may read at (vacuum horizon).
+    /// Oldest snapshot CSN any active transaction or pin may read at (vacuum
+    /// horizon): the minimum over the frontier, `active_snapshots`, and the
+    /// SSI manager's active set (serializable snapshots, prepared ones
+    /// included until COMMIT/ROLLBACK PREPARED). The frontier is read first:
+    /// a transaction that registers in either table after that table's scan
+    /// took its snapshot at or past it.
     pub fn snapshot_horizon(&self) -> CommitSeqNo {
-        self.active_snapshots
-            .lock()
-            .values()
-            .min()
-            .copied()
-            .unwrap_or_else(|| self.tm.frontier())
+        let frontier = self.tm.frontier();
+        let pinned = self.active_snapshots.lock().values().min().copied();
+        let serializable = self.ssi().snapshot_horizon();
+        frontier.min(pinned.unwrap_or(frontier)).min(serializable)
     }
 }
 
@@ -1203,12 +1216,14 @@ impl Database {
     /// Register a serializable transaction. Its snapshot is taken inside
     /// `SsiManager::begin`, under the commit-order mutex, so no
     /// cleanup/summarization can race between snapshot acquisition and
-    /// registration (see the method's docs).
+    /// registration (see the method's docs). That registration is also the
+    /// snapshot's only vacuum-horizon entry: `active_snapshots` is not
+    /// touched.
     fn begin_ssi(&self, txid: TxnId, read_only: bool, deferrable: bool) -> (SsiTxn, Snapshot) {
         let mgr = self.inner.ssi();
         let mut snapshot = None;
         let take_snapshot = || {
-            let s = self.snapshot_registered(txid);
+            let s = self.inner.tm.snapshot();
             let csn = s.csn;
             snapshot = Some(s);
             csn
@@ -1258,7 +1273,8 @@ impl Database {
     }
 
     /// Wrap a begun transaction. Its snapshot is already registered for the
-    /// vacuum horizon ([`Database::snapshot_registered`]).
+    /// vacuum horizon ([`Database::snapshot_registered`], or the SSI active
+    /// set).
     fn make_txn(
         &self,
         txid: TxnId,
@@ -1452,7 +1468,8 @@ impl Database {
             )
             .expect("a prepared branch skips the pivot re-check");
         drop(prepared);
-        self.inner.finish_commit(rec.txid, lsn, rec.s2pl_owner);
+        // PREPARE released a non-serializable branch's horizon entry.
+        self.inner.finish_commit(None, lsn, rec.s2pl_owner);
         Ok(())
     }
 
@@ -1510,7 +1527,10 @@ impl Database {
     /// Recovered prepared transactions are conservatively assumed to have
     /// rw-antidependencies both in and out.
     pub fn simulate_crash_recovery(&self) {
-        // Abort every non-prepared in-flight transaction.
+        // Abort every non-prepared in-flight transaction: the
+        // non-serializable ones (and pins) in `active_snapshots`, the
+        // serializable ones in the SSI active set. Sorted, so a replayed
+        // schedule aborts and publishes them in the same order.
         let prepared_xids: Vec<TxnId> = self
             .inner
             .prepared
@@ -1518,14 +1538,19 @@ impl Database {
             .values()
             .flat_map(|p| p.xids.clone())
             .collect();
-        let in_flight: Vec<TxnId> = self
+        // Read before `active_snapshots` is locked: a replica attach takes
+        // the commit-order mutex first and `active_snapshots` inside it.
+        let serializable = self.inner.ssi().active_txids();
+        let mut in_flight: Vec<TxnId> = self
             .inner
             .active_snapshots
             .lock()
             .keys()
             .copied()
+            .chain(serializable)
             .filter(|x| !prepared_xids.contains(x))
             .collect();
+        in_flight.sort_unstable();
         for x in &in_flight {
             self.inner.tm.abort(&[*x]);
             // Recovery writes abort records for in-flight transactions, so a

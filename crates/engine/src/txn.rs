@@ -213,6 +213,13 @@ impl Transaction {
         self.ssi.as_ref().map(|s| (&*s.mgr, &s.sx))
     }
 
+    /// This transaction's `active_snapshots` key: a non-serializable
+    /// snapshot's vacuum-horizon entry. A serializable snapshot is registered
+    /// only in the SSI manager's active set.
+    fn pinned(&self) -> Option<TxnId> {
+        self.ssi.is_none().then_some(self.txid)
+    }
+
     /// The 2PL lock owner to release at the end, if two-phase locking.
     fn s2pl_owner(&self) -> Option<u64> {
         self.is_2pl().then_some(self.txid.0)
@@ -1051,7 +1058,7 @@ impl Transaction {
             Ok(lsn) => lsn,
             Err(e) => return Err(self.abort_at(e, AbortSite::Precommit, None)),
         };
-        self.db.finish_commit(txid, lsn, self.s2pl_owner());
+        self.db.finish_commit(self.pinned(), lsn, self.s2pl_owner());
         self.db.stats.commit_ns.record_elapsed(span);
         self.finished = true;
         Ok(())
@@ -1129,7 +1136,11 @@ impl Transaction {
         if let Some(lsn) = prepare_lsn {
             self.db.dwal.wait_durable(lsn);
         }
-        self.db.active_snapshots.lock().remove(&self.txid);
+        // A prepared serializable transaction keeps pinning the vacuum
+        // horizon from the SSI active set until COMMIT/ROLLBACK PREPARED.
+        if let Some(txid) = self.pinned() {
+            self.db.active_snapshots.lock().remove(&txid);
+        }
         self.finished = true;
         Ok(())
     }

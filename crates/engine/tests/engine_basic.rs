@@ -417,23 +417,49 @@ fn vacuum_prunes_versions_and_dead_rows() {
     r.commit().unwrap();
 }
 
+/// Supersede key 1's current version with `v`, then check that vacuum keeps
+/// the old version while `holder` (a snapshot taken before the update) is
+/// unfinished, and prunes it once `finish` has ended the holder.
+fn assert_vacuum_waits_for(db: &Database, holder: &str, v: i64, finish: impl FnOnce()) {
+    let mut u = db.begin(IsolationLevel::ReadCommitted);
+    u.update("kv", &key(1), row![1, v]).unwrap();
+    u.commit().unwrap();
+    let (pruned, _) = db.vacuum();
+    assert_eq!(pruned, 0, "{holder} still needs version {}", v - 1);
+    finish();
+    let (pruned, _) = db.vacuum();
+    assert_eq!(pruned, 1, "{holder} finished: version {} is dead", v - 1);
+}
+
 #[test]
 fn vacuum_respects_active_snapshots() {
     let db = db_with_kv();
     let mut t = db.begin(IsolationLevel::ReadCommitted);
     put(&mut t, 1, 1);
     t.commit().unwrap();
+
     let mut old_reader = db.begin(IsolationLevel::RepeatableRead);
     assert_eq!(old_reader.get("kv", &key(1)).unwrap(), Some(row![1, 1]));
-    let mut u = db.begin(IsolationLevel::ReadCommitted);
-    u.update("kv", &key(1), row![1, 2]).unwrap();
-    u.commit().unwrap();
-    let (pruned, _) = db.vacuum();
-    assert_eq!(pruned, 0, "old reader still needs version 1");
-    assert_eq!(old_reader.get("kv", &key(1)).unwrap(), Some(row![1, 1]));
-    old_reader.commit().unwrap();
-    let (pruned, _) = db.vacuum();
-    assert_eq!(pruned, 1);
+    assert_vacuum_waits_for(&db, "a repeatable-read reader", 2, || {
+        assert_eq!(old_reader.get("kv", &key(1)).unwrap(), Some(row![1, 1]));
+        old_reader.commit().unwrap();
+    });
+
+    // A serializable snapshot is registered only in the SSI active set.
+    let mut old_reader = db.begin(IsolationLevel::Serializable);
+    assert_eq!(old_reader.get("kv", &key(1)).unwrap(), Some(row![1, 2]));
+    assert_vacuum_waits_for(&db, "a serializable reader", 3, || {
+        assert_eq!(old_reader.get("kv", &key(1)).unwrap(), Some(row![1, 2]));
+        old_reader.commit().unwrap();
+    });
+
+    // ... and stays there through PREPARE, until COMMIT PREPARED.
+    let mut prepared = db.begin(IsolationLevel::Serializable);
+    put(&mut prepared, 9, 9);
+    prepared.prepare("gid-pin").unwrap();
+    assert_vacuum_waits_for(&db, "a prepared serializable transaction", 4, || {
+        db.commit_prepared("gid-pin").unwrap();
+    });
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use pgssi_common::{row, EngineConfig, SsiConfig, TxnId, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, Replica, TableDef, Transaction};
+use pgssi_storage::clog::TxnStatus;
 
 fn kv_db() -> Database {
     let db = Database::open();
@@ -71,6 +72,43 @@ fn prepared_transaction_survives_crash_and_commits() {
     assert_eq!(r.get("kv", &row![1]).unwrap(), Some(row![1, 10]));
     assert_eq!(r.get("kv", &row![9]).unwrap(), None, "in-flight txn died");
     r.commit().unwrap();
+}
+
+/// A serializable transaction's snapshot lives only in the SSI active set,
+/// so crash recovery must find it there: an unprepared serializable writer
+/// in flight at the crash reads as aborted afterwards, its write is
+/// invisible, and it pins nothing — vacuum prunes its dead version, and then
+/// the version a later commit superseded.
+#[test]
+fn crash_recovery_aborts_an_in_flight_serializable_writer() {
+    let db = kv_db();
+    let mut setup = db.begin(IsolationLevel::ReadCommitted);
+    setup.insert("kv", row![1, 1]).unwrap();
+    setup.commit().unwrap();
+
+    let mut inflight = db.begin(IsolationLevel::Serializable);
+    inflight.update("kv", &row![1], row![1, 2]).unwrap();
+    let txid = inflight.txid();
+    std::mem::forget(inflight); // a connection that simply vanished
+
+    db.simulate_crash_recovery();
+
+    assert_eq!(
+        db.txn_manager().status(txid),
+        TxnStatus::Aborted,
+        "the in-flight serializable writer must read as aborted"
+    );
+    let mut r = db.begin(IsolationLevel::Serializable);
+    assert_eq!(r.get("kv", &row![1]).unwrap(), Some(row![1, 1]));
+    r.commit().unwrap();
+    let (pruned, _) = db.vacuum();
+    assert_eq!(pruned, 1, "its aborted version is dead");
+    // Its row lock died with it: a later writer does not wait.
+    let mut w = db.begin(IsolationLevel::ReadCommitted);
+    w.update("kv", &row![1], row![1, 3]).unwrap();
+    w.commit().unwrap();
+    let (pruned, _) = db.vacuum();
+    assert_eq!(pruned, 1, "no snapshot pins the superseded version");
 }
 
 #[test]

@@ -160,29 +160,32 @@ fn cluster_keeps_its_append_yields_and_prepare_window_seeds_are_green() {
 }
 
 /// The residue the PREPARE fix leaves: a cross-shard transaction has no
-/// single commit point or snapshot. Here `c0/1` committed on shard 0 before
-/// `c1/4` took its shard-0 snapshot but on shard 1 only after the local pivot
-/// `c2/2`, so shard 0 records no edge between the two and shard 1 spares its
-/// pivot: `c1/4 -rw s1/k0-> c2/2 -rw s1/k3-> c0/1 -rw s0/k1-> c1/4`. Pinned
-/// red so it cannot turn green by a schedule shift; re-find it with
+/// single commit point or snapshot. Here W = `c2/1` read k3 on shard 1 and
+/// wrote k1 on shard 0, and R = `c1/4` read k1 on shard 0 and wrote k3 on
+/// shard 1. On shard 0, R read k1 at snapshot 2, which does not see W's
+/// commit there (CSN 2). On shard 1, W's writeless branch committed at CSN 6,
+/// the frontier R's branch took its snapshot at before overwriting k3. Each
+/// shard holds one of the two rw edges, so neither sees a pivot, and the
+/// merged graph has the 2-cycle `c2/1 -rw s1/k3-> c1/4 -rw s0/k1-> c2/1`.
+/// Pinned red so it cannot turn green by a schedule shift; re-find it with
 /// `sim_ssi --scenario cluster --seeds 0..65536` if it moves, and re-pin it
 /// green when cross-shard commit and snapshot skew are closed.
 #[test]
-fn cluster_seed_27665_stays_red_until_cross_shard_skew_is_closed() {
-    let out = run_scenario("cluster", 27665, 1, false);
+fn cluster_seed_31202_stays_red_until_cross_shard_skew_is_closed() {
+    let out = run_scenario("cluster", 31202, 1, false);
     assert!(
         out.violations.iter().any(|v| v.contains("cycle")),
-        "cluster seed 27665 no longer reports the merged-graph cycle; if \
+        "cluster seed 31202 no longer reports the merged-graph cycle; if \
          cross-shard skew was fixed, re-pin it as a passing seed: {:?}",
         out.violations
     );
 }
 
 /// Two more cross-shard-skew seeds from the 0..65536 sweep, pinned red like
-/// 27665 so a schedule shift cannot hide them.
+/// 31202 so a schedule shift cannot hide them.
 #[test]
-fn cluster_seeds_18637_and_65394_stay_red_until_cross_shard_skew_is_closed() {
-    for seed in [18637, 65394] {
+fn cluster_seeds_18637_and_39284_stay_red_until_cross_shard_skew_is_closed() {
+    for seed in [18637, 39284] {
         let out = run_scenario("cluster", seed, 1, false);
         assert!(
             out.violations.iter().any(|v| v.contains("cycle")),
