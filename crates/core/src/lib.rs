@@ -33,5 +33,5 @@ pub mod sxact;
 pub mod twophase;
 
 pub use manager::{CommitDigest, SafetyState, SsiManager, SsiStats};
-pub use sxact::{SxactHandle, SxactId};
+pub use sxact::SxactHandle;
 pub use twophase::PreparedSsi;

@@ -7,8 +7,9 @@
 //! contention point; here the graph is decentralized the way Wang & Johnson's
 //! SSN keeps per-transaction summary state:
 //!
-//! * the **record registry** (`SxactId → record`, `TxnId → record`) is hashed
-//!   into a fixed number of mutex-guarded maps (`registry.rs`);
+//! * the **record registry** (`TxnId → record`: a record's id is its
+//!   top-level txid, subxids alias it) is hashed into a fixed number of
+//!   mutex-guarded maps (`registry.rs`);
 //! * each record's conflict-edge state has **its own lock** ([`Sxact::lock`]),
 //!   and scalar facts third parties need (phase, commit/prepare CSN, wrote,
 //!   read-only safety, doomed) are lock-free atomics on the record;
@@ -35,15 +36,19 @@
 //! * at **begin**: its own record, allocated before the mutex; the
 //!   commit-order mutex (snapshot, active-set insertion, and for a read-only
 //!   transaction the §4.2 tracker registration); then — outside it — its
-//!   registry entries and its owner-directory entry;
+//!   registry entry (one shard) and its owner-directory entry;
 //! * per **read**: one atomic of its own record (the safety flag), its own
 //!   owner mutex and read set, and the lock manager's filter word;
 //! * per **write**: the SIREAD partitions of the written target's check
 //!   chain (shared, but only holders of those targets meet there);
 //! * at **commit**: its own record's lock (precommit — vacuous without an
 //!   in-edge), then the commit-order mutex with its record's lock taken once
-//!   inside it, its owner mutex once more to hand over its counter tallies,
-//!   and the registry/directory removals when a later §6.1 cleanup frees it.
+//!   inside it. A writeless commit with no older read/write snapshot in
+//!   flight, outside a cluster shard, then retires itself after the mutex
+//!   (Theorem 3 at commit, in [`SsiManager::commit`]): its registry and
+//!   directory removals, whose SIREAD release hands over its counter
+//!   tallies. Any other commit takes its owner mutex once more for the
+//!   tallies and is removed when a later §6.1 cleanup frees it.
 //!
 //! No condvar is touched: both wake-ups on the finish path are gated on a
 //! registered waiter. [`SsiManager::wait_for_safety`] counts itself into
@@ -71,7 +76,7 @@
 //! 1. the **commit-order mutex** (`order`): begin/commit/abort/recover and the
 //!    safety condvar. Never taken by conflict flagging.
 //! 2. **per-record edge locks**: at most two held at once, always acquired in
-//!    ascending [`SxactId`] order ([`crate::sxact::lock_pair`]). Holding the
+//!    ascending txid order ([`crate::sxact::lock_pair`]). Holding the
 //!    order mutex, records may be locked **one at a time** (commit's own
 //!    record, the CSN fold into each in-source, read-only tracking, abort's
 //!    peer fix-ups); never hold one record's lock while acquiring another
@@ -97,7 +102,7 @@
 //! victim's lock — if the victim prepared first, the acting transaction aborts
 //! instead (always safe, §5.4).
 //!
-//! ## Removal protocol (abort, §6.1 cleanup, §6.2 summarization)
+//! ## Removal protocol (abort, retirement at commit, §6.1 cleanup, §6.2 summarization)
 //!
 //! Records are removed in a fixed order so concurrent flaggers never lose
 //! conflict information: (1) publish anything that must outlive the record
@@ -115,7 +120,9 @@
 //! *outside* the commit-order mutex: a commit or abort only pops them from
 //! the committed queue under the mutex and removes them afterwards, so a
 //! burst of frees or a huge conflict fan-out cannot stall concurrent
-//! begins/commits. Delaying a §6.1 free is conservative like delaying its
+//! begins/commits. A record retired at its own commit (Theorem 3 at commit)
+//! is never queued; its committer removes it after the mutex in the same
+//! way. Delaying a §6.1 free is conservative like delaying its
 //! SIREAD release: the record committed before every active snapshot, so no
 //! active transaction can flag a new edge to it. A summarized transaction's
 //! serial-table entry lives until the §6.1 horizon passes its commit, swept
@@ -144,7 +151,7 @@
 //! never abort a prepared transaction.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -158,7 +165,7 @@ use pgssi_storage::visibility::VisEvent;
 
 use crate::registry::{Registry, SxRef};
 use crate::serial::SerialTable;
-use crate::sxact::{lock_pair, Phase, Sxact, SxactHandle, SxactId, SxactMut};
+use crate::sxact::{lock_pair, Phase, Sxact, SxactHandle, SxactMut};
 use crate::twophase::PreparedSsi;
 
 /// §8.4 commit metadata: everything a WAL follower needs to decide snapshot
@@ -260,7 +267,7 @@ pub struct SsiStats {
 /// Membership state guarded by the commit-order mutex: who is active/prepared,
 /// and the committed records retained in commit order (front = oldest).
 struct CommitOrder {
-    active: HashMap<SxactId, SxRef>,
+    active: HashMap<TxnId, SxRef>,
     committed: VecDeque<SxRef>,
     /// Threads inside [`SsiManager::wait_for_safety`]'s sleep. Safety flags
     /// flip only under this mutex, so a finisher that reads zero here knows
@@ -290,9 +297,9 @@ struct DeferredLockOps {
 /// A removed record's edge sets, taken under its lock with the `gone`
 /// tombstone, for [`SsiManager::unlink`].
 struct Edges {
-    outs: BTreeSet<SxactId>,
-    ins: BTreeSet<SxactId>,
-    possible_unsafe: BTreeSet<SxactId>,
+    outs: BTreeSet<TxnId>,
+    ins: BTreeSet<TxnId>,
+    possible_unsafe: BTreeSet<TxnId>,
     aliases: Vec<TxnId>,
 }
 
@@ -318,17 +325,18 @@ pub struct SsiManager {
     siread: SireadLockManager,
     serial: SerialTable,
     reg: Registry,
-    /// Next record id; 0 is the dummy old-committed owner.
-    next_id: AtomicU64,
     order: Mutex<CommitOrder>,
     safety_cv: Condvar,
     /// Test-only gate: emulate the historical pivot-precommit race by
-    /// skipping the order-mutex-authoritative `pivot_commit_check` re-run at
+    /// skipping the order-mutex-authoritative `pivot_check_locked` re-run at
     /// commit (restoring the precommit-only logic this repo shipped before
     /// the race was fixed). The deterministic-simulation regression tests
     /// flip this on to prove the harness finds the bug on pinned seeds;
     /// nothing in production code sets it.
     emulate_pivot_race: std::sync::atomic::AtomicBool,
+    /// Set by [`SsiManager::set_cluster_shard`]: this database is a cluster
+    /// shard, so a writeless single-phase commit keeps the §6.1 path.
+    cluster_shard: std::sync::atomic::AtomicBool,
     /// Event counters.
     pub stats: SsiStats,
     /// Per-transaction lifecycle tracer (disabled ring unless the engine
@@ -350,7 +358,6 @@ impl SsiManager {
             serial: SerialTable::new(),
             reg: Registry::new(),
             config,
-            next_id: AtomicU64::new(1),
             order: Mutex::new(CommitOrder {
                 active: HashMap::new(),
                 committed: VecDeque::new(),
@@ -358,6 +365,7 @@ impl SsiManager {
             }),
             safety_cv: Condvar::new(),
             emulate_pivot_race: std::sync::atomic::AtomicBool::new(false),
+            cluster_shard: std::sync::atomic::AtomicBool::new(false),
             stats: SsiStats::default(),
             tracer,
         }
@@ -367,6 +375,22 @@ impl SsiManager {
     /// hook for the simulation regression suite; defaults to off.
     pub fn set_emulate_pivot_race(&self, on: bool) {
         self.emulate_pivot_race.store(on, Ordering::Relaxed);
+    }
+
+    /// Mark this database a cluster shard, before any branch begins on it.
+    /// A cross-shard coordinator unions its branches' PREPARE facts without
+    /// Theorem 3: the in-edge a writeless reader leaves on one shard can
+    /// close a cycle through another shard's commit order, which this
+    /// shard's CSNs cannot see. So a writeless commit here does not retire
+    /// at its own commit (DESIGN.md §6); it waits for §6.1, as every
+    /// committer does with the read-only optimization off.
+    pub fn set_cluster_shard(&self) {
+        self.cluster_shard.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether [`SsiManager::set_cluster_shard`] marked this manager.
+    pub fn is_cluster_shard(&self) -> bool {
+        self.cluster_shard.load(Ordering::Relaxed)
     }
 
     /// The active configuration.
@@ -429,8 +453,8 @@ impl SsiManager {
     /// `Arc`), and — for a read-only transaction that has writers to watch —
     /// the §4.2 tracker registration together with the registry entry a
     /// committing writer's `resolve_ro_tracking` resolves the tracker id
-    /// through. The record is built before the mutex, so ids need not
-    /// follow begin order (only `lock_pair` compares them). Everything
+    /// through. The record is built before the mutex: its id is `txid`, so
+    /// nothing is drawn for it (only `lock_pair` compares ids). Everything
     /// else (the registry entry in the common case, the SIREAD owner
     /// registration, tracing) waits until the mutex is dropped: no peer can
     /// learn this transaction's ids before it has read or written something,
@@ -442,9 +466,7 @@ impl SsiManager {
         declared_read_only: bool,
         deferrable: bool,
     ) -> SxactHandle {
-        let id = SxactId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let mut rec = Arc::new(Sxact::new(
-            id,
             txid,
             CommitSeqNo::INVALID,
             declared_read_only,
@@ -467,14 +489,14 @@ impl SsiManager {
                 self.stats.safe_immediate.bump();
             } else {
                 for w in &rw {
-                    w.lock().ro_trackers.insert(id);
+                    w.lock().ro_trackers.insert(txid);
                 }
-                rec.lock().possible_unsafe = rw.iter().map(|w| w.id).collect();
+                rec.lock().possible_unsafe = rw.iter().map(|w| w.txid).collect();
                 self.reg.insert(&rec);
                 tracked = true;
             }
         }
-        order.active.insert(id, Arc::clone(&rec));
+        order.active.insert(txid, Arc::clone(&rec));
         drop(order);
         if !tracked {
             self.reg.insert(&rec);
@@ -483,7 +505,7 @@ impl SsiManager {
         // A concurrent safe-snapshot release racing ahead of this
         // registration just finds no owner to remove — harmless: a
         // transaction on a safe snapshot never acquires.
-        let owner = (!rec.ro_safe()).then(|| self.siread.register_owner(id.0));
+        let owner = (!rec.ro_safe()).then(|| self.siread.register_owner(txid.0));
         SxactHandle { rec, owner }
     }
 
@@ -499,7 +521,7 @@ impl SsiManager {
         // Registered while the record's lock is held (registry shards are
         // leaf-level): a racing removal either sees the alias in the list (it
         // drains aliases under this same lock) or has already set `gone`.
-        self.reg.insert_txid(subxid, rec);
+        self.reg.insert_alias(subxid, rec);
     }
 
     /// Return [`Error::SerializationFailure`] if another transaction marked this
@@ -548,7 +570,7 @@ impl SsiManager {
             return Ok(());
         }
         let me = &handle.rec;
-        let sx = me.id;
+        let sx = me.txid;
         if me.ro_safe() {
             return Ok(()); // safe snapshot: no tracking, no abort risk (§4.2)
         }
@@ -572,8 +594,8 @@ impl SsiManager {
         let my_snapshot = me.snapshot_csn;
         for (w, pre_status) in writers.into_iter().zip(statuses) {
             let mut vanished = false;
-            if let Some(wrec) = self.reg.get_txid(w) {
-                if wrec.id == sx {
+            if let Some(wrec) = self.reg.get(w) {
+                if wrec.txid == sx {
                     continue;
                 }
                 let mut dooms: Vec<SxRef> = Vec::new();
@@ -661,7 +683,7 @@ impl SsiManager {
             ));
         }
         // Structure B: t2 = me (pivot), t3 = W committed at w_commit.
-        self.check_pivot_in_with_t3(me, mg, Some(w_commit), me.id, dooms)
+        self.check_pivot_in_with_t3(me, mg, Some(w_commit), me.txid, dooms)
     }
 
     /// Process a write: check SIREAD locks coarse-to-fine for read-before-write
@@ -676,7 +698,7 @@ impl SsiManager {
         in_subtransaction: bool,
     ) -> Result<()> {
         let me = &handle.rec;
-        let sx = me.id;
+        let sx = me.txid;
         if me.is_doomed() {
             return Err(Error::serialization(
                 SerializationKind::Doomed,
@@ -706,15 +728,17 @@ impl SsiManager {
         let my_snapshot = me.snapshot_csn;
         let mut vanished_holder = false;
         for holder in check.owners {
-            let hid = SxactId(holder);
+            let hid = TxnId(holder);
             if hid == sx {
                 continue;
             }
             let Some(h) = self.reg.get(hid) else {
                 // The record vanished between the pre-lock probe and here:
                 // cleaned (committed before every active snapshot — provably
-                // no conflict), aborted, or §6.2-summarized. Only the last
-                // still matters; the summarized-csn re-read below catches it.
+                // no conflict), retired at its commit (Theorem 3 at commit:
+                // no pivot with an older snapshot can use it), aborted, or
+                // §6.2-summarized. Only the last still matters; the
+                // summarized-csn re-read below catches it.
                 vanished_holder = true;
                 continue;
             };
@@ -795,19 +819,19 @@ impl SsiManager {
         rg: &mut SxactMut,
         writer: &SxRef,
         wg: &mut SxactMut,
-        acting: SxactId,
+        acting: TxnId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
-        if reader.id == writer.id {
+        if reader.txid == writer.txid {
             return Ok(());
         }
-        let new_edge = !rg.out_conflicts.contains(&writer.id);
+        let new_edge = !rg.out_conflicts.contains(&writer.txid);
         if new_edge {
-            rg.out_conflicts.insert(writer.id);
+            rg.out_conflicts.insert(writer.txid);
             if let Some(wc) = writer.commit_csn() {
                 rg.earliest_out_conflict_commit = rg.earliest_out_conflict_commit.min(wc);
             }
-            wg.in_conflicts.insert(reader.id);
+            wg.in_conflicts.insert(reader.txid);
             self.stats.conflicts_flagged.bump();
             // Two halves of one rw-antidependency edge, from each endpoint's
             // point of view (a pivot shows one ConflictIn and one ConflictOut).
@@ -834,7 +858,7 @@ impl SsiManager {
         t1: &SxRef,
         t2: &SxRef,
         t2g: &SxactMut,
-        acting: SxactId,
+        acting: TxnId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
         let e = t2g.earliest_out_conflict_commit;
@@ -870,7 +894,7 @@ impl SsiManager {
         t2: &SxRef,
         t2g: &SxactMut,
         t3_csn: Option<CommitSeqNo>,
-        acting: SxactId,
+        acting: TxnId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
         let Some(c) = t3_csn else {
@@ -881,18 +905,7 @@ impl SsiManager {
         if t2.commit_csn().is_some_and(|t2_commit| c > t2_commit) {
             return Ok(()); // T2 committed before T3: T3 is not first
         }
-        // BTreeSet iteration: candidates are visited in ascending id order, so
-        // victim choice is deterministic across registry-shard counts.
-        let mut candidates: Vec<Option<SxRef>> = t2g
-            .in_conflicts
-            .iter()
-            .filter_map(|x| self.reg.get(*x))
-            .map(Some)
-            .collect();
-        if t2g.summary_conflict_in {
-            candidates.push(None); // summarized T1: commit time unknown, not RO
-        }
-        for t1 in candidates {
+        for t1 in self.t1_candidates(t2g) {
             let dangerous = match &t1 {
                 Some(t1x) => {
                     if t1x.phase() == Phase::Aborted {
@@ -919,6 +932,24 @@ impl SsiManager {
         Ok(())
     }
 
+    /// The T1 candidates of a pivot whose lock is held (`t2g`): each
+    /// resolvable in-conflict, then `None` for a summarized one (commit time
+    /// unknown, not read-only). BTreeSet iteration visits them in ascending
+    /// txid order, so victim choice is deterministic across registry-shard
+    /// counts.
+    fn t1_candidates(&self, t2g: &SxactMut) -> Vec<Option<SxRef>> {
+        let mut c: Vec<Option<SxRef>> = t2g
+            .in_conflicts
+            .iter()
+            .map(|x| self.reg.get(*x))
+            .filter(Option::is_some)
+            .collect();
+        if t2g.summary_conflict_in {
+            c.push(None);
+        }
+        c
+    }
+
     /// Safe-retry victim selection (§5.4): prefer the pivot `t2`; fall back to
     /// `t1`; if neither can be aborted (committed or prepared), the acting
     /// transaction dies. Runs with `t2`'s lock held (its doom is applied in
@@ -929,11 +960,11 @@ impl SsiManager {
         &self,
         t1: Option<&SxRef>,
         t2: &SxRef,
-        acting: SxactId,
+        acting: TxnId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
         if t2.is_abortable() {
-            if t2.id == acting {
+            if t2.txid == acting {
                 self.stats.aborts_self.bump();
                 return Err(Error::serialization(
                     SerializationKind::PivotAbort,
@@ -947,7 +978,7 @@ impl SsiManager {
         }
         if let Some(t1x) = t1 {
             if t1x.is_abortable() {
-                if t1x.id == acting {
+                if t1x.txid == acting {
                     self.stats.aborts_self.bump();
                     return Err(Error::serialization(
                         SerializationKind::NonPivotAbort,
@@ -1017,8 +1048,8 @@ impl SsiManager {
     /// between this check and the phase transition.
     pub fn precommit(&self, handle: &SxactHandle, frontier: CommitSeqNo) -> Result<()> {
         let me = &handle.rec;
-        let sx = me.id;
-        let t2s: Vec<SxactId> = {
+        let sx = me.txid;
+        let t2s: Vec<TxnId> = {
             let g = me.lock();
             if me.is_doomed() {
                 self.stats.aborts_self.bump();
@@ -1055,7 +1086,7 @@ impl SsiManager {
         }
     }
 
-    fn precommit_checks(&self, me: &SxRef, sx: SxactId, t2s: Vec<SxactId>) -> Result<()> {
+    fn precommit_checks(&self, me: &SxRef, sx: TxnId, t2s: Vec<TxnId>) -> Result<()> {
         // Role T3: structures t1 → t2 → me where neither t1 nor t2 committed.
         for t2id in t2s {
             let Some(t2) = self.reg.get(t2id) else {
@@ -1067,14 +1098,14 @@ impl SsiManager {
                 if t2g.gone || t2.is_committed() || t2.is_doomed() || t2.phase() == Phase::Aborted {
                     Ok(())
                 } else {
-                    self.precommit_check_t2(me, sx, &t2, &t2g, &mut dooms)
+                    self.precommit_check_t2(sx, &t2, &t2g, &mut dooms)
                 }
             };
             self.finish_checks(res, dooms)?;
         }
         // Role T2 (early detection; the authoritative run happens again at
-        // commit under the order mutex — see `pivot_commit_check`).
-        self.pivot_commit_check(me)
+        // commit under the order mutex — see `pivot_check_locked`).
+        self.pivot_check_locked(&me.lock())
     }
 
     /// Role-T2 dangerous-pivot validation: my own in-edge + committed
@@ -1087,25 +1118,12 @@ impl SsiManager {
     /// commit-time run, a pivot's precommit could interleave between a T3's
     /// CSN assignment and its fold, miss the conflict, and commit a dangerous
     /// structure (the one-big-mutex implementation made {assign, fold} atomic
-    /// with every check, closing this by construction).
-    fn pivot_commit_check(&self, me: &SxRef) -> Result<()> {
-        self.pivot_check_locked(&me.lock())
-    }
-
-    /// [`SsiManager::pivot_commit_check`] with the record's lock already held.
+    /// with every check, closing this by construction). Callers hold the
+    /// record's lock.
     fn pivot_check_locked(&self, g: &SxactMut) -> Result<()> {
         let e = g.earliest_out_conflict_commit;
         if e != CommitSeqNo::MAX {
-            let mut candidates: Vec<Option<SxRef>> = g
-                .in_conflicts
-                .iter()
-                .filter_map(|x| self.reg.get(*x))
-                .map(Some)
-                .collect();
-            if g.summary_conflict_in {
-                candidates.push(None);
-            }
-            for t1 in candidates {
+            for t1 in self.t1_candidates(g) {
                 let dangerous = match &t1 {
                     Some(t1x) => {
                         if t1x.phase() == Phase::Aborted {
@@ -1135,22 +1153,13 @@ impl SsiManager {
     /// One pivot candidate of the committing T3 (`me`): `t2`'s lock is held.
     fn precommit_check_t2(
         &self,
-        _me: &SxRef,
-        sx: SxactId,
+        sx: TxnId,
         t2: &SxRef,
         t2g: &SxactMut,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
-        let mut candidates: Vec<Option<SxRef>> = t2g
-            .in_conflicts
-            .iter()
-            .filter_map(|x| self.reg.get(*x))
-            .map(Some)
-            .collect();
-        if t2g.summary_conflict_in {
-            candidates.push(None);
-        }
-        let dangerous_t1s: Vec<Option<SxRef>> = candidates
+        let dangerous_t1s: Vec<Option<SxRef>> = self
+            .t1_candidates(t2g)
             .into_iter()
             .filter(|t1| match t1 {
                 Some(t1x) => {
@@ -1182,7 +1191,7 @@ impl SsiManager {
         // and if one of them is me, I am the victim.
         for t1 in dangerous_t1s {
             match t1 {
-                Some(t1x) if t1x.id == sx => {
+                Some(t1x) if t1x.txid == sx => {
                     self.stats.aborts_self.bump();
                     return Err(Error::serialization(
                         SerializationKind::NonPivotAbort,
@@ -1219,7 +1228,7 @@ impl SsiManager {
         publish: impl FnOnce(CommitDigest),
     ) {
         let order = self.lock_order();
-        let digest = CommitDigest {
+        publish(CommitDigest {
             txid,
             commit_csn,
             serializable: false,
@@ -1229,9 +1238,7 @@ impl SsiManager {
             had_out_conflict: false,
             earliest_out_conflict_commit: CommitSeqNo::MAX,
             concurrent_rw: Self::concurrent_rw(&order),
-        };
-        publish(digest);
-        drop(order);
+        });
     }
 
     /// Run `f` inside a commit-order critical section without touching any
@@ -1266,7 +1273,7 @@ impl SsiManager {
     ///
     /// Before `assign_csn`, the dangerous-pivot condition is re-validated
     /// under the commit-order mutex, where it is authoritative (see
-    /// [`SsiManager::pivot_commit_check`]): a failure leaves nothing
+    /// [`SsiManager::pivot_check_locked`]): a failure leaves nothing
     /// committed or published, and the engine rolls the transaction back like
     /// any precommit failure. A record that `prepare` or `recover_prepared`
     /// marked skips it: `COMMIT PREPARED` must not fail (§7.1 — a prepared
@@ -1289,7 +1296,10 @@ impl SsiManager {
     /// own record's lock once (the pivot re-check, the CSN assignment and
     /// every fact the rest of the section needs are read in that one hold —
     /// all of them only change under the order mutex held here, or on this
-    /// transaction's own thread), and nothing else that is shared.
+    /// transaction's own thread), and nothing else that is shared inside the
+    /// section. After it, a writeless one retires itself (Theorem 3 at
+    /// commit, DESIGN.md §6): one registry shard and the owner-directory
+    /// write lock.
     pub fn commit(
         &self,
         handle: &SxactHandle,
@@ -1297,12 +1307,12 @@ impl SsiManager {
         publish: impl FnOnce(&dyn Fn() -> CommitDigest),
     ) -> Result<CommitSeqNo> {
         let me = &handle.rec;
-        let sx = me.id;
+        let sx = me.txid;
         let mut ops = DeferredLockOps::default();
         let section = self.stats.commit_order_ns.start();
         let mut order = self.lock_order();
         let csn;
-        let (in_sources, summary_in, trackers, my_earliest, had_out, watched) = {
+        let (in_sources, summary_in, trackers, my_earliest, had_out, watched, g_two_phase) = {
             let mut g = me.lock();
             if !g.two_phase && !self.emulate_pivot_race.load(Ordering::Relaxed) {
                 self.pivot_check_locked(&g)?;
@@ -1314,13 +1324,11 @@ impl SsiManager {
             );
             me.set_phase(Phase::Committed);
             me.set_commit_csn(csn);
-            let in_sources: Vec<SxactId> = g.in_conflicts.iter().copied().collect();
+            let in_sources: Vec<TxnId> = g.in_conflicts.iter().copied().collect();
             // Read-only safety resolution (§4.2) inputs: who watches us, and
             // whether we commit with a conflict out to something.
-            let trackers: Vec<SxactId> = std::mem::take(&mut g.ro_trackers).into_iter().collect();
-            let had_out = !g.out_conflicts.is_empty()
-                || g.summary_conflict_out
-                || g.earliest_out_conflict_commit != CommitSeqNo::MAX;
+            let trackers: Vec<TxnId> = std::mem::take(&mut g.ro_trackers).into_iter().collect();
+            let had_out = g.had_out_conflict();
             // If we were a read-only transaction still being tracked.
             let watched = std::mem::take(&mut g.possible_unsafe);
             (
@@ -1330,6 +1338,7 @@ impl SsiManager {
                 g.earliest_out_conflict_commit,
                 had_out,
                 watched,
+                g.two_phase,
             )
         };
         order.active.remove(&sx);
@@ -1376,15 +1385,33 @@ impl SsiManager {
             self.resolve_ro_tracking(r, sx, Some(my_earliest), &mut ops);
         }
         self.unhook_tracker(sx, &watched);
-        order.committed.push_back(Arc::clone(me));
-        self.cleanup_locked(&mut order, &mut ops);
+        // Theorem 3 at commit: a writeless single-phase commit is read-only,
+        // so it can only be a dangerous structure's T1, which needs a pivot
+        // with a strictly older snapshot than its own (DESIGN.md §6). With no
+        // such read/write transaction in flight, nothing can use its locks or
+        // edges again: it retires now, on its own thread. Not on a cluster
+        // shard, whose coordinator reads the edges without Theorem 3.
+        let (horizon, rw_horizon) = Self::horizons_locked(&order);
+        let retire = !g_two_phase
+            && !me.wrote()
+            && self.config.enable_read_only_opt
+            && !self.is_cluster_shard()
+            && rw_horizon >= me.snapshot_csn;
+        if retire {
+            ops.freed.push(Arc::clone(me));
+            self.stats.cleaned.bump();
+        } else {
+            order.committed.push_back(Arc::clone(me));
+        }
+        self.cleanup_locked(&mut order, (horizon, rw_horizon), &mut ops);
         let wake = order.safety_waiters > 0;
         drop(order);
         self.stats.commit_order_ns.record_elapsed(section);
         self.tracer.record(me.txid.0, TraceTag::Commit, 0);
         // This transaction's SIREAD tallies reach the shared counters before
-        // its commit returns (its owner record may be retained long after).
-        if let Some(owner) = &handle.owner {
+        // its commit returns (its owner record may be retained long after;
+        // a retiring one's release below flushes them).
+        if let (false, Some(owner)) = (retire, &handle.owner) {
             self.siread.flush_tallies(owner);
         }
         // The O(degree) §6.1 frees and §6.2 summarization walks, and the
@@ -1419,7 +1446,7 @@ impl SsiManager {
     /// *after* its abort is published.
     pub fn abort(&self, handle: &SxactHandle, publish: impl FnOnce(TxnId)) {
         let me = &handle.rec;
-        let sx = me.id;
+        let sx = me.txid;
         let mut ops = DeferredLockOps::default();
         let mut order = self.lock_order();
         let (edges, trackers) = {
@@ -1439,7 +1466,8 @@ impl SsiManager {
         for r in trackers {
             self.resolve_ro_tracking(r, sx, None, &mut ops);
         }
-        self.cleanup_locked(&mut order, &mut ops);
+        let horizons = Self::horizons_locked(&order);
+        self.cleanup_locked(&mut order, horizons, &mut ops);
         let wake = order.safety_waiters > 0;
         drop(order);
         ops.release_owners.push(sx.0);
@@ -1453,8 +1481,8 @@ impl SsiManager {
     /// held; SIREAD releases for newly-safe snapshots are deferred into `ops`.
     fn resolve_ro_tracking(
         &self,
-        r: SxactId,
-        w: SxactId,
+        r: TxnId,
+        w: TxnId,
         w_earliest: Option<CommitSeqNo>,
         ops: &mut DeferredLockOps,
     ) {
@@ -1491,7 +1519,7 @@ impl SsiManager {
 
     /// Remove read-only transaction `r` from the tracker sets of the writers
     /// it `watched` (§4.2).
-    fn unhook_tracker(&self, r: SxactId, watched: &BTreeSet<SxactId>) {
+    fn unhook_tracker(&self, r: TxnId, watched: &BTreeSet<TxnId>) {
         for w in watched {
             if let Some(wx) = self.reg.get(*w) {
                 wx.lock().ro_trackers.remove(&r);
@@ -1569,7 +1597,7 @@ impl SsiManager {
     pub fn prepare(&self, handle: &SxactHandle, frontier: CommitSeqNo) -> Result<PreparedSsi> {
         self.precommit(handle, frontier)?;
         let me = &handle.rec;
-        let sx = me.id;
+        let sx = me.txid;
         // A prepared transaction outlives its session (possibly across a
         // crash): publish any pending read-set batch so the persisted lock
         // list and the shared table both carry the complete read set — and
@@ -1591,9 +1619,7 @@ impl SsiManager {
             let mut g = me.lock();
             let facts = (
                 !g.in_conflicts.is_empty() || g.summary_conflict_in,
-                !g.out_conflicts.is_empty()
-                    || g.summary_conflict_out
-                    || g.earliest_out_conflict_commit != CommitSeqNo::MAX,
+                g.had_out_conflict(),
                 g.earliest_out_conflict_commit,
             );
             g.mark_two_phase(prepare_csn);
@@ -1617,18 +1643,17 @@ impl SsiManager {
     /// CSN (anything later cannot have committed first).
     pub fn recover_prepared(&self, rec: &PreparedSsi) -> SxactHandle {
         let mut order = self.lock_order();
-        let id = SxactId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let sx = Arc::new(Sxact::new(id, rec.txid, rec.snapshot_csn, false, false));
+        let sx = Arc::new(Sxact::new(rec.txid, rec.snapshot_csn, false, false));
         sx.set_phase(Phase::Prepared);
         sx.set_prepare_csn(Some(rec.prepare_csn));
         if rec.wrote {
             sx.set_wrote();
         }
         sx.lock().mark_two_phase(rec.prepare_csn);
-        order.active.insert(id, Arc::clone(&sx));
+        order.active.insert(rec.txid, Arc::clone(&sx));
         self.reg.insert(&sx);
         drop(order);
-        let owner = self.siread.register_owner(id.0);
+        let owner = self.siread.register_owner(rec.txid.0);
         for t in &rec.siread_locks {
             self.siread.acquire_for(&owner, *t);
         }
@@ -1646,15 +1671,18 @@ impl SsiManager {
     // Memory management (§6)
     // ------------------------------------------------------------------
 
-    /// Oldest snapshot of an active or prepared serializable transaction
-    /// (`MAX` if none). Callers hold the commit-order mutex.
-    fn horizon_locked(order: &CommitOrder) -> CommitSeqNo {
-        order
-            .active
-            .values()
-            .map(|a| a.snapshot_csn)
-            .min()
-            .unwrap_or(CommitSeqNo::MAX)
+    /// The oldest snapshot of an active or prepared serializable transaction,
+    /// and of one not declared READ ONLY (`MAX` where there is none), in one
+    /// pass. Callers hold the commit-order mutex.
+    fn horizons_locked(order: &CommitOrder) -> (CommitSeqNo, CommitSeqNo) {
+        let (mut all, mut rw) = (CommitSeqNo::MAX, CommitSeqNo::MAX);
+        for a in order.active.values() {
+            all = all.min(a.snapshot_csn);
+            if !a.declared_read_only {
+                rw = rw.min(a.snapshot_csn);
+            }
+        }
+        (all, rw)
     }
 
     /// Pop the committed records older than every active transaction's
@@ -1664,8 +1692,12 @@ impl SsiManager {
     /// mutex and only pops; `ops` frees, summarizes and sweeps after it (a
     /// probe that still finds a popped record sees it committed before its
     /// snapshot).
-    fn cleanup_locked(&self, order: &mut CommitOrder, ops: &mut DeferredLockOps) {
-        let horizon = Self::horizon_locked(order);
+    fn cleanup_locked(
+        &self,
+        order: &mut CommitOrder,
+        (horizon, rw_horizon): (CommitSeqNo, CommitSeqNo),
+        ops: &mut DeferredLockOps,
+    ) {
         while let Some(front) = order.committed.front() {
             let done = front.commit_csn().map(|c| c < horizon).unwrap_or(true);
             if !done {
@@ -1683,10 +1715,9 @@ impl SsiManager {
         ops.drop_summarized_before = Some(horizon);
         // §6.1: when only read-only transactions remain active, no committed
         // transaction's SIREAD locks can ever be needed again (no one can write).
-        let any_rw_active = order.active.values().any(|a| !a.declared_read_only);
-        if !any_rw_active {
+        if rw_horizon == CommitSeqNo::MAX {
             ops.release_owners
-                .extend(order.committed.iter().map(|c| c.id.0));
+                .extend(order.committed.iter().map(|c| c.txid.0));
         }
     }
 
@@ -1700,7 +1731,7 @@ impl SsiManager {
             let edges = Edges::take(&mut rec.lock());
             if let Some(edges) = edges {
                 self.unlink(rec, edges, false);
-                self.siread.release_owner(rec.id.0);
+                self.siread.release_owner(rec.txid.0);
             }
         }
         for rec in &ops.summarize {
@@ -1721,7 +1752,7 @@ impl SsiManager {
     /// each dropped edge to the peer's summary flag (§6.2) instead of
     /// forgetting it.
     fn unlink(&self, rec: &Sxact, edges: Edges, summarize: bool) {
-        let id = rec.id;
+        let id = rec.txid;
         for o in &edges.outs {
             if let Some(ox) = self.reg.get(*o) {
                 let mut og = ox.lock();
@@ -1737,7 +1768,7 @@ impl SsiManager {
             }
         }
         self.unhook_tracker(id, &edges.possible_unsafe);
-        self.reg.remove(id, rec.txid, &edges.aliases);
+        self.reg.remove(rec.txid, &edges.aliases);
     }
 
     /// Summarize one committed record (§6.2): locks consolidate onto the dummy
@@ -1750,7 +1781,7 @@ impl SsiManager {
         // The summarized csn must be visible in the lock table before any
         // writer can observe the record's absence, or a real conflict with a
         // still-concurrent summarized reader would be skipped.
-        self.siread.consolidate_owner(rec.id.0, commit_csn);
+        self.siread.consolidate_owner(rec.txid.0, commit_csn);
         let mut g = rec.lock();
         if g.gone {
             return;
@@ -1771,7 +1802,7 @@ impl SsiManager {
     /// Oldest snapshot CSN of an active or prepared serializable transaction
     /// (`MAX` if none): the serializable half of the engine's vacuum horizon.
     pub fn snapshot_horizon(&self) -> CommitSeqNo {
-        Self::horizon_locked(&self.lock_order())
+        Self::horizons_locked(&self.lock_order()).0
     }
 
     /// Top-level xids of every active or prepared serializable transaction,

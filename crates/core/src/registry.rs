@@ -1,9 +1,12 @@
-//! The record registry: `SxactId → record` and `TxnId → record`
-//! (subtransaction aliases included), through which the manager resolves a
-//! peer — an edge's other endpoint, an MVCC event's writer, a read-only
-//! tracker. Each map is hashed into [`REGISTRY_SHARDS`] leaf-level mutexes.
-//! Nothing iterates the shards but [`Registry::record_count`], so the
-//! registry behaves as one map, which the model test below checks.
+//! The record registry: one map, `TxnId → record`, through which the manager
+//! resolves a peer — an edge's other endpoint, an MVCC event's writer, a
+//! read-only tracker. A record is keyed by its top-level txid, which is also
+//! its id everywhere else, and by each subtransaction alias (subxids come
+//! from the same never-reused counter, so no alias collides with a record's
+//! own key). The map is hashed into [`REGISTRY_SHARDS`] leaf-level mutexes,
+//! so a begin or a retirement without aliases touches one shard. Nothing
+//! iterates the shards but [`Registry::record_count`], so the registry
+//! behaves as one map, which the model test below checks.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,72 +14,62 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pgssi_common::TxnId;
 
-use crate::sxact::{Sxact, SxactId};
+use crate::sxact::Sxact;
 
 /// Shared handle to a serializable-transaction record.
 pub(crate) type SxRef = Arc<Sxact>;
 
-/// Number of shards per registry map. Fixed, like the SIREAD table's
-/// partition count: an observatory A/B of `1` against `16` (`readmostly-ssi`
-/// 163.1k vs 160.8k txn/s) sits inside run-to-run spread — 2 vCPU,
-/// re-measure on ≥ 8 cores.
+/// Number of registry shards. Fixed, like the SIREAD table's partition
+/// count: an observatory A/B of `1` against `16` (`readmostly-ssi` 163.1k vs
+/// 160.8k txn/s) sits inside run-to-run spread — 2 vCPU, re-measure on ≥ 8
+/// cores.
 const REGISTRY_SHARDS: usize = 16;
-
-type Shard<K> = Mutex<HashMap<K, SxRef>>;
 
 /// The sharded record registry.
 pub(crate) struct Registry {
-    by_id: [Shard<u64>; REGISTRY_SHARDS],
-    by_txid: [Shard<TxnId>; REGISTRY_SHARDS],
+    shards: [Mutex<HashMap<TxnId, SxRef>>; REGISTRY_SHARDS],
 }
 
 impl Registry {
     pub(crate) fn new() -> Registry {
         Registry {
-            by_id: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            by_txid: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         }
     }
 
     #[inline]
-    fn id_shard(&self, id: SxactId) -> &Shard<u64> {
-        &self.by_id[(id.0 as usize) % REGISTRY_SHARDS]
+    fn shard(&self, txid: TxnId) -> &Mutex<HashMap<TxnId, SxRef>> {
+        &self.shards[(txid.0 as usize) % REGISTRY_SHARDS]
     }
 
-    #[inline]
-    fn txid_shard(&self, txid: TxnId) -> &Shard<TxnId> {
-        &self.by_txid[(txid.0 as usize) % REGISTRY_SHARDS]
+    /// The record `txid` names: its own top-level txid or one of its aliases.
+    pub(crate) fn get(&self, txid: TxnId) -> Option<SxRef> {
+        self.shard(txid).lock().get(&txid).cloned()
     }
 
-    pub(crate) fn get(&self, id: SxactId) -> Option<SxRef> {
-        self.id_shard(id).lock().get(&id.0).cloned()
-    }
-
-    pub(crate) fn get_txid(&self, txid: TxnId) -> Option<SxRef> {
-        self.txid_shard(txid).lock().get(&txid).cloned()
-    }
-
+    /// Register `rec` under its own txid.
     pub(crate) fn insert(&self, rec: &SxRef) {
-        self.id_shard(rec.id)
-            .lock()
-            .insert(rec.id.0, Arc::clone(rec));
-        self.insert_txid(rec.txid, rec);
+        self.insert_alias(rec.txid, rec);
     }
 
-    pub(crate) fn insert_txid(&self, txid: TxnId, rec: &SxRef) {
-        self.txid_shard(txid).lock().insert(txid, Arc::clone(rec));
+    /// Register `rec` under `txid` (its own, or a subtransaction alias).
+    pub(crate) fn insert_alias(&self, txid: TxnId, rec: &SxRef) {
+        self.shard(txid).lock().insert(txid, Arc::clone(rec));
     }
 
-    pub(crate) fn remove(&self, id: SxactId, txid: TxnId, aliases: &[TxnId]) {
-        self.id_shard(id).lock().remove(&id.0);
-        self.txid_shard(txid).lock().remove(&txid);
-        for a in aliases {
-            self.txid_shard(*a).lock().remove(a);
+    /// Forget `txid` and its aliases.
+    pub(crate) fn remove(&self, txid: TxnId, aliases: &[TxnId]) {
+        for t in std::iter::once(&txid).chain(aliases) {
+            self.shard(*t).lock().remove(t);
         }
     }
 
+    /// Records registered, aliases not counted.
     pub(crate) fn record_count(&self) -> usize {
-        self.by_id.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().iter().filter(|(k, r)| **k == r.txid).count())
+            .sum()
     }
 }
 
@@ -89,41 +82,39 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Insert / alias / remove sequences over 40 records (txid `n` for record
-        /// `n`, aliases 100..124), checked step by step against plain `HashMap`s.
+        /// Insert / alias / remove sequences over 40 records (record `n` has
+        /// txid `n`, aliases 100..124), checked step by step against a plain
+        /// `HashMap` from txid to the owning record's txid.
         #[test]
         fn registry_behaves_as_one_map(
             ops in proptest::collection::vec((0..5u8, 0..40u64, 100..124u64), 1..200),
         ) {
             let reg = Registry::new();
-            let mut by_id: HashMap<u64, u64> = HashMap::new();
-            let mut by_txid: HashMap<TxnId, u64> = HashMap::new();
+            let mut model: HashMap<TxnId, TxnId> = HashMap::new();
             for (kind, id, alias) in ops {
                 let (own, alias) = (TxnId(id), TxnId(alias));
-                let rec = Arc::new(Sxact::new(SxactId(id), own, CommitSeqNo(1), false, false));
+                let rec = Arc::new(Sxact::new(own, CommitSeqNo(1), false, false));
                 match kind {
                     0 => {
                         reg.insert(&rec);
-                        by_id.insert(id, id);
-                        by_txid.insert(own, id);
+                        model.insert(own, own);
                     }
                     1 => {
-                        reg.insert_txid(alias, &rec);
-                        by_txid.insert(alias, id);
+                        reg.insert_alias(alias, &rec);
+                        model.insert(alias, own);
                     }
                     2 => {
-                        reg.remove(SxactId(id), own, &[alias]);
-                        by_id.remove(&id);
-                        by_txid.remove(&own);
-                        by_txid.remove(&alias);
+                        reg.remove(own, &[alias]);
+                        model.remove(&own);
+                        model.remove(&alias);
                     }
                     _ => {}
                 }
-                prop_assert_eq!(reg.get(SxactId(id)).map(|r| r.id.0), by_id.get(&id).copied());
                 for t in [own, alias] {
-                    prop_assert_eq!(reg.get_txid(t).map(|r| r.id.0), by_txid.get(&t).copied());
+                    prop_assert_eq!(reg.get(t).map(|r| r.txid), model.get(&t).copied());
                 }
-                prop_assert_eq!(reg.record_count(), by_id.len());
+                let records = model.iter().filter(|(k, v)| k == v).count();
+                prop_assert_eq!(reg.record_count(), records);
             }
         }
     }

@@ -4,7 +4,7 @@
 //! (`Arc<Sxact>` throughout the manager) split into three tiers by how it is
 //! synchronized:
 //!
-//! * **immutable identity** (`id`, `txid`, `snapshot_csn`, the declared
+//! * **immutable identity** (`txid`, `snapshot_csn`, the declared
 //!   read-only/deferrable flags): set at `begin`, readable by anyone with the
 //!   handle, no lock at all;
 //! * **lock-free summary word** (phase, commit/prepare CSN, `wrote`, the
@@ -38,17 +38,6 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard};
 use pgssi_common::{CommitSeqNo, TxnId};
 use pgssi_lockmgr::siread::OwnerHandle;
-
-/// Dense identifier of a serializable transaction record. Doubles as the SIREAD
-/// lock-manager owner id; `0` is reserved for the dummy old-committed owner.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SxactId(pub u64);
-
-impl std::fmt::Debug for SxactId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sx:{}", self.0)
-    }
-}
 
 /// Phase of a serializable transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,15 +80,15 @@ const NO_CSN: u64 = u64::MAX;
 /// Mutex-guarded per-record state: conflict edges and everything whose
 /// consistency the structure checks need (paper §5.3). Guarded by
 /// [`Sxact::lock`]; two records are only ever locked together in ascending
-/// [`SxactId`] order (see `manager.rs` module docs).
+/// txid order (see `manager.rs` module docs).
 #[derive(Debug)]
 pub struct SxactMut {
     /// Transactions with an rw-antidependency *into* this one (`T –rw→ me`:
     /// T read a version this transaction replaced).
-    pub in_conflicts: BTreeSet<SxactId>,
+    pub in_conflicts: BTreeSet<TxnId>,
     /// Transactions this one has an rw-antidependency *out* to (`me –rw→ T`:
     /// this transaction read a version T replaced).
-    pub out_conflicts: BTreeSet<SxactId>,
+    pub out_conflicts: BTreeSet<TxnId>,
     /// A summarized (§6.2) or cleaned-up transaction had an edge into this one;
     /// precise identity lost, treated conservatively.
     pub summary_conflict_in: bool,
@@ -116,10 +105,10 @@ pub struct SxactMut {
     /// For read-only transactions: concurrent read/write transactions whose
     /// commits must be observed before the snapshot can be declared safe (§4.2;
     /// PostgreSQL's `possibleUnsafeConflicts`).
-    pub possible_unsafe: BTreeSet<SxactId>,
+    pub possible_unsafe: BTreeSet<TxnId>,
     /// Mirror of `possible_unsafe`: read-only transactions watching this
     /// read/write transaction.
-    pub ro_trackers: BTreeSet<SxactId>,
+    pub ro_trackers: BTreeSet<TxnId>,
     /// Tombstone: the record has been (or is being) removed from the registry
     /// by abort, §6.1 cleanup, or §6.2 summarization. Set under the record's
     /// lock *after* any information that must outlive the record (the
@@ -133,6 +122,15 @@ pub struct SxactMut {
 }
 
 impl SxactMut {
+    /// Whether this transaction has an rw-antidependency out to something,
+    /// summarized or folded into the out-bound included: the fact a
+    /// [`crate::CommitDigest`] and a [`crate::PreparedSsi`] export.
+    pub(crate) fn had_out_conflict(&self) -> bool {
+        !self.out_conflicts.is_empty()
+            || self.summary_conflict_out
+            || self.earliest_out_conflict_commit != CommitSeqNo::MAX
+    }
+
     /// The §7.1 conservatism of a prepared transaction, live or recovered:
     /// conflicts assumed both ways, out-bound at the prepare CSN (anything
     /// later cannot have committed first), and the two-phase mark.
@@ -148,9 +146,10 @@ impl SxactMut {
 /// `Arc<Sxact>`; see the module docs for the synchronization tiers.
 #[derive(Debug)]
 pub struct Sxact {
-    /// Record id (and SIREAD owner id).
-    pub id: SxactId,
-    /// The transaction's top-level xid.
+    /// The transaction's top-level xid: the record's id in the registry, its
+    /// peers' edge sets and the SIREAD owner directory. Txids are unique and
+    /// never reused, and `TxnId(0)` — the dummy old-committed owner — is
+    /// never assigned.
     pub txid: TxnId,
     /// Commit-sequence frontier at snapshot time: transactions with
     /// `commit_csn < snapshot_csn` are visible to this transaction.
@@ -184,14 +183,12 @@ pub struct Sxact {
 impl Sxact {
     /// Fresh active record.
     pub fn new(
-        id: SxactId,
         txid: TxnId,
         snapshot_csn: CommitSeqNo,
         declared_read_only: bool,
         deferrable: bool,
     ) -> Sxact {
         Sxact {
-            id,
             txid,
             snapshot_csn,
             declared_read_only,
@@ -383,13 +380,8 @@ pub struct SxactHandle {
 }
 
 impl SxactHandle {
-    /// The record id (and SIREAD owner id).
-    #[inline]
-    pub fn id(&self) -> SxactId {
-        self.rec.id
-    }
-
-    /// The transaction's top-level xid.
+    /// The transaction's top-level xid (also its record id and SIREAD owner
+    /// id).
     #[inline]
     pub fn txid(&self) -> TxnId {
         self.rec.txid
@@ -403,15 +395,15 @@ impl SxactHandle {
     }
 }
 
-/// Lock two records' edge state in canonical (ascending `SxactId`) order and
+/// Lock two records' edge state in canonical (ascending txid) order and
 /// return the guards in the order the records were *passed*. The canonical
 /// acquisition order is what makes concurrent edge insertions deadlock-free.
 pub fn lock_pair<'a>(
     a: &'a Sxact,
     b: &'a Sxact,
 ) -> (MutexGuard<'a, SxactMut>, MutexGuard<'a, SxactMut>) {
-    debug_assert_ne!(a.id, b.id, "lock_pair on one record");
-    if a.id < b.id {
+    debug_assert_ne!(a.txid, b.txid, "lock_pair on one record");
+    if a.txid < b.txid {
         let ga = a.lock();
         let gb = b.lock();
         (ga, gb)
@@ -427,7 +419,7 @@ mod tests {
     use super::*;
 
     fn sx() -> Sxact {
-        Sxact::new(SxactId(1), TxnId(5), CommitSeqNo(3), false, false)
+        Sxact::new(TxnId(5), CommitSeqNo(3), false, false)
     }
 
     #[test]
@@ -445,7 +437,7 @@ mod tests {
     fn read_only_rules() {
         let s = sx();
         assert!(!s.is_read_only());
-        let declared = Sxact::new(SxactId(2), TxnId(6), CommitSeqNo(3), true, false);
+        let declared = Sxact::new(TxnId(6), CommitSeqNo(3), true, false);
         assert!(declared.is_read_only(), "declared RO counts immediately");
 
         let s2 = sx();
@@ -480,8 +472,8 @@ mod tests {
 
     #[test]
     fn lock_pair_returns_guards_in_argument_order() {
-        let a = Sxact::new(SxactId(1), TxnId(5), CommitSeqNo(3), false, false);
-        let b = Sxact::new(SxactId(2), TxnId(6), CommitSeqNo(3), false, false);
+        let a = Sxact::new(TxnId(5), CommitSeqNo(3), false, false);
+        let b = Sxact::new(TxnId(6), CommitSeqNo(3), false, false);
         {
             let (ga, gb) = lock_pair(&a, &b);
             drop((ga, gb));

@@ -11,7 +11,7 @@ use std::time::Duration;
 use pgssi_common::{
     CommitSeqNo, Error, LockTarget, RelId, Result, SerializationKind, SsiConfig, TxnId,
 };
-use pgssi_core::{SafetyState, SsiManager, SxactHandle, SxactId};
+use pgssi_core::{SafetyState, SsiManager, SxactHandle};
 use pgssi_storage::visibility::VisEvent;
 use pgssi_storage::TxnManager;
 
@@ -22,14 +22,13 @@ struct Harness {
     ssi: SsiManager,
     /// The handle `begin` returned for each transaction, kept for its whole
     /// life as the engine's `Transaction` keeps it ([`Harness::hd`]).
-    handles: Mutex<HashMap<SxactId, SxactHandle>>,
+    handles: Mutex<HashMap<TxnId, SxactHandle>>,
 }
 
 /// One running serializable transaction in the harness.
 #[derive(Clone, Copy)]
 struct T {
     txid: TxnId,
-    sx: SxactId,
 }
 
 const REL: RelId = RelId(1);
@@ -49,7 +48,7 @@ impl Harness {
 
     /// The transaction's own handle.
     fn hd(&self, t: T) -> SxactHandle {
-        self.handles.lock().unwrap()[&t.sx].clone()
+        self.handles.lock().unwrap()[&t.txid].clone()
     }
 
     fn begin(&self) -> T {
@@ -64,9 +63,8 @@ impl Harness {
         let txid = self.tm.begin();
         let snap = self.tm.snapshot();
         let handle = self.ssi.begin(txid, || snap.csn, ro, deferrable);
-        let sx = handle.id();
-        self.handles.lock().unwrap().insert(sx, handle);
-        T { txid, sx }
+        self.handles.lock().unwrap().insert(txid, handle);
+        T { txid }
     }
 
     /// Read an object: take the SIREAD lock. If `written_by_concurrent` is set,
@@ -335,7 +333,7 @@ fn read_only_with_no_concurrent_rw_is_immediately_safe() {
     assert_eq!(h.ssi.snapshot_safety(&h.hd(t1)), SafetyState::Safe);
     // Safe transactions take no SIREAD locks.
     h.read(t1, 0).unwrap();
-    assert_eq!(h.ssi.siread().owner_lock_count(t1.sx.0), 0);
+    assert_eq!(h.ssi.siread().owner_lock_count(t1.txid.0), 0);
     h.commit(t1).unwrap();
 }
 
@@ -347,13 +345,13 @@ fn safety_established_when_concurrent_rw_commits_cleanly() {
     assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Pending);
     // While pending, the reader maintains SIREAD locks.
     h.read(r, 0).unwrap();
-    assert_eq!(h.ssi.siread().owner_lock_count(r.sx.0), 1);
+    assert_eq!(h.ssi.siread().owner_lock_count(r.txid.0), 1);
     // The writer commits without any conflict out to a pre-snapshot commit.
     h.write(w, 1).unwrap();
     h.commit(w).unwrap();
     assert_eq!(h.ssi.snapshot_safety(&h.hd(r)), SafetyState::Safe);
     // Locks were dropped on the spot.
-    assert_eq!(h.ssi.siread().owner_lock_count(r.sx.0), 0);
+    assert_eq!(h.ssi.siread().owner_lock_count(r.txid.0), 0);
     h.commit(r).unwrap();
 }
 
@@ -420,6 +418,74 @@ fn committed_records_are_cleaned_at_horizon() {
     // No active transactions: everything is beyond the horizon.
     assert_eq!(h.ssi.record_count(), 0, "all records freed");
     assert_eq!(h.ssi.siread().total_lock_count(), 0, "all locks freed");
+}
+
+/// Theorem 3 at commit: a single-phase commit that wrote nothing can only be
+/// the T1 of a dangerous structure, whose pivot needs a strictly older
+/// snapshot. So it retires at its own commit — record, registry entry and
+/// SIREAD locks — unless a read/write transaction with an older snapshot is
+/// in flight, or the read-only optimization is off.
+#[test]
+fn writeless_commit_retires_at_once_unless_an_older_writer_is_in_flight() {
+    let locks = |h: &Harness, t: T| h.ssi.siread().owner_lock_count(t.txid.0);
+
+    // (i) Alone: nothing is retained once the commit returns.
+    let h = Harness::new(SsiConfig::default());
+    let r = h.begin();
+    h.read(r, 0).unwrap();
+    assert_eq!(locks(&h, r), 1);
+    h.commit(r).unwrap();
+    assert_eq!(h.ssi.committed_retained(), 0);
+    assert_eq!(h.ssi.record_count(), 0);
+    assert_eq!(locks(&h, r), 0);
+    assert_eq!(h.ssi.siread().filter_pending_total(), 0);
+
+    // (ii) An older-snapshot read/write transaction is in flight (a writer
+    // committed between the two begins): the reader is retained.
+    let h = Harness::new(SsiConfig::default());
+    let old = h.begin();
+    h.read(old, 9).unwrap();
+    let w = h.begin();
+    h.write(w, 5).unwrap();
+    h.commit(w).unwrap();
+    let r = h.begin();
+    h.read(r, 0).unwrap();
+    h.commit(r).unwrap();
+    assert_eq!(h.ssi.committed_retained(), 2, "the writer and the reader");
+    assert_eq!(locks(&h, r), 1);
+    h.abort(old);
+    assert_eq!(h.ssi.record_count(), 0);
+
+    // (iii) The older transaction is declared READ ONLY: it can write
+    // nothing, so it is no pivot, and the reader retires.
+    let h = Harness::new(SsiConfig::default());
+    let old = h.begin_ro();
+    h.read(old, 9).unwrap();
+    let w = h.begin();
+    h.write(w, 5).unwrap();
+    h.commit(w).unwrap();
+    let r = h.begin();
+    h.read(r, 0).unwrap();
+    h.commit(r).unwrap();
+    assert_eq!(h.ssi.committed_retained(), 1, "the writer only");
+    assert_eq!(locks(&h, r), 0);
+
+    // (iv) A read/write peer with the same snapshot is no pivot either (the
+    // comparison is strict); only with the read-only optimization off does
+    // the reader wait for §6.1.
+    for opt in [true, false] {
+        let h = Harness::new(SsiConfig {
+            enable_read_only_opt: opt,
+            ..SsiConfig::default()
+        });
+        let r = h.begin();
+        let peer = h.begin();
+        h.read(r, 0).unwrap();
+        h.commit(r).unwrap();
+        assert_eq!(h.ssi.committed_retained(), usize::from(!opt), "opt={opt}");
+        assert_eq!(locks(&h, r), usize::from(!opt), "opt={opt}");
+        h.abort(peer);
+    }
 }
 
 #[test]
@@ -514,6 +580,52 @@ fn summarized_conflicts_still_abort() {
 // ---------------------------------------------------------------------------
 // Two-phase commit (§7.1)
 // ---------------------------------------------------------------------------
+
+/// A branch that wrote nothing on this shard may have written on another,
+/// so its COMMIT PREPARED keeps the record: the rw edge a later writer
+/// flagged against it must still be in that writer's facts at its own
+/// PREPARE, where a cross-shard coordinator unions them.
+#[test]
+fn a_prepared_writeless_branch_keeps_its_edges_through_commit_prepared() {
+    let h = Harness::new(SsiConfig::default());
+    let x = h.begin();
+    h.read(x, 0).unwrap();
+    let y = h.begin();
+    h.ssi.prepare(&h.hd(x), h.tm.snapshot().csn).unwrap();
+    h.write(y, 0).unwrap(); // x –rw→ y
+    h.ssi
+        .commit(&h.hd(x), || h.tm.commit(&[x.txid]), |_| {})
+        .unwrap();
+    assert_eq!(h.ssi.committed_retained(), 1);
+    let facts = h.ssi.prepare(&h.hd(y), h.tm.snapshot().csn).unwrap();
+    assert!(
+        facts.had_in_conflict,
+        "the in-edge from x survives x's commit"
+    );
+}
+
+/// The mirror: on a cluster shard a single-phase writeless commit keeps its
+/// record too. The coordinator's union rule does not apply Theorem 3, so
+/// the in-edge from `x` must reach `y`'s PREPARE facts even though `y`'s
+/// snapshot ties `x`'s; `y` may be a pivot whose out-edge lies on another
+/// shard. A standalone database retires `x` at its commit.
+#[test]
+fn a_single_phase_writeless_commit_on_a_cluster_shard_keeps_its_edges() {
+    for shard in [true, false] {
+        let h = Harness::new(SsiConfig::default());
+        if shard {
+            h.ssi.set_cluster_shard();
+        }
+        let x = h.begin();
+        h.read(x, 0).unwrap();
+        let y = h.begin();
+        h.commit(x).unwrap();
+        h.write(y, 0).unwrap();
+        assert_eq!(h.ssi.committed_retained(), usize::from(shard));
+        let facts = h.ssi.prepare(&h.hd(y), h.tm.snapshot().csn).unwrap();
+        assert_eq!(facts.had_in_conflict, shard, "cluster shard: {shard}");
+    }
+}
 
 #[test]
 fn prepared_transaction_survives_recovery_and_commits() {
@@ -654,10 +766,10 @@ fn write_lock_drop_optimization_removes_own_siread_lock() {
     let h = Harness::new(SsiConfig::default());
     let t = h.begin();
     h.read(t, 0).unwrap();
-    assert_eq!(h.ssi.siread().owner_lock_count(t.sx.0), 1);
+    assert_eq!(h.ssi.siread().owner_lock_count(t.txid.0), 1);
     h.write(t, 0).unwrap();
     assert_eq!(
-        h.ssi.siread().owner_lock_count(t.sx.0),
+        h.ssi.siread().owner_lock_count(t.txid.0),
         0,
         "write lock subsumes the SIREAD lock (§7.3)"
     );
@@ -672,7 +784,7 @@ fn write_lock_drop_suppressed_in_subtransaction() {
         .on_write(&h.hd(t), &tuple(0).check_chain(), Some(tuple(0)), true)
         .unwrap();
     assert_eq!(
-        h.ssi.siread().owner_lock_count(t.sx.0),
+        h.ssi.siread().owner_lock_count(t.txid.0),
         1,
         "SIREAD lock must survive a subtransaction write (§7.3)"
     );

@@ -226,20 +226,18 @@ impl ShardedDatabase {
         let dbs = (0..shards)
             .map(|i| Database::open_durable(shard_config(&config, i)))
             .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedDatabase {
-            inner: Arc::new(ClusterInner {
-                router: Router::new(shards),
-                shards: dbs,
-                stats: ClusterStats::default(),
-                gid_seq: AtomicU64::new(1),
-            }),
-        })
+        Ok(ShardedDatabase::from_shards(dbs))
     }
 
     /// Wrap existing databases (tests that need per-shard fault injection or
-    /// pre-seeded state). The router covers exactly `dbs.len()` shards.
+    /// pre-seeded state). The router covers exactly `dbs.len()` shards. Each
+    /// is marked a cluster shard ([`pgssi_core::SsiManager::set_cluster_shard`]):
+    /// the 2PC union rule below reads edges a writeless reader leaves.
     pub fn from_shards(dbs: Vec<Database>) -> ShardedDatabase {
         assert!(!dbs.is_empty(), "cluster needs at least one shard");
+        for db in &dbs {
+            db.ssi().set_cluster_shard();
+        }
         ShardedDatabase {
             inner: Arc::new(ClusterInner {
                 router: Router::new(dbs.len()),

@@ -1570,6 +1570,9 @@ impl Database {
             self.inner.config.ssi.clone(),
             Arc::clone(&self.inner.tracer),
         ));
+        if self.inner.ssi().is_cluster_shard() {
+            fresh.set_cluster_shard();
+        }
         let mut prepared = self.inner.prepared.lock();
         for rec in prepared.values_mut() {
             rec.sx = rec

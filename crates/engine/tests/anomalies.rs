@@ -216,6 +216,42 @@ fn batch_anomaly_prevented_under_ssi() {
     check.commit().unwrap();
 }
 
+/// Figure 2 with a plain SERIALIZABLE REPORT that commits without writing.
+/// Its commit makes it read-only for Theorem 3, but NEW-RECEIPT, a read/write
+/// transaction with an older snapshot, is still in flight: the report's
+/// SIREAD locks must outlive its commit so that NEW-RECEIPT's insert finds
+/// the in-edge that makes it the pivot.
+#[test]
+fn batch_anomaly_prevented_under_ssi_with_an_undeclared_report() {
+    let db = batch_db();
+    let mut t2 = db.begin(IsolationLevel::Serializable);
+    let x = current_batch(&mut t2);
+    let mut t3 = db.begin(IsolationLevel::Serializable);
+    let b = current_batch(&mut t3);
+    t3.update("control", &row![0], row![0, b + 1]).unwrap();
+    t3.commit().unwrap();
+
+    let mut t1 = db.begin(IsolationLevel::Serializable);
+    let cur = current_batch(&mut t1);
+    let report = receipts_in_batch(&mut t1, cur - 1);
+    assert!(report.is_empty());
+    t1.commit().unwrap();
+
+    let result = t2
+        .insert("receipts", row![1, x, 100])
+        .and_then(|()| t2.commit());
+    match result {
+        Err(e) => assert!(e.is_retryable(), "{e}"),
+        Ok(()) => panic!("SSI must abort the pivot NEW-RECEIPT transaction"),
+    }
+    let mut check = db.begin(IsolationLevel::ReadCommitted);
+    assert!(
+        receipts_in_batch(&mut check, x).is_empty(),
+        "closed batch stays closed"
+    );
+    check.commit().unwrap();
+}
+
 /// The same history is fine when the REPORT starts before CLOSE-BATCH commits
 /// (serializable as T1, T2, T3) — the read-only optimization avoids the abort.
 #[test]

@@ -156,6 +156,58 @@ fn pivot_with_committed_out_neighbor_is_not_counted_as_spared() {
     t3.rollback();
 }
 
+/// A reader that committed single-phase on one shard still hands the pivot
+/// its in-edge: the coordinator's union rule reads branch facts without
+/// Theorem 3, so a cluster shard keeps a writeless commit's record for §6.1
+/// instead of retiring it at its commit. Here T3 commits on shard B with a
+/// snapshot that ties T1's B branch; a standalone database would retire it.
+#[test]
+fn a_committed_single_shard_reader_still_gives_the_pivot_its_in_edge() {
+    let c = kv_cluster(2);
+    let (x, y) = split_keys(&c);
+    let mut setup = c.begin(IsolationLevel::Serializable);
+    setup.insert("kv", row![x[0].clone(), 0]).unwrap();
+    setup.insert("kv", row![y[0].clone(), 0]).unwrap();
+    setup.commit().unwrap();
+
+    let mut t1 = c.begin(IsolationLevel::Serializable);
+    assert!(t1.get("kv", &x).unwrap().is_some());
+    assert!(t1.get("kv", &y).unwrap().is_some());
+    let mut t3 = c.begin(IsolationLevel::Serializable);
+    assert!(t3.get("kv", &y).unwrap().is_some());
+    t3.commit().unwrap();
+    // T3 --rw--> T1 on shard B, flagged against T3's committed record.
+    t1.update("kv", &y, row![y[0].clone(), 1]).unwrap();
+    let mut t2 = c.begin(IsolationLevel::Serializable);
+    t2.update("kv", &x, row![x[0].clone(), 2]).unwrap();
+    t2.commit().unwrap();
+
+    let err = t1.commit().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::SerializationFailure {
+                kind: SerializationKind::PivotAbort,
+                ..
+            }
+        ),
+        "expected a cross-shard pivot abort, got: {err}"
+    );
+    assert_eq!(c.cluster_stats().cross_shard_aborts.get(), 1);
+}
+
+/// The cluster-shard mark outlives a simulated crash: recovery rebuilds
+/// the SSI manager, and the rebuilt one must keep the §6.1 path too.
+#[test]
+fn cluster_shards_stay_marked_across_crash_recovery() {
+    let c = kv_cluster(2);
+    for i in 0..c.shards() {
+        assert!(c.shard(i).ssi().is_cluster_shard());
+        c.shard(i).simulate_crash_recovery();
+        assert!(c.shard(i).ssi().is_cluster_shard());
+    }
+}
+
 /// Per-shard durability composes with cross-shard 2PC for free: every shard
 /// logs its own branch, and reopening the same directories recovers the
 /// full partitioned state.

@@ -119,16 +119,23 @@ fn scans_see_every_row_once_while_vacuum_frees_and_updates_reuse() {
 }
 
 /// A SIREAD tuple lock names a `(page, slot)`, and can outlive the version it
-/// was taken on: the reader committed, a concurrent transaction keeps its locks
-/// alive, vacuum frees the version and an unrelated row's update re-uses the
-/// slot. A write to the new occupant then meets the stale lock. That may flag a
-/// conflict that is not there — one extra flag, no failure on its own — and it
-/// must never cost a real one: a write-skew pair run over re-used slots
-/// afterwards still loses exactly one transaction.
+/// was taken on: the reader committed without writing while a read/write
+/// transaction with an older snapshot (`holder`) was in flight, so its record
+/// and locks were retained rather than retired at its commit (Theorem 3 at
+/// commit); vacuum frees the version once `holder` is gone, and an unrelated
+/// row's update re-uses the slot. A write to the new occupant then meets the
+/// stale lock. That may flag a conflict that is not there — one extra flag,
+/// no failure on its own — and it must never cost a real one: a write-skew
+/// pair run over re-used slots afterwards still loses exactly one
+/// transaction.
 #[test]
 fn stale_siread_lock_on_a_reused_slot_only_adds_a_conflict() {
     // Keys 0 and 1 are the write-skew pair, 2 is read by `reader`, 3 moves in.
     let db = db_with_kv(4, 0);
+    // Older than the reader's snapshot: its reads could still need the
+    // reader's locks, so the reader's commit keeps them.
+    let mut holder = db.begin(IsolationLevel::Serializable);
+    assert_eq!(holder.get("kv", &key(0)).unwrap(), Some(row![0, 0]));
     set(&db, 2, 1); // key 2: root -> v1, in the slot this test is about
 
     let mut reader = db.begin(IsolationLevel::Serializable);
@@ -140,6 +147,7 @@ fn stale_siread_lock_on_a_reused_slot_only_adds_a_conflict() {
     let mut mover = db.begin(IsolationLevel::Serializable);
     assert_eq!(mover.get("kv", &key(3)).unwrap(), Some(row![3, 0]));
     reader.commit().unwrap();
+    holder.rollback(); // the vacuum horizon moves past v1; the locks stay
     assert_eq!(db.vacuum().0, 2, "key 2's root payload and v1");
 
     // The first free slot on the page is v1's: key 3's new version takes it.

@@ -32,8 +32,9 @@ pub mod readset;
 pub mod s2pl;
 pub mod siread;
 
-/// Opaque lock-owner identifier (the SSI core's sxact id, or the engine's txn id
-/// for the S2PL baseline).
+/// Opaque lock-owner identifier (the SSI core's record id, which is the
+/// transaction's top-level txid, or the engine's txn id for the S2PL
+/// baseline).
 pub type OwnerId = u64;
 
 /// Owner id reserved for the dummy "old committed transaction" that absorbs

@@ -116,21 +116,19 @@ impl Default for TxnManager {
     }
 }
 
-/// Monotonic thread slots for shard affinity (stable per thread, cheap).
+/// Monotonic thread slots for shard affinity (stable per thread, cheap). A
+/// simulated thread takes slot 0, so its txids follow the seeded begin order,
+/// which the SSI core's record order (by txid) relies on.
 static THREAD_SLOTS: AtomicUsize = AtomicUsize::new(0);
 
 fn thread_slot() -> usize {
     thread_local! {
-        static SLOT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+        static SLOT: usize = THREAD_SLOTS.fetch_add(1, Ordering::Relaxed);
     }
-    SLOT.with(|s| {
-        let mut v = s.get();
-        if v == usize::MAX {
-            v = THREAD_SLOTS.fetch_add(1, Ordering::Relaxed);
-            s.set(v);
-        }
-        v
-    })
+    if sim::is_sim_thread() {
+        return 0;
+    }
+    SLOT.with(|s| *s)
 }
 
 impl TxnManager {
@@ -216,16 +214,7 @@ impl TxnManager {
     /// Commit a transaction together with its live subtransactions. All ids receive
     /// the same commit sequence number, which is returned.
     pub fn commit(&self, xids: &[TxnId]) -> CommitSeqNo {
-        let fin = self.finish.lock();
-        let csn = CommitSeqNo(self.next_csn.load(Ordering::Relaxed));
-        for &x in xids {
-            self.clog.set_committed(x, csn);
-        }
-        // Only now may a snapshot see the frontier past `csn` (module docs).
-        self.next_csn.store(csn.0 + 1, Ordering::Release);
-        drop(fin);
-        self.notify_finished();
-        csn
+        self.finish_commit(xids, true)
     }
 
     /// Commit a transaction that **wrote nothing** (the engine tracks this; a
@@ -239,10 +228,19 @@ impl TxnManager {
     /// frontier some snapshot already read, since the finish mutex orders it
     /// against every frontier store.
     pub fn commit_readonly(&self, xids: &[TxnId]) -> CommitSeqNo {
+        self.finish_commit(xids, false)
+    }
+
+    /// Commit `xids` at the frontier; `advance` moves the frontier past them.
+    fn finish_commit(&self, xids: &[TxnId], advance: bool) -> CommitSeqNo {
         let fin = self.finish.lock();
         let csn = CommitSeqNo(self.next_csn.load(Ordering::Relaxed));
         for &x in xids {
             self.clog.set_committed(x, csn);
+        }
+        // Only now may a snapshot see the frontier past `csn` (module docs).
+        if advance {
+            self.next_csn.store(csn.0 + 1, Ordering::Release);
         }
         drop(fin);
         self.notify_finished();
