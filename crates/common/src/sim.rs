@@ -806,6 +806,9 @@ impl Scheduler {
         self.record(&mut st, slot, site, EventKind::Yield, 0);
         st.vnow_ns += QUANTUM_NS;
         VNOW_NS.store(st.vnow_ns, Ordering::Relaxed);
+        // A waiter that came due is runnable now, whether or not anyone else
+        // ever blocks.
+        Self::release_due(&mut st);
         // Pick among the other Ready slots and ourselves.
         let next = self.pick_next(&mut st, Some(slot as usize));
         match next {
@@ -1007,18 +1010,26 @@ impl Scheduler {
             };
             st.vnow_ns = st.vnow_ns.max(t);
             VNOW_NS.store(st.vnow_ns, Ordering::Relaxed);
-            for &i in &live {
-                let s = &mut st.slots[i];
-                let timed_out = s.deadline_ns.is_some_and(|d| d <= st.vnow_ns);
-                let released = s.forced_release_ns.is_some_and(|d| d <= st.vnow_ns);
-                if timed_out || released {
-                    s.status = Status::Ready;
-                    s.wake = if timed_out && !released {
-                        WakeReason::TimedOut
-                    } else {
-                        WakeReason::Notified
-                    };
-                }
+            Self::release_due(st);
+        }
+    }
+
+    /// Make every blocked slot whose deadline or fault-delayed wake is due at
+    /// the current virtual time `Ready`. Runs wherever the clock advances: in
+    /// [`Scheduler::yield_at`], so a busy peer cannot hold a due waiter back,
+    /// and in [`Scheduler::grant_next`] when it jumps the clock.
+    fn release_due(st: &mut State) {
+        let now = st.vnow_ns;
+        for s in st.slots.iter_mut().filter(|s| s.status == Status::Blocked) {
+            let timed_out = s.deadline_ns.is_some_and(|d| d <= now);
+            let released = s.forced_release_ns.is_some_and(|d| d <= now);
+            if timed_out || released {
+                s.status = Status::Ready;
+                s.wake = if timed_out && !released {
+                    WakeReason::TimedOut
+                } else {
+                    WakeReason::Notified
+                };
             }
         }
     }
@@ -1143,6 +1154,77 @@ mod tests {
         // The 10-virtual-second sleep must not take 10 real seconds; the
         // scheduler jumps time. (If it did sleep for real, the test harness
         // timeout would catch it anyway.)
+    }
+
+    /// A timed waiter wakes when it comes due even while another thread
+    /// never blocks: one thread yields in a loop, a second waits with a
+    /// deadline, a third gets a delayed notify. Both wake within one quantum
+    /// of their due time.
+    #[test]
+    fn due_waiters_wake_while_another_thread_yields() {
+        let cfg = SimConfig {
+            perturb_permille: 0,
+            delay_wakeup_permille: 1000,
+            max_delay_ns: 50_000,
+            ..SimConfig::new(5)
+        };
+        // How late each waiter woke, in virtual ns (MAX = never).
+        let late = Arc::new([AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)]);
+        let notify_due = Arc::new(AtomicU64::new(0));
+        let parked = Arc::new(AtomicBool::new(false));
+        let vnow = || VNOW_NS.load(Ordering::Relaxed);
+        let (l0, l1, l2) = (Arc::clone(&late), Arc::clone(&late), Arc::clone(&late));
+        let (due1, due2) = (Arc::clone(&notify_due), Arc::clone(&notify_due));
+        let (p1, p2) = (Arc::clone(&parked), Arc::clone(&parked));
+        let roots: Vec<(String, Box<dyn FnOnce() + Send>)> = vec![
+            (
+                "yielder".into(),
+                Box::new(move || {
+                    while !p1.load(Ordering::Relaxed) {
+                        yield_point(Site::DriverStep);
+                    }
+                    notify(Site::LockWait, 0x77);
+                    let sched = current_scheduler().expect("in a run");
+                    let due = sched.lock_state().slots[2].forced_release_ns;
+                    due1.store(due.expect("the notify was delayed"), Ordering::Relaxed);
+                    let give_up = vnow() + 5_000_000;
+                    while l0.iter().any(|l| l.load(Ordering::Relaxed) == u64::MAX)
+                        && vnow() < give_up
+                    {
+                        yield_point(Site::DriverStep);
+                    }
+                }),
+            ),
+            (
+                "deadline".into(),
+                Box::new(move || {
+                    let due = vnow() + 20_000;
+                    let r = block(
+                        Site::LockWait,
+                        0x55,
+                        Some(now() + Duration::from_nanos(20_000)),
+                    );
+                    assert_eq!(r, WakeReason::TimedOut);
+                    l1[0].store(vnow() - due, Ordering::Relaxed);
+                }),
+            ),
+            (
+                "notified".into(),
+                Box::new(move || {
+                    p2.store(true, Ordering::Relaxed);
+                    let r = block(Site::LockWait, 0x77, None);
+                    assert_eq!(r, WakeReason::Notified);
+                    l2[1].store(vnow() - due2.load(Ordering::Relaxed), Ordering::Relaxed);
+                }),
+            ),
+        ];
+        let run = Scheduler::run(cfg, roots);
+        assert!(run.failed.is_none(), "{:?}", run.failed);
+        assert!(run.panics.is_empty(), "{:?}", run.panics);
+        for (who, l) in ["deadline", "delayed notify"].iter().zip(late.iter()) {
+            let l = l.load(Ordering::Relaxed);
+            assert!(l <= QUANTUM_NS, "{who} waiter woke {l} ns after it was due");
+        }
     }
 
     #[test]

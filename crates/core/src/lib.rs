@@ -12,7 +12,7 @@
 //!   `T1 –rw→ T2 –rw→ T3` only forces an abort if `T3` committed first;
 //! * the **read-only snapshot ordering rule** (§4.1, Theorem 3): if `T1` is
 //!   read-only, the structure is dangerous only if `T3` committed before `T1`'s
-//!   snapshot;
+//!   snapshot (both rules are one pure function, [`rule::dangerous`]);
 //! * **safe snapshots** and **deferrable transactions** (§4.2–4.3);
 //! * **safe-retry victim selection** (§5.4);
 //! * **aggressive cleanup** and **summarization** under fixed memory (§6), with
@@ -28,6 +28,7 @@
 
 pub mod manager;
 mod registry;
+pub mod rule;
 pub mod serial;
 pub mod sxact;
 pub mod twophase;

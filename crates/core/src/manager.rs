@@ -146,9 +146,11 @@
 //! Every flagged edge and every pre-commit runs the dangerous-structure check
 //! `T1 –rw→ T2 –rw→ T3`, filtered by the commit-ordering optimization (`T3` must
 //! have committed first) and the read-only rule (read-only `T1` requires `T3` to
-//! have committed before `T1`'s snapshot — Theorem 3). Victims follow the safe
-//! retry rules: nothing is aborted until `T3` commits; prefer the pivot `T2`;
-//! never abort a prepared transaction.
+//! have committed before `T1`'s snapshot — Theorem 3). The test itself is
+//! [`crate::rule::dangerous`], written once; each site here only gathers the
+//! three transactions' [`Facts`] under the locks it holds. Victims follow the
+//! safe retry rules: nothing is aborted until `T3` commits; prefer the pivot
+//! `T2`; never abort a prepared transaction.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -164,6 +166,7 @@ use pgssi_storage::clog::{CommitLog, TxnStatus};
 use pgssi_storage::visibility::VisEvent;
 
 use crate::registry::{Registry, SxRef};
+use crate::rule::{self, Facts};
 use crate::serial::SerialTable;
 use crate::sxact::{lock_pair, Phase, Sxact, SxactHandle, SxactMut};
 use crate::twophase::PreparedSsi;
@@ -216,10 +219,7 @@ impl CommitDigest {
     /// read-only use (§4.2)? A writeless commit never does — no reader can
     /// have an rw-antidependency out to a transaction that wrote nothing.
     pub fn makes_unsafe(&self, snapshot_csn: CommitSeqNo) -> bool {
-        self.wrote
-            && self.earliest_out_conflict_commit != CommitSeqNo::MAX
-            && self.earliest_out_conflict_commit.is_valid()
-            && self.earliest_out_conflict_commit < snapshot_csn
+        self.wrote && rule::makes_unsafe(self.earliest_out_conflict_commit, snapshot_csn)
     }
 }
 
@@ -666,24 +666,16 @@ impl SsiManager {
         self.stats.conflicts_flagged.bump();
         mg.summary_conflict_out = true;
         mg.earliest_out_conflict_commit = mg.earliest_out_conflict_commit.min(w_commit);
-        // Structure A': t1 = me, t2 = W (committed), t3 from the serial table.
-        // Conservative conditions (slightly stricter than PostgreSQL's
-        // `e < my snapshot`; see DESIGN.md): t3 committed first (e < W's commit)
-        // and, if the read-only rule applies to me, e < my snapshot.
-        let ro_ok = !(self.config.enable_read_only_opt && me.is_read_only()) || e < me.snapshot_csn;
-        if e.is_valid() && e < w_commit && ro_ok {
+        // Structure A′: t1 = me, t2 = W, t3 = W's earliest out-conflict from
+        // the serial table (`Rule::SummarizedWriter`, DESIGN.md §3).
+        let w = Facts::summarized(w_commit);
+        if self.rule(&me.facts(), &w, &Facts::out_bound(e)).is_some() {
             // t2 and t3 both committed: the only possible victim is me (§5.4
             // rule 3 — and retrying is safe, since both are committed).
-            self.stats.dangerous_structures.bump();
-            self.stats.summary_aborts.bump();
-            self.stats.aborts_self.bump();
-            return Err(Error::serialization(
-                SerializationKind::SummaryConflict,
-                "conflict out to an old pivot (summarized transaction)",
-            ));
+            return Err(self.summary_abort("conflict out to an old pivot (summarized transaction)"));
         }
-        // Structure B: t2 = me (pivot), t3 = W committed at w_commit.
-        self.check_pivot_in_with_t3(me, mg, Some(w_commit), me.txid, dooms)
+        // Structure B: t2 = me (pivot), t3 = W.
+        self.check_pivot_in(me, mg, &w, me.txid, dooms)
     }
 
     /// Process a write: check SIREAD locks coarse-to-fine for read-before-write
@@ -767,31 +759,17 @@ impl SsiManager {
             // re-reading the table here is guaranteed to see the folded csn.
             summarized_csn = summarized_csn.max(self.siread.summarized_csn(chain));
         }
-        if let Some(c) = summarized_csn {
-            if c >= my_snapshot {
-                // A summarized reader was concurrent with us: T1 exists but its
-                // identity is lost (§6.2). Flag it and check the pivot structure
-                // with t1 = "some transaction that committed at or before c".
-                self.stats.conflicts_flagged.bump();
-                let res = {
-                    let mut mg = me.lock();
-                    mg.summary_conflict_in = true;
-                    // t3 must have committed before t1 (bounded above by c)
-                    // and before me (uncommitted → unbounded); `e` is MAX
-                    // while I have no committed out-conflict.
-                    if mg.earliest_out_conflict_commit < c {
-                        self.stats.dangerous_structures.bump();
-                        self.stats.summary_aborts.bump();
-                        self.stats.aborts_self.bump();
-                        Err(Error::serialization(
-                            SerializationKind::SummaryConflict,
-                            "identified as pivot against a summarized reader",
-                        ))
-                    } else {
-                        Ok(())
-                    }
-                };
-                res?;
+        if let Some(c) = summarized_csn.filter(|&c| c >= my_snapshot) {
+            // A summarized reader was concurrent with us: T1 exists but its
+            // identity is lost (§6.2). Flag it and check the pivot structure
+            // with t1 = "some transaction that committed at or before c"
+            // (`Rule::SummarizedReader`).
+            self.stats.conflicts_flagged.bump();
+            let mut mg = me.lock();
+            mg.summary_conflict_in = true;
+            let t3 = Facts::out_bound(mg.earliest_out_conflict_commit);
+            if self.rule(&Facts::summarized(c), &me.facts(), &t3).is_some() {
+                return Err(self.summary_abort("identified as pivot against a summarized reader"));
             }
         }
         let allow_drop = !in_subtransaction && !me.ro_safe();
@@ -840,114 +818,74 @@ impl SsiManager {
             self.tracer
                 .record(writer.txid.0, TraceTag::ConflictIn, reader.txid.0);
         }
-        // Structure A: writer is the pivot (t1 = reader, t2 = writer, t3 = some
-        // committed out-conflict of the writer).
-        self.check_pivot_out(reader, writer, wg, acting, dooms)?;
+        // Structure A: writer is the pivot (t1 = reader, t2 = writer, t3 = the
+        // writer's earliest committed out-conflict).
+        let t3 = Facts::out_bound(wg.earliest_out_conflict_commit);
+        if self.rule(&reader.facts(), &writer.facts(), &t3).is_some() {
+            self.stats.dangerous_structures.bump();
+            self.resolve_failure(Some(reader), writer, acting, dooms)?;
+        }
         // Structure B: reader is the pivot (t1 ∈ reader's in-conflicts,
-        // t2 = reader, t3 = writer). The writer's lock is held, so its
-        // commit-or-prepare CSN is exact.
-        let t3_csn = writer.commit_or_prepare_csn();
-        self.check_pivot_in_with_t3(reader, rg, t3_csn, acting, dooms)?;
-        Ok(())
+        // t2 = reader, t3 = writer). The writer's lock is held, so its fate
+        // is exact.
+        self.check_pivot_in(reader, rg, &writer.facts(), acting, dooms)
     }
 
-    /// Structure A: is `t2` a pivot with a committed out-conflict, completing a
-    /// dangerous structure with the (new) in-edge from `t1`? Both locks held.
-    fn check_pivot_out(
-        &self,
-        t1: &SxRef,
-        t2: &SxRef,
-        t2g: &SxactMut,
-        acting: TxnId,
-        dooms: &mut Vec<SxRef>,
-    ) -> Result<()> {
-        let e = t2g.earliest_out_conflict_commit;
-        // T3 must be the first of the three to commit (§3.3.1). The
-        // comparisons are non-strict because T1 and T3 may be the *same*
-        // transaction (2-cycles like write skew): then e == t1's CSN and
-        // the structure is still dangerous. Prepared-but-uncommitted
-        // transactions count as "not committed yet" (bound = ∞): their
-        // prepare CSN is only a lower bound on the eventual commit.
-        let t1_bound = t1.commit_csn().unwrap_or(CommitSeqNo::MAX);
-        let t2_bound = t2.commit_csn().unwrap_or(CommitSeqNo::MAX);
-        if e == CommitSeqNo::MAX || e > t1_bound || e > t2_bound {
-            return Ok(());
-        }
-        // Read-only rule (Theorem 3): a read-only T1 is only part of an anomaly
-        // if T3 committed before T1's snapshot.
-        if self.config.enable_read_only_opt && t1.is_read_only() && e >= t1.snapshot_csn {
-            return Ok(());
-        }
+    /// A dangerous structure against summarized state: the acting
+    /// transaction is the only victim left (§6.2).
+    fn summary_abort(&self, detail: &'static str) -> Error {
         self.stats.dangerous_structures.bump();
-        self.resolve_failure(Some(t1), t2, acting, dooms)
+        self.stats.summary_aborts.bump();
+        self.stats.aborts_self.bump();
+        Error::serialization(SerializationKind::SummaryConflict, detail)
     }
 
-    /// Structure B: is `t2` a pivot whose out-edge reaches a committed `t3`?
-    /// Iterates `t2`'s in-conflicts (plus the summarized-in flag) as T1
-    /// candidates, reading each candidate's facts from its atomic tier
-    /// (conservative when stale). `t3_csn` is `None` while T3 is uncommitted.
-    /// Runs with `t2`'s lock held; T1 may legitimately be T3 itself (2-cycles
-    /// like write skew) — the in-edge from t3 still completes the cycle, so no
-    /// candidate is excluded.
-    fn check_pivot_in_with_t3(
+    /// [`rule::dangerous`] under this manager's read-only optimization.
+    fn rule(&self, t1: &Facts, t2: &Facts, t3: &Facts) -> Option<rule::Rule> {
+        rule::dangerous(t1, t2, t3, self.config.enable_read_only_opt)
+    }
+
+    /// Structure B: is `t2` a pivot whose out-edge reaches `t3`? Each
+    /// dangerous T1 gets a §5.4 victim. Runs with `t2`'s lock held.
+    fn check_pivot_in(
         &self,
         t2: &SxRef,
         t2g: &SxactMut,
-        t3_csn: Option<CommitSeqNo>,
+        t3: &Facts,
         acting: TxnId,
         dooms: &mut Vec<SxRef>,
     ) -> Result<()> {
-        let Some(c) = t3_csn else {
-            // Nothing to do until T3 commits (safe-retry rule 1, §5.4); the
-            // pre-commit check on T3 handles it.
-            return Ok(());
-        };
-        if t2.commit_csn().is_some_and(|t2_commit| c > t2_commit) {
-            return Ok(()); // T2 committed before T3: T3 is not first
-        }
-        for t1 in self.t1_candidates(t2g) {
-            let dangerous = match &t1 {
-                Some(t1x) => {
-                    if t1x.phase() == Phase::Aborted {
-                        // Mid-removal aborted peer still listed: never part of
-                        // a cycle (under one global lock this was unobservable).
-                        continue;
-                    }
-                    // Non-strict: T1 may be T3 itself (2-cycles). Prepared
-                    // counts as uncommitted (see check_pivot_out).
-                    let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                    let ro_ok = !(self.config.enable_read_only_opt && t1x.is_read_only())
-                        || c < t1x.snapshot_csn;
-                    c <= t1_bound && ro_ok
-                }
-                // Summarized T1: conservatively dangerous (identity and commit
-                // time lost; cannot apply either optimization).
-                None => true,
-            };
-            if dangerous {
-                self.stats.dangerous_structures.bump();
-                self.resolve_failure(t1.as_ref(), t2, acting, dooms)?;
-            }
+        for t1 in self.dangerous_t1s(t2g, &t2.facts(), t3) {
+            self.stats.dangerous_structures.bump();
+            self.resolve_failure(t1.as_ref(), t2, acting, dooms)?;
         }
         Ok(())
     }
 
-    /// The T1 candidates of a pivot whose lock is held (`t2g`): each
-    /// resolvable in-conflict, then `None` for a summarized one (commit time
-    /// unknown, not read-only). BTreeSet iteration visits them in ascending
-    /// txid order, so victim choice is deterministic across registry-shard
-    /// counts.
-    fn t1_candidates(&self, t2g: &SxactMut) -> Vec<Option<SxRef>> {
-        let mut c: Vec<Option<SxRef>> = t2g
+    /// The T1s that make `t1 → t2 → t3` dangerous, for a pivot whose lock is
+    /// held (`t2g`): each resolvable in-conflict in ascending txid order (so
+    /// victim choice is deterministic across registry-shard counts), then
+    /// `None` for a summary flag. T1 facts come from the atomic tier,
+    /// conservative when stale; an aborted peer still listed mid-removal is
+    /// no T1. T1 may be T3 itself (2-cycles like write skew): no candidate
+    /// is excluded.
+    fn dangerous_t1s(&self, t2g: &SxactMut, t2: &Facts, t3: &Facts) -> Vec<Option<SxRef>> {
+        // A summary flag is the worst T1 there is: if it cannot complete the
+        // structure, nothing can, and no peer need be looked up.
+        if self.rule(&Facts::SUMMARY_FLAG, t2, t3).is_none() {
+            return Vec::new();
+        }
+        let mut found: Vec<Option<SxRef>> = t2g
             .in_conflicts
             .iter()
-            .map(|x| self.reg.get(*x))
-            .filter(Option::is_some)
+            .filter_map(|x| self.reg.get(*x))
+            .filter(|t1| t1.phase() != Phase::Aborted && self.rule(&t1.facts(), t2, t3).is_some())
+            .map(Some)
             .collect();
         if t2g.summary_conflict_in {
-            c.push(None);
+            found.push(None);
         }
-        c
+        found
     }
 
     /// Safe-retry victim selection (§5.4): prefer the pivot `t2`; fall back to
@@ -1098,14 +1036,18 @@ impl SsiManager {
                 if t2g.gone || t2.is_committed() || t2.is_doomed() || t2.phase() == Phase::Aborted {
                     Ok(())
                 } else {
-                    self.precommit_check_t2(sx, &t2, &t2g, &mut dooms)
+                    // I commit after every commit and snapshot so far: a
+                    // committed or read-only T1 cannot complete the
+                    // structure. A prepared pivot (§7.1) hands the victim
+                    // role to its T1s, and to me if I am one of them.
+                    self.check_pivot_in(&t2, &t2g, &Facts::committing(), sx, &mut dooms)
                 }
             };
             self.finish_checks(res, dooms)?;
         }
         // Role T2 (early detection; the authoritative run happens again at
         // commit under the order mutex — see `pivot_check_locked`).
-        self.pivot_check_locked(&me.lock())
+        self.pivot_check_locked(me, &me.lock())
     }
 
     /// Role-T2 dangerous-pivot validation: my own in-edge + committed
@@ -1120,97 +1062,17 @@ impl SsiManager {
     /// structure (the one-big-mutex implementation made {assign, fold} atomic
     /// with every check, closing this by construction). Callers hold the
     /// record's lock.
-    fn pivot_check_locked(&self, g: &SxactMut) -> Result<()> {
-        let e = g.earliest_out_conflict_commit;
-        if e != CommitSeqNo::MAX {
-            for t1 in self.t1_candidates(g) {
-                let dangerous = match &t1 {
-                    Some(t1x) => {
-                        if t1x.phase() == Phase::Aborted {
-                            continue;
-                        }
-                        // Non-strict: T1 may be T3 itself (2-cycles).
-                        let t1_bound = t1x.commit_csn().unwrap_or(CommitSeqNo::MAX);
-                        let ro = !(self.config.enable_read_only_opt && t1x.is_read_only())
-                            || e < t1x.snapshot_csn;
-                        e <= t1_bound && ro
-                    }
-                    None => true,
-                };
-                if dangerous {
-                    self.stats.dangerous_structures.bump();
-                    self.stats.aborts_self.bump();
-                    return Err(Error::serialization(
-                        SerializationKind::PivotAbort,
-                        "pivot with committed out-conflict detected at commit",
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One pivot candidate of the committing T3 (`me`): `t2`'s lock is held.
-    fn precommit_check_t2(
-        &self,
-        sx: TxnId,
-        t2: &SxRef,
-        t2g: &SxactMut,
-        dooms: &mut Vec<SxRef>,
-    ) -> Result<()> {
-        let dangerous_t1s: Vec<Option<SxRef>> = self
-            .t1_candidates(t2g)
-            .into_iter()
-            .filter(|t1| match t1 {
-                Some(t1x) => {
-                    // T1 already committed → I would not be the first
-                    // committer of the structure; an aborted T1 is no T1.
-                    if t1x.is_committed() || t1x.phase() == Phase::Aborted {
-                        return false;
-                    }
-                    // Read-only rule: I am committing *now*, after T1's
-                    // snapshot, so a read-only T1 cannot complete a cycle.
-                    !(self.config.enable_read_only_opt && t1x.is_read_only())
-                }
-                None => true, // summarized T1: conservative
-            })
-            .collect();
-        if dangerous_t1s.is_empty() {
+    fn pivot_check_locked(&self, me: &Sxact, g: &SxactMut) -> Result<()> {
+        let t3 = Facts::out_bound(g.earliest_out_conflict_commit);
+        if self.dangerous_t1s(g, &me.facts(), &t3).is_empty() {
             return Ok(());
         }
         self.stats.dangerous_structures.bump();
-        // Preferred victim: the pivot — one abort kills every structure
-        // through it (§5.4 rule 2). Its lock is held: the doom is exact.
-        if t2.is_abortable() {
-            t2.doom();
-            self.stats.doomed_set.bump();
-            self.tracer.record(t2.txid.0, TraceTag::Doom, 0);
-            return Ok(());
-        }
-        // Pivot is prepared (§7.1): each dangerous T1 must die instead —
-        // and if one of them is me, I am the victim.
-        for t1 in dangerous_t1s {
-            match t1 {
-                Some(t1x) if t1x.txid == sx => {
-                    self.stats.aborts_self.bump();
-                    return Err(Error::serialization(
-                        SerializationKind::NonPivotAbort,
-                        "pivot is prepared; committing T3 is also its T1",
-                    ));
-                }
-                Some(t1x) if t1x.is_abortable() => dooms.push(t1x),
-                _ => {
-                    // Summarized or unabortable T1 with an unabortable
-                    // pivot: only I can yield.
-                    self.stats.aborts_self.bump();
-                    return Err(Error::serialization(
-                        SerializationKind::NonPivotAbort,
-                        "dangerous structure with no abortable participant but me",
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.stats.aborts_self.bump();
+        Err(Error::serialization(
+            SerializationKind::PivotAbort,
+            "pivot with committed out-conflict detected at commit",
+        ))
     }
 
     /// Capture a [`CommitDigest`] for a commit that did *not* run under SSI
@@ -1315,7 +1177,7 @@ impl SsiManager {
         let (in_sources, summary_in, trackers, my_earliest, had_out, watched, g_two_phase) = {
             let mut g = me.lock();
             if !g.two_phase && !self.emulate_pivot_race.load(Ordering::Relaxed) {
-                self.pivot_check_locked(&g)?;
+                self.pivot_check_locked(me, &g)?;
             }
             csn = assign_csn();
             debug_assert!(
@@ -1487,10 +1349,7 @@ impl SsiManager {
         ops: &mut DeferredLockOps,
     ) {
         let Some(rx) = self.reg.get(r) else { return };
-        let made_unsafe = match w_earliest {
-            Some(e) => e != CommitSeqNo::MAX && e < rx.snapshot_csn,
-            None => false,
-        };
+        let made_unsafe = w_earliest.is_some_and(|e| rule::makes_unsafe(e, rx.snapshot_csn));
         let mut unhook = BTreeSet::new();
         {
             let mut g = rx.lock();

@@ -39,6 +39,8 @@ use parking_lot::{Mutex, MutexGuard};
 use pgssi_common::{CommitSeqNo, TxnId};
 use pgssi_lockmgr::siread::OwnerHandle;
 
+use crate::rule::{Facts, Fate};
+
 /// Phase of a serializable transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
@@ -355,13 +357,21 @@ impl Sxact {
         }
     }
 
-    /// Commit CSN if committed, else the prepare CSN if prepared (a conservative
-    /// lower bound on the eventual commit), else `None`.
-    pub fn commit_or_prepare_csn(&self) -> Option<CommitSeqNo> {
-        match self.phase() {
-            Phase::Committed => self.commit_csn(),
-            Phase::Prepared => self.prepare_csn(),
-            _ => None,
+    /// What a dangerous-structure check reads of this record. Lock-free:
+    /// exact under the record's lock, and conservative when stale for a T1 or
+    /// T2 (an unseen commit reads as not committed); a T3's is read under its
+    /// lock.
+    pub fn facts(&self) -> Facts {
+        let fate = match (self.commit_csn(), self.phase(), self.prepare_csn()) {
+            (Some(c), _, _) => Fate::Committed(c),
+            (None, Phase::Prepared, Some(p)) => Fate::Prepared(p),
+            _ => Fate::Active,
+        };
+        Facts {
+            snapshot: self.snapshot_csn,
+            fate,
+            read_only: self.is_read_only(),
+            summarized: false,
         }
     }
 }
@@ -453,10 +463,10 @@ mod tests {
         s.set_phase(Phase::Prepared);
         s.set_prepare_csn(Some(CommitSeqNo(9)));
         assert!(!s.is_abortable());
-        assert_eq!(s.commit_or_prepare_csn(), Some(CommitSeqNo(9)));
+        assert_eq!(s.facts().fate, Fate::Prepared(CommitSeqNo(9)));
         s.set_phase(Phase::Committed);
         s.set_commit_csn(CommitSeqNo(12));
-        assert_eq!(s.commit_or_prepare_csn(), Some(CommitSeqNo(12)));
+        assert_eq!(s.facts().fate, Fate::Committed(CommitSeqNo(12)));
     }
 
     #[test]

@@ -783,6 +783,16 @@ impl Transaction {
     }
 
     /// Find the visible version of the row with primary key `key`, for a write.
+    ///
+    /// A miss is an observation too ("no such row in my snapshot"), so a
+    /// search that finds no row is repeated under the gap lock a point read
+    /// takes: SSI's page SIREAD lock inside `range_hooked`, under the tree
+    /// lock, so an insert either precedes the repeat (and is seen) or meets
+    /// the lock; S2PL's shared lock on the visited leaf, re-searching until a
+    /// search runs entirely under it (`read_via_index`'s loop). Without it an
+    /// insert-if-absent written as an update that misses is a write skew. A
+    /// hit observed only its row, which its tuple locks cover, so it leaves
+    /// the leaf unlocked.
     fn locate_for_write(
         &mut self,
         t: &Table,
@@ -792,35 +802,60 @@ impl Transaction {
         let IndexImpl::BTree(btree) = &inner.pk.imp else {
             unreachable!("pk is btree")
         };
-        let scan = btree.search(key);
+        let rel = inner.pk.rel();
         if self.is_2pl() {
             self.s2pl_lock(
                 LockTarget::Relation(t.heap_rel),
                 LockMode::IntentionExclusive,
             )?;
-            self.s2pl_lock(
-                LockTarget::Relation(inner.pk.rel()),
-                LockMode::IntentionShared,
-            )?;
+            self.s2pl_lock(LockTarget::Relation(rel), LockMode::IntentionShared)?;
         }
-        for (_k, root) in scan.entries {
-            if self.is_2pl() {
-                self.s2pl_lock(LockTarget::tuple(t.heap_rel, root), LockMode::Exclusive)?;
-                // With the X lock held, the latest committed version is stable.
-                self.snapshot = self.db.tm.snapshot();
-            }
-            // The update's read of the old row is a read like any other: it
-            // takes a SIREAD lock on the version (immediately subsumed by the
-            // write lock when the write goes through — the §7.3 optimization).
-            let read = self.read_root(t, inner, root);
-            self.ssi_events(&read.events)?;
-            if let Some((tid, row)) = read.visible {
-                if inner.pk_of(&row) == *key {
-                    return Ok(Some((root, tid, row)));
+        let mut locked: Vec<pgssi_common::PageNo> = Vec::new();
+        let mut ssi_gap_locked = false;
+        loop {
+            let scan = if ssi_gap_locked {
+                btree.range_hooked(Bound::Included(key), Bound::Included(key), &mut |p| {
+                    self.ssi_read(&[LockTarget::Page(rel, p)])
+                })
+            } else {
+                btree.search(key)
+            };
+            for &(_, root) in &scan.entries {
+                if self.is_2pl() {
+                    self.s2pl_lock(LockTarget::tuple(t.heap_rel, root), LockMode::Exclusive)?;
+                    // With the X lock held, the latest committed version is stable.
+                    self.snapshot = self.db.tm.snapshot();
+                }
+                // The update's read of the old row is a read like any other: it
+                // takes a SIREAD lock on the version (immediately subsumed by the
+                // write lock when the write goes through — the §7.3 optimization).
+                let read = self.read_root(t, inner, root);
+                self.ssi_events(&read.events)?;
+                if let Some((tid, row)) = read.visible {
+                    if inner.pk_of(&row) == *key {
+                        return Ok(Some((root, tid, row)));
+                    }
                 }
             }
+            if !self.is_2pl() {
+                if self.ssi.is_none() || ssi_gap_locked {
+                    return Ok(None);
+                }
+                ssi_gap_locked = true;
+                continue;
+            }
+            let mut newly_locked = false;
+            for p in scan.leaf_pages {
+                if !locked.contains(&p) {
+                    self.s2pl_lock(LockTarget::Page(rel, p), LockMode::Shared)?;
+                    locked.push(p);
+                    newly_locked = true;
+                }
+            }
+            if !newly_locked {
+                return Ok(None);
+            }
         }
-        Ok(None)
     }
 
     /// Take the tuple write lock on the visible version, handling waits and the

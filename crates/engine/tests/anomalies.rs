@@ -9,7 +9,7 @@
 //! * The serialization-graph shapes of Figure 3 are asserted indirectly via
 //!   which transaction aborts.
 
-use pgssi_common::{row, Error, Key, Value};
+use pgssi_common::{row, Error, Key, Row, Value};
 use pgssi_engine::{BeginOptions, Database, IsolationLevel, TableDef, Transaction};
 
 fn doctors_db() -> Database {
@@ -546,4 +546,93 @@ fn write_skew_abort_is_classified_and_traced() {
     {
         assert!(ids.contains(&e.peer), "edge peer outside the pair: {e:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Insert-if-absent: an UPDATE or DELETE that finds no row observed a gap
+// ---------------------------------------------------------------------------
+
+/// `kv(k, v)`, empty or holding one unrelated row.
+fn kv_db(preload: bool) -> Database {
+    let db = Database::open();
+    db.create_table(TableDef::new("kv", &["k", "v"], vec![0]))
+        .unwrap();
+    if preload {
+        let mut t = db.begin(IsolationLevel::ReadCommitted);
+        t.insert("kv", row![100, 0]).unwrap();
+        t.commit().unwrap();
+    }
+    db
+}
+
+/// The write half of "update key `k`, or insert if it is absent", as an
+/// UPDATE or a DELETE that must miss.
+fn write_miss(t: &mut Transaction, k: i64, via_delete: bool) -> Result<bool, Error> {
+    if via_delete {
+        t.delete("kv", &row![k])
+    } else {
+        t.update("kv", &row![k], row![k, 1])
+    }
+}
+
+/// Rows of `kv` other than the unrelated preload.
+fn kv_keys(db: &Database) -> Vec<Row> {
+    let mut check = db.begin(IsolationLevel::ReadCommitted);
+    let mut rows = check.scan_where("kv", |r| r[0] != Value::Int(100)).unwrap();
+    check.commit().unwrap();
+    rows.sort_by_key(|r| r[0].clone());
+    rows
+}
+
+/// T1 finds no key 2 and inserts key 1; T2 finds no key 1 and inserts key 2.
+/// Whichever ran second would have found the other's row, so both may not
+/// commit. The miss must take the gap lock a point read takes, or the two
+/// inserts meet no lock and the write skew commits: on an empty table, on a
+/// non-empty one, and through a DELETE that misses, at SERIALIZABLE (a page
+/// SIREAD lock) and under S2PL (a shared page lock, so the two inserts'
+/// exclusive page locks deadlock). Every arm runs; the failures are listed
+/// together.
+#[test]
+fn insert_if_absent_through_an_update_miss_is_prevented() {
+    use std::sync::{Arc, Barrier};
+    let mut failed = Vec::new();
+    for iso in [
+        IsolationLevel::Serializable,
+        IsolationLevel::Serializable2pl,
+    ] {
+        for (preload, via_delete) in [(false, false), (true, false), (false, true)] {
+            let db = Arc::new(kv_db(preload));
+            let barrier = Arc::new(Barrier::new(2));
+            let halves: Vec<_> = [(1i64, 2i64), (2, 1)]
+                .into_iter()
+                .map(|(mine, other)| {
+                    let db = Arc::clone(&db);
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        let mut t = db.begin(iso);
+                        let missed = write_miss(&mut t, other, via_delete);
+                        barrier.wait();
+                        matches!(missed, Ok(false))
+                            && t.insert("kv", row![mine, 1])
+                                .and_then(|()| t.commit())
+                                .is_ok()
+                    })
+                })
+                .collect();
+            let committed = halves
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .filter(|&ok| ok)
+                .count();
+            if committed == 2 || kv_keys(&db).len() != committed {
+                failed.push(format!(
+                    "{iso:?}, preload {preload}, via delete {via_delete}: {committed} committed"
+                ));
+            }
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "insert-if-absent write skew: {failed:#?}"
+    );
 }
